@@ -18,7 +18,6 @@ from .dataset import (
     MetricKind,
     ScoreDomain,
     ScoredDataset,
-    ScoredRow,
     load_csv,
     parse_combo,
     parse_metric,
@@ -37,14 +36,7 @@ from .metrics import (
     probabilistic_parity_gap,
     rate_curve,
 )
-from .ot import (
-    EmpiricalDistribution,
-    TransportMap,
-    barycenter_quantile,
-    transport_to_barycenter,
-    wasserstein,
-    wasserstein_uniform,
-)
+from .ot import EmpiricalDistribution, barycenter_quantile, wasserstein
 from .repair import RepairPlan, fit_plan, load_plan, save_plan
 from .solver import (
     LambdaObjective,
@@ -60,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ScoreDomain",
-    "ScoredRow",
     "ScoredDataset",
     "MetricKind",
     "MetricCombo",
@@ -77,11 +68,8 @@ __all__ = [
     "load_csv",
     "write_csv",
     "EmpiricalDistribution",
-    "TransportMap",
     "wasserstein",
-    "wasserstein_uniform",
     "barycenter_quantile",
-    "transport_to_barycenter",
     "ThresholdGrid",
     "DisparityCurve",
     "DisparityReport",

@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 validation error, 3 solver error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -21,10 +19,10 @@ import tempfile
 
 import numpy as np
 
-from .dataset import ScoreDomain, load_csv, parse_combo
+from .dataset import ScoreDomain, _read_scored_csv, _write_dataset, load_csv, parse_combo
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
-from .metrics import ThresholdGrid, distributional_disparity, rate_curve
+from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
 from .repair import fit_plan, load_plan, save_plan
 from .solver import LambdaObjective, objective_eval, solve_exact, solve_grid, solve_probabilistic
 from .synth import GENERATOR_ID, JointSpec, bundled_spec, sample, split
@@ -54,17 +52,23 @@ class _CliError(Exception):
         self.code = code
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: str, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _parse_domain(text: str) -> ScoreDomain:
@@ -100,32 +104,11 @@ def _load_config(args: argparse.Namespace) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise _CliError(f"{path}: config is not valid JSON ({exc})", EXIT_VALIDATION) from None
     if not isinstance(data, dict):
         raise _CliError(f"{path}: config must be a JSON object", EXIT_VALIDATION)
     return data
-
-
-def _curves_csv(curves) -> str:
-    lines = ["threshold,group,metric,value"]
-    for curve in curves:
-        for row in curve.csv_rows():
-            lines.append(",".join(map(str, row)))
-    return "\n".join(lines) + "\n"
-
-
-def _dataset_csv_text(ds) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    labeled = ds.is_labeled
-    writer.writerow(["score", "group", "label"] if labeled else ["score", "group"])
-    for s, g, l in zip(ds.scores, ds.group_indices, ds.labels):
-        row = [repr(float(s)), ds.groups[g]]
-        if labeled:
-            row.append(int(l))
-        writer.writerow(row)
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +132,9 @@ def _cmd_evaluate(args, config) -> int:
         payload["weighted_expected_gap"] = float(
             sum(w * r.expected_gap for (_, w), r in zip(combo.terms, reports))
         )
-    _atomic_write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(args.output, payload)
     curves_path = args.curves or os.path.splitext(args.output)[0] + ".curves.csv"
-    _atomic_write(curves_path, _curves_csv(curves))
+    _atomic_write(curves_path, lambda fh: _write_curves(fh, curves))
     return EXIT_OK
 
 
@@ -199,10 +182,7 @@ def _cmd_fit(args, config) -> int:
         solution_dict = sol.to_dict()
 
     save_plan(plan, args.output)
-    _atomic_write(
-        args.output + ".solution.json",
-        json.dumps(solution_dict, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(args.output + ".solution.json", solution_dict)
     return EXIT_OK
 
 
@@ -213,31 +193,17 @@ def _cmd_apply(args, config) -> int:
     if not os.path.exists(args.input):
         raise _CliError(f"input file not found: {args.input}", EXIT_IO)
 
-    # Stream the CSV directly so row order and pass-through columns survive.
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "score" not in fields or "group" not in fields:
-            raise DatasetError(f"{args.input}: CSV must have 'score' and 'group' columns")
-        records = list(reader)
-
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fields)
-    writer.writeheader()
-    for lineno, rec in enumerate(records, start=2):
-        raw = (rec.get("score") or "").strip()
-        if not raw:
-            raise DatasetError(f"{args.input}:{lineno}: missing score")
-        try:
-            score = float(raw)
-        except ValueError:
-            raise DatasetError(f"{args.input}:{lineno}: bad score '{raw}'") from None
-        group = (rec.get("group") or "").strip()
-        repaired = float(plan.repaired_score(group, score))
-        rec = dict(rec)
-        rec["score"] = repr(repaired)
-        writer.writerow(rec)
-    _atomic_write(args.output, out.getvalue())
+    # Not a ScoredDataset: apply keeps every column and the row order, and
+    # accepts groups with a single row.
+    table = _read_scored_csv(args.input, plan.domain)
+    repaired = np.empty_like(table.scores)
+    names, first, inverse = np.unique(table.groups, return_index=True, return_inverse=True)
+    for k, group in enumerate(map(str, names)):
+        if group not in plan.groups:
+            raise DatasetError(f"{args.input}:{table.lines[first[k]]}: group '{group}' not in plan")
+        rows = inverse == k
+        repaired[rows] = plan.repaired_score(group, table.scores[rows])
+    _atomic_write(args.output, lambda fh: table.write(fh, repaired))
     return EXIT_OK
 
 
@@ -259,7 +225,7 @@ def _cmd_lambda_sweep(args, config) -> int:
     lines = ["lambda,objective,is_argmin"]
     for i, (lam, v) in enumerate(zip(lams, vals)):
         lines.append(f"{float(lam)!r},{float(v)!r},{int(i == best)}")
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    _atomic_write(args.output, lambda fh: fh.write("\n".join(lines) + "\n"))
     return EXIT_OK
 
 
@@ -276,8 +242,8 @@ def _cmd_generate(args, config) -> int:
     ds = sample(spec, n, seed)
     labeled, holdout = split(ds, fraction, seed)
     prefix = args.output
-    _atomic_write(prefix + "_labeled.csv", _dataset_csv_text(labeled))
-    _atomic_write(prefix + "_holdout.csv", _dataset_csv_text(holdout))
+    _atomic_write(prefix + "_labeled.csv", lambda fh: _write_dataset(fh, labeled))
+    _atomic_write(prefix + "_holdout.csv", lambda fh: _write_dataset(fh, holdout))
     meta = {
         "generator": GENERATOR_ID,
         "seed": seed,
@@ -285,7 +251,7 @@ def _cmd_generate(args, config) -> int:
         "fraction": fraction,
         "spec": spec.to_dict(),
     }
-    _atomic_write(prefix + "_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(prefix + "_meta.json", meta)
     return EXIT_OK
 
 
@@ -296,7 +262,12 @@ def _cmd_generate(args, config) -> int:
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", help="pr|tpr|fpr|nr|tnr|fnr or weighted combo like 'tpr:1,fpr:1'")
-    p.add_argument("--grid", type=int, help="threshold-grid size (default 101)")
+    p.add_argument(
+        "--grid",
+        type=int,
+        help="threshold-grid size (default 101); 'fit --solver grid' also takes its "
+        "lambda step count from it, while lambda-sweep uses --steps",
+    )
     p.add_argument("--p", type=float, help="disparity order p >= 1 (default 1)")
     p.add_argument(
         "--solver",

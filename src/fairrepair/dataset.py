@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from .errors import DatasetError
 
 __all__ = [
     "ScoreDomain",
-    "ScoredRow",
     "ScoredDataset",
     "MetricKind",
     "MetricCombo",
@@ -70,15 +71,6 @@ class ScoreDomain:
     def denormalize(self, z):
         """Inverse of :meth:`normalize`."""
         return self.lo + np.asarray(z, dtype=float) * self.width
-
-
-@dataclass(frozen=True)
-class ScoredRow:
-    """One observation: a score, a group identifier, an optional binary label."""
-
-    score: float
-    group: str
-    label: int | None = None
 
 
 class ScoredDataset:
@@ -165,13 +157,6 @@ class ScoredDataset:
         except ValueError:
             raise DatasetError(f"unknown group '{group}'") from None
 
-    @property
-    def rows(self) -> list[ScoredRow]:
-        return [
-            ScoredRow(float(s), self.groups[g], None if l < 0 else int(l))
-            for s, g, l in zip(self._scores, self._group_idx, self._labels)
-        ]
-
     def replace_scores(self, new_scores) -> "ScoredDataset":
         """Same rows with new scores (used by repair application)."""
         return ScoredDataset(
@@ -186,17 +171,14 @@ class ScoredDataset:
 def validate_dataset(rows, domain: ScoreDomain) -> ScoredDataset:
     """Validate raw rows into a :class:`ScoredDataset`.
 
-    Rows may be ScoredRow instances or (score, group[, label]) tuples.  Groups
-    are discovered from the data and ordered lexicographically; every group
-    must contribute at least two rows.
+    Rows are (score, group[, label]) tuples.  Groups are discovered from the
+    data and ordered lexicographically; every group must contribute at least
+    two rows.
     """
     scores, groups, labels = [], [], []
     for row in rows:
-        if isinstance(row, ScoredRow):
-            score, group, label = row.score, row.group, row.label
-        else:
-            score, group = row[0], row[1]
-            label = row[2] if len(row) > 2 else None
+        score, group = row[0], row[1]
+        label = row[2] if len(row) > 2 else None
         scores.append(float(score) if score is not None else np.nan)
         groups.append(str(group))
         labels.append(-1 if label is None else int(label))
@@ -225,10 +207,6 @@ class MetricKind:
             raise DatasetError("label_condition must be 0, 1 or None")
         if self.predicted_class not in (0, 1):
             raise DatasetError("predicted_class must be 0 or 1")
-
-    @property
-    def needs_labels(self) -> bool:
-        return self.label_condition is not None
 
     def __str__(self) -> str:
         return self.name
@@ -269,10 +247,6 @@ class MetricCombo:
     @property
     def kinds(self) -> list[MetricKind]:
         return [k for k, _ in self.terms]
-
-    @property
-    def needs_labels(self) -> bool:
-        return any(k.needs_labels for k, _ in self.terms)
 
     @property
     def single_kind(self) -> MetricKind | None:
@@ -335,40 +309,106 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
 # ---------------------------------------------------------------------------
 
 
+class _ScoredCsv(NamedTuple):
+    """A scored CSV as read: raw cells by column, the score and group parsed."""
+
+    header: list[str]
+    columns: list[list[str]]  # raw cells per header column; the score column stays empty
+    lines: array              # file line each record ends on
+    scores: np.ndarray
+    groups: list[str]         # stripped
+
+    def write(self, fh, new_scores) -> None:
+        """Write the table back with each record's score cell replaced."""
+        columns = list(self.columns)
+        columns[self.header.index("score")] = [repr(float(s)) for s in new_scores]
+        writer = csv.writer(fh)
+        writer.writerow(self.header)
+        writer.writerows(zip(*columns))
+
+
+def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
+    """Read a CSV with 'score' and 'group' columns; errors name path:line.
+
+    Blank lines are skipped, as csv.DictReader skips them, and short records
+    are padded with empty cells.  A record may not have more cells than the
+    header, and its score must be a finite number inside ``domain``.
+    """
+    def fail(message: str):
+        return DatasetError(f"{path}:{reader.line_num}: {message}")
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or "score" not in header or "group" not in header:
+                raise DatasetError(f"{path}: CSV must have 'score' and 'group' columns")
+            if len(set(header)) != len(header):
+                raise DatasetError(f"{path}: CSV header repeats a column name")
+            width, si, gi = len(header), header.index("score"), header.index("group")
+            columns = [[] for _ in header]
+            raw_columns = [(j, columns[j]) for j in range(width) if j != si]
+            lines, scores, groups = array("q"), array("d"), []
+            for rec in reader:
+                if not rec:
+                    continue
+                if len(rec) != width:
+                    if len(rec) > width:
+                        raise fail(f"{len(rec)} cells but the header has {width}")
+                    rec += [""] * (width - len(rec))
+                raw = rec[si].strip()
+                try:
+                    scores.append(float(raw))
+                except ValueError:
+                    raise fail(f"bad score '{raw}'" if raw else "missing score") from None
+                for j, column in raw_columns:
+                    column.append(rec[j])
+                lines.append(reader.line_num)
+                groups.append(rec[gi].strip())
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise fail(str(exc)) from None
+
+    scores = np.array(scores, dtype=float)
+    bad = np.flatnonzero(~((scores >= domain.lo) & (scores <= domain.hi)))  # NaN included
+    if bad.size:
+        raise DatasetError(
+            f"{path}:{lines[bad[0]]}: score out of domain: {scores[bad[0]]} is not a "
+            f"finite number in [{domain.lo}, {domain.hi}]"
+        )
+    return _ScoredCsv(header, columns, lines, scores, groups)
+
+
 def load_csv(path, domain: ScoreDomain) -> ScoredDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "score" not in reader.fieldnames or "group" not in reader.fieldnames:
-            raise DatasetError(f"{path}: CSV must have 'score' and 'group' columns")
-        has_label = "label" in reader.fieldnames
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            raw = (rec.get("score") or "").strip()
+    table = _read_scored_csv(path, domain)
+    labels = [-1] * len(table.groups)
+    if "label" in table.header:
+        raw_labels = table.columns[table.header.index("label")]
+        for i, (raw, line) in enumerate(zip(raw_labels, table.lines)):
+            raw = raw.strip()
             if not raw:
-                raise DatasetError(f"{path}:{lineno}: missing score")
+                continue
             try:
-                score = float(raw)
+                labels[i] = int(raw)
             except ValueError:
-                raise DatasetError(f"{path}:{lineno}: bad score '{raw}'") from None
-            label = None
-            if has_label:
-                raw_label = (rec.get("label") or "").strip()
-                if raw_label:
-                    try:
-                        label = int(raw_label)
-                    except ValueError:
-                        raise DatasetError(f"{path}:{lineno}: bad label '{raw_label}'") from None
-            rows.append((score, (rec.get("group") or "").strip(), label))
-    return validate_dataset(rows, domain)
+                raise DatasetError(f"{path}:{line}: bad label '{raw}'") from None
+            if labels[i] not in (0, 1):
+                raise DatasetError(f"{path}:{line}: non-binary label: {labels[i]}")
+    return ScoredDataset(table.scores, table.groups, labels, domain)
 
 
 def write_csv(ds: ScoredDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        labeled = ds.is_labeled
-        writer.writerow(["score", "group", "label"] if labeled else ["score", "group"])
-        for s, g, l in zip(ds.scores, ds.group_indices, ds.labels):
-            row = [repr(float(s)), ds.groups[g]]
-            if labeled:
-                row.append(int(l))
-            writer.writerow(row)
+        _write_dataset(fh, ds)
+
+
+def _write_dataset(fh, ds: ScoredDataset) -> None:
+    writer = csv.writer(fh)
+    labeled = ds.is_labeled
+    writer.writerow(["score", "group", "label"] if labeled else ["score", "group"])
+    for s, g, l in zip(ds.scores, ds.group_indices, ds.labels):
+        row = [repr(float(s)), ds.groups[g]]
+        if labeled:
+            row.append(int(l))
+        writer.writerow(row)

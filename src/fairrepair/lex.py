@@ -12,15 +12,15 @@ over subsets.  Round 1 alone is max-min fairness.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MetricKind, ScoredDataset, subset_by_label
+from .dataset import MetricKind, ScoredDataset
 from .errors import DatasetError, SolverError
 from .lp import linprog
 from .repair import RepairPlan
+from .solver import conditional_means_and_shifts
 
 __all__ = ["LexProblem", "LexSolution", "build_problem", "solve_maxmin", "solve_lexicographic"]
 
@@ -68,13 +68,7 @@ def build_problem(
         raise DatasetError("need at least 2 groups")
     if len(ds.groups) > MAX_GROUPS:
         raise DatasetError(f"at most {MAX_GROUPS} groups supported, got {len(ds.groups)}")
-    sub = subset_by_label(ds, kind)
-    a = np.empty(len(ds.groups))
-    b = np.empty(len(ds.groups))
-    for i, g in enumerate(ds.groups):
-        x = sub.group_scores(g)
-        a[i] = x.mean()
-        b[i] = plan.shift(g, x).mean()
+    a, b = conditional_means_and_shifts(plan, ds, kind)
     return LexProblem(plan, kind, ds.groups, a, b, alpha, eps_stab)
 
 
@@ -97,9 +91,6 @@ class LexSolution:
             "losses": self.losses,
             "rounds": self.rounds,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:

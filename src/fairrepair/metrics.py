@@ -27,7 +27,6 @@ __all__ = [
     "PairGap",
     "DisparityReport",
     "rate_curve",
-    "conditional_distribution",
     "distributional_disparity",
     "probabilistic_parity_gap",
     "groupwise_lex_loss",
@@ -79,9 +78,15 @@ class DisparityCurve:
                 yield (repr(float(tau)), group, self.metric.name, repr(float(v)))
 
     def write_csv(self, fh) -> None:
-        fh.write("threshold,group,metric,value\n")
-        for row in self.csv_rows():
-            fh.write(",".join(map(str, row)) + "\n")
+        _write_curves(fh, (self,))
+
+
+def _write_curves(fh, curves) -> None:
+    """Rows of every curve under one `threshold,group,metric,value` header."""
+    fh.write("threshold,group,metric,value\n")
+    for curve in curves:
+        for row in curve.csv_rows():
+            fh.write(",".join(row) + "\n")
 
 
 def rate_curve(ds: ScoredDataset, kind: MetricKind, grid: ThresholdGrid) -> DisparityCurve:
@@ -98,12 +103,6 @@ def rate_curve(ds: ScoredDataset, kind: MetricKind, grid: ThresholdGrid) -> Disp
         frac_ge = 1.0 - np.searchsorted(s, grid.points, side="left") / s.size
         values[g] = frac_ge if kind.predicted_class == 1 else 1.0 - frac_ge
     return DisparityCurve(kind, grid, values)
-
-
-def conditional_distribution(ds: ScoredDataset, kind: MetricKind, group: str) -> EmpiricalDistribution:
-    """Normalized empirical distribution of a group's label-conditioned scores."""
-    sub = subset_by_label(ds, kind)
-    return EmpiricalDistribution.from_samples(ds.domain.normalize(sub.group_scores(group)))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ F^-1(a) = inf{t : F(t) >= a}.  In one dimension that is enough for exact
 Wasserstein distances, barycenters, and monotone transport maps: the distance
 is an integral of the quantile difference, the barycenter's quantile function
 is the weighted average of the inputs' quantile functions, and the transport
-map from mu to nu is F_nu^-1 o F_mu.
+map from mu to nu is F_nu^-1 o F_mu (:class:`fairrepair.repair.RepairPlan`
+tabulates it for each group's map onto the barycenter).
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import numpy as np
 
 from .errors import DatasetError
 
-__all__ = [
-    "EmpiricalDistribution",
-    "TransportMap",
-    "wasserstein",
-    "wasserstein_uniform",
-    "barycenter_quantile",
-    "transport_to_barycenter",
-]
+__all__ = ["EmpiricalDistribution", "wasserstein", "barycenter_quantile"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -48,7 +42,7 @@ class EmpiricalDistribution:
             raise DatasetError("atoms must be finite")
         if atoms.min() < -_WEIGHT_TOL or atoms.max() > 1 + _WEIGHT_TOL:
             raise DatasetError("atoms must lie in [0, 1] (normalized scores)")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # also rejects NaN
             raise DatasetError("weights must be positive")
         total = weights.sum()
         if abs(total - 1.0) > 1e-9:
@@ -120,9 +114,6 @@ class EmpiricalDistribution:
         out = self.atoms[idx]
         return float(out) if out.ndim == 0 else out
 
-    def mean(self) -> float:
-        return float(self.atoms @ self.weights)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EmpiricalDistribution)
@@ -154,81 +145,20 @@ def wasserstein(d1: EmpiricalDistribution, d2: EmpiricalDistribution, p: float =
     return float(seg @ diff**p)
 
 
-def wasserstein_uniform(x, y, p: float = 1.0) -> float:
-    """W_p^p for two equal-size uniformly weighted samples.
-
-    Fast path: with matched sample sizes the optimal coupling pairs order
-    statistics, so W_p^p is the mean p-th power of sorted differences.  Agrees
-    with :func:`wasserstein` to within float round-off.
-    """
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise DatasetError("fast path needs equal sample sizes")
-    if p < 1:
-        raise DatasetError("order p must be >= 1")
-    return float(np.mean(np.abs(x - y) ** p))
-
-
-def _check_barycenter_args(dists, w) -> np.ndarray:
+def barycenter_quantile(dists, w, q):
+    """Quantile of the weighted barycenter: sum_i w_i F_i^-1(q)."""
     w = np.asarray(w, dtype=float)
     if len(dists) < 2:
         raise DatasetError("barycenter needs at least 2 distributions")
     if w.shape != (len(dists),):
         raise DatasetError("one weight per distribution required")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise DatasetError("barycenter weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise DatasetError(f"barycenter weights must sum to 1, got {w.sum()}")
-    return w
-
-
-def barycenter_quantile(dists, w, q):
-    """Quantile of the weighted barycenter: sum_i w_i F_i^-1(q)."""
-    w = _check_barycenter_args(dists, w)
     q = np.asarray(q, dtype=float)
     out = np.zeros(q.shape)
     for wi, d in zip(w, dists):
         if wi != 0.0:
             out = out + wi * d.quantile(q)
     return float(out) if out.ndim == 0 else out
-
-
-class TransportMap:
-    """Monotone rearrangement of a source distribution onto a target.
-
-    Composes the target's quantile evaluation with the source CDF:
-    T(x) = Q_target(F_source(x)); values stay in [0, 1].
-    """
-
-    __slots__ = ("source", "target_quantile")
-
-    def __init__(self, source: EmpiricalDistribution, target_quantile):
-        self.source = source
-        self.target_quantile = target_quantile
-
-    @classmethod
-    def to_distribution(cls, source, target: EmpiricalDistribution) -> "TransportMap":
-        return cls(source, target.quantile)
-
-    @classmethod
-    def to_barycenter(cls, dists, w, source_index: int) -> "TransportMap":
-        if not 0 <= source_index < len(dists):
-            raise DatasetError(f"source_index {source_index} out of range")
-        w = _check_barycenter_args(dists, w)
-        return cls(dists[source_index], lambda q: barycenter_quantile(dists, w, q))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -_WEIGHT_TOL) or np.any(x > 1 + _WEIGHT_TOL):
-            raise DatasetError("transport input must lie in [0, 1]")
-        return self.target_quantile(self.source.cdf(x))
-
-
-def transport_to_barycenter(dists, w, source_index: int, x):
-    """Monotone map sending source mass at x onto the weighted barycenter.
-
-    Evaluates F_beta^-1(F_source(x)).  Out-of-sample x below (above) every
-    source atom maps to the barycenter's minimum (maximum) quantile.
-    """
-    return TransportMap.to_barycenter(dists, w, source_index)(x)

@@ -10,7 +10,7 @@ labels; labels only ever enter through the choice of lambda.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,38 +32,46 @@ class RepairPlan:
     group_weights: np.ndarray
     fitted: dict[str, EmpiricalDistribution]
     lambdas: dict[str, float]
+    _targets: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.group_weights, dtype=float)
-        if len(self.groups) < 2:
-            raise DatasetError("repair needs at least 2 groups")
-        if w.shape != (len(self.groups),) or abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
+        if len(self.groups) < 2 or len(set(self.groups)) != len(self.groups):
+            raise DatasetError("repair needs at least 2 distinct groups")
+        # np.all(w >= 0) is False for a NaN weight, unlike np.any(w < 0).
+        if w.shape != (len(self.groups),) or not np.all(w >= 0) or abs(w.sum() - 1.0) > 1e-9:
             raise DatasetError("group weights must be nonnegative and sum to 1")
+        for name, table in (("fitted distributions", self.fitted), ("lambdas", self.lambdas)):
+            if set(table) != set(self.groups):
+                raise DatasetError(f"plan {name} must cover exactly the groups {sorted(self.groups)}")
         for g in self.groups:
-            if g not in self.fitted:
-                raise DatasetError(f"group '{g}' has no fitted distribution")
-            lam = self.lambdas.get(g)
-            if lam is None or not 0.0 <= lam <= 1.0:
+            if not 0.0 <= self.lambdas[g] <= 1.0:
                 raise DatasetError(f"lambda for group '{g}' must lie in [0, 1]")
         object.__setattr__(self, "group_weights", w)
+        # Full repair T_g = Q_bary o F_g is a step function that changes value
+        # only at g's atoms: tabulate Q_bary at 0 and at each cumulative weight.
+        dists = [self.fitted[g] for g in self.groups]
+        object.__setattr__(self, "_targets", {
+            g: barycenter_quantile(dists, w, np.concatenate(([0.0], self.fitted[g].breakpoints)))
+            for g in self.groups
+        })
 
     # -- core maps (x in original score units) ------------------------------
 
-    def _group_pos(self, group: str) -> int:
+    def _targets_of(self, group: str) -> np.ndarray:
         try:
-            return self.groups.index(group)
-        except ValueError:
+            return self._targets[group]
+        except KeyError:
             raise DatasetError(f"group '{group}' not in plan") from None
 
     def total_repair_score(self, group: str, x):
         """Fully repaired score: transport of x onto the group barycenter."""
-        pos = self._group_pos(group)
+        targets = self._targets_of(group)
         z = self.domain.normalize(x)
         if np.any(z < 0) or np.any(z > 1):
             raise DatasetError("score outside plan domain")
-        dists = [self.fitted[g] for g in self.groups]
-        q = dists[pos].cdf(z)
-        return self.domain.denormalize(barycenter_quantile(dists, self.group_weights, q))
+        idx = np.searchsorted(self.fitted[group].atoms, z, side="right")
+        return self.domain.denormalize(targets[idx])
 
     def shift(self, group: str, x):
         """Signed adjustment t(x) = fully-repaired(x) - x; may be negative."""
@@ -71,10 +79,11 @@ class RepairPlan:
 
     def repaired_score(self, group: str, x, lam: float | None = None):
         """Partial repair x + lambda * t(x); lambda defaults to the plan's."""
+        t = self.shift(group, x)  # rejects an unknown group before the lambda lookup
         lam = self.lambdas[group] if lam is None else float(lam)
         if not 0.0 <= lam <= 1.0:
             raise DatasetError("lambda must lie in [0, 1]")
-        out = np.asarray(x, dtype=float) + lam * self.shift(group, x)
+        out = np.asarray(x, dtype=float) + lam * t
         return np.clip(out, self.domain.lo, self.domain.hi)
 
     def apply(self, ds: ScoredDataset) -> ScoredDataset:
@@ -101,10 +110,9 @@ class RepairPlan:
         """
         if not 0.0 <= lam <= 1.0:
             raise DatasetError("lambda must lie in [0, 1]")
-        d = self.fitted[self.groups[self._group_pos(group)]]
-        dists = [self.fitted[g] for g in self.groups]
-        targets = barycenter_quantile(dists, self.group_weights, d.breakpoints)
-        atoms = (1.0 - lam) * d.atoms + lam * np.asarray(targets)
+        targets = self._targets_of(group)[1:]
+        d = self.fitted[group]
+        atoms = (1.0 - lam) * d.atoms + lam * targets
         return EmpiricalDistribution(np.clip(atoms, 0.0, 1.0), d.weights)
 
     def with_lambdas(self, lambdas: dict[str, float]) -> "RepairPlan":
@@ -131,22 +139,30 @@ class RepairPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RepairPlan":
+    def from_dict(cls, data) -> "RepairPlan":
+        """Rebuild a plan from :meth:`to_dict` output, validating every field."""
+        if not isinstance(data, dict):
+            raise DatasetError("plan must be a JSON object")
         version = data.get("format_version")
         if version != PLAN_FORMAT_VERSION:
             raise DatasetError(f"unsupported plan format_version {version!r}")
-        domain = ScoreDomain(float(data["domain"]["lo"]), float(data["domain"]["hi"]))
-        fitted = {
-            g: EmpiricalDistribution(spec["atoms"], spec["weights"])
-            for g, spec in data["fitted"].items()
-        }
-        return cls(
-            domain,
-            tuple(data["groups"]),
-            np.asarray(data["group_weights"], dtype=float),
-            fitted,
-            {g: float(v) for g, v in data["lambdas"].items()},
-        )
+        try:
+            domain = ScoreDomain(float(data["domain"]["lo"]), float(data["domain"]["hi"]))
+            fitted = {
+                g: EmpiricalDistribution(spec["atoms"], spec["weights"])
+                for g, spec in data["fitted"].items()
+            }
+            return cls(
+                domain,
+                tuple(data["groups"]),
+                np.asarray(data["group_weights"], dtype=float),
+                fitted,
+                {g: float(v) for g, v in data["lambdas"].items()},
+            )
+        except DatasetError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DatasetError(f"malformed plan ({type(exc).__name__}: {exc})") from None
 
 
 def fit_plan(ds: ScoredDataset, lambdas: dict[str, float] | float = 1.0) -> RepairPlan:
@@ -176,6 +192,6 @@ def load_plan(path) -> RepairPlan:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise DatasetError(f"{path}: not valid plan JSON ({exc})") from None
     return RepairPlan.from_dict(data)

@@ -8,7 +8,6 @@ gap between label-conditioned mean scores.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ import numpy as np
 
 from .dataset import MetricCombo, MetricKind, ScoredDataset, subset_by_label
 from .errors import DatasetError, SolverError
-from .metrics import ThresholdGrid
 from .ot import EmpiricalDistribution, wasserstein
 from .repair import RepairPlan
 
@@ -38,8 +36,6 @@ class LambdaObjective:
 
     combo: MetricCombo
     p: float = 1.0
-    grid: ThresholdGrid | None = None  # reserved for sweep output; the
-    # objective itself uses the exact Wasserstein route
 
     def __post_init__(self):
         if self.p < 1:
@@ -63,9 +59,6 @@ class LambdaSolution:
             "clamped": self.clamped,
             "evaluations": self.evaluations,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _binary_groups(ds: ScoredDataset) -> tuple[str, str]:
@@ -177,13 +170,22 @@ def solve_exact(
     return LambdaSolution(lam, f(lam), "exact", evals)
 
 
-def conditional_mean_and_shift(
-    plan: RepairPlan, ds: ScoredDataset, kind: MetricKind, group: str
-) -> tuple[float, float]:
-    """(E[score | cond, g], E[t | cond, g]) in original units."""
+def conditional_means_and_shifts(
+    plan: RepairPlan, ds: ScoredDataset, kind: MetricKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per group of ``ds``, in order: E[score | cond, g] and E[t(score) | cond, g].
+
+    Original units.  These are the coefficients of the affine repaired mean
+    m_g(lam) = a_g + lam * b_g that the closed-form and lexicographic solvers use.
+    """
     sub = subset_by_label(ds, kind)
-    x = sub.group_scores(group)
-    return float(x.mean()), float(plan.shift(group, x).mean())
+    a = np.empty(len(ds.groups))
+    b = np.empty(len(ds.groups))
+    for i, g in enumerate(ds.groups):
+        x = sub.group_scores(g)
+        a[i] = x.mean()
+        b[i] = plan.shift(g, x).mean()
+    return a, b
 
 
 def solve_probabilistic(
@@ -196,15 +198,14 @@ def solve_probabilistic(
     The raw value is clamped to [0, 1] with a flag when it falls outside; the
     reported objective is the disparity of the clamped solution.
     """
-    g1, g2 = _binary_groups(ds)
-    a1, b1 = conditional_mean_and_shift(plan, ds, kind, g1)
-    a2, b2 = conditional_mean_and_shift(plan, ds, kind, g2)
-    denom = b1 - b2
+    _binary_groups(ds)
+    a, b = conditional_means_and_shifts(plan, ds, kind)
+    denom = float(b[0] - b[1])
     if abs(denom) <= 1e-12:
         raise SolverError(
             "groups are equally shifted on average; the closed-form lambda is undefined"
         )
-    raw = (a2 - a1) / denom
+    raw = float(a[1] - a[0]) / denom
     lam = min(1.0, max(0.0, raw))
     obj = LambdaObjective(MetricCombo(((kind, 1.0),)))
     value = objective_eval(plan, ds, obj, lam)

@@ -219,6 +219,106 @@ def test_full_repair_then_evaluate_hits_sdp_bound(tmp_path):
     assert report["max_gap"] <= 2.0 / min(ds.group_count(g) for g in ds.groups)
 
 
+def test_apply_matches_per_row_reference(tmp_path):
+    """Column-wise apply equals repairing each row on its own, bit for bit.
+
+    The input reorders the columns, adds one, has a blank line and gives
+    group b a single row; every cell but the score passes through.
+    """
+    data = labeled_binary(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "exact",
+               "--metric", "tpr") == 0
+    plan = load_plan(plan_path)
+    rng = np.random.default_rng(8)
+    scores = np.concatenate(([0.0, 1.0], plan.fitted["a"].atoms[:5], rng.random(40)))
+    rows = [f"r{i},a,{float(s)!r}" for i, s in enumerate(scores)]
+    rows.insert(7, f"solo,b,{float(plan.fitted['b'].atoms[3])!r}")
+    text = "id,group,score\n" + "\n".join(rows[:20] + [""] + rows[20:]) + "\n"
+    src = tmp_path / "mixed.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", out) == 0
+
+    expected = ["id,group,score"]
+    for line in text.splitlines()[1:]:
+        if not line:
+            continue
+        rid, group, score = line.split(",")
+        expected.append(f"{rid},{group},{float(plan.repaired_score(group, float(score)))!r}")
+    assert out.read_text().splitlines() == expected
+
+
+def test_apply_header_only_input(tmp_path):
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", write_dataset(tmp_path), "--output", plan_path,
+               "--solver", "none") == 0
+    src = tmp_path / "empty.csv"
+    src.write_text("score,group,note\n")
+    out = tmp_path / "out.csv"
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", out) == 0
+    assert out.read_text().splitlines() == ["score,group,note"]
+
+
+# Each malformed input is rejected with exit code 2, and the message names the
+# offending line where there is one.
+MALFORMED_CSV = {
+    "nan-score": (b"score,group\n0.2,A\nnan,B\n", ":3: score out of domain: nan"),
+    "out-of-domain-score": (b"score,group\n0.2,A\n\n1.5,B\n", ":4: score out of domain: 1.5"),
+    "extra-cell": (b"score,group\n0.2,A\n0.3,B,x\n", ":3: 3 cells but the header has 2"),
+    "duplicate-header": (b"score,group,score\n0.2,A,0.1\n", "header repeats a column"),
+    "not-utf8": (b"score,group\n0.2,A\n0.3,\xff\n", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+@pytest.mark.parametrize("command", ["apply", "evaluate"])
+def test_malformed_csv_is_validation_error(tmp_path, capsys, command, case):
+    content, message = MALFORMED_CSV[case]
+    src = tmp_path / "bad.csv"
+    src.write_bytes(content)
+    out = tmp_path / "out"
+    if command == "apply":
+        plan_path = tmp_path / "plan.json"
+        assert run("fit", "--input", write_dataset(tmp_path), "--output", plan_path,
+                   "--solver", "none") == 0
+        capsys.readouterr()
+        code = run("apply", "--input", src, "--plan", plan_path, "--output", out)
+    else:
+        code = run("evaluate", "--input", src, "--output", out)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_apply_unknown_group_names_its_first_line(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", write_dataset(tmp_path), "--output", plan_path,
+               "--solver", "none") == 0
+    src = tmp_path / "new.csv"
+    src.write_text("score,group\n0.2,A\n0.3,Z\n0.4,B\n0.5,Z\n")
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+    assert f"{src}:3: group 'Z' not in plan" in capsys.readouterr().err
+
+
+def test_non_utf8_plan_and_config_are_validation_errors(tmp_path):
+    data = write_dataset(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"metric": "\xff"}')
+    assert run("apply", "--input", data, "--plan", bad, "--output", tmp_path / "o.csv") == 2
+    assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--config", bad) == 2
+
+
+def test_plan_missing_key_is_validation_error(tmp_path):
+    plan_path = tmp_path / "plan.json"
+    data = write_dataset(tmp_path)
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    payload = json.loads(plan_path.read_text())
+    del payload["domain"]
+    plan_path.write_text(json.dumps(payload))
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+
+
 # -- lambda-sweep ------------------------------------------------------------------
 
 

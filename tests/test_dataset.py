@@ -77,7 +77,10 @@ def test_domain_normalization_roundtrip():
 def test_rows_accessor_roundtrip():
     rows = [(0.2, "A", 1), (0.4, "A", 0), (0.1, "B", None), (0.3, "B", None)]
     ds = validate_dataset(rows, UNIT)
-    got = [(r.score, r.group, r.label) for r in ds.rows]
+    got = [
+        (float(s), ds.groups[g], None if l < 0 else int(l))
+        for s, g, l in zip(ds.scores, ds.group_indices, ds.labels)
+    ]
     assert got == rows
 
 
@@ -182,3 +185,23 @@ def test_csv_missing_score_rejected(tmp_path):
     path.write_text("score,group\n0.1,A\n,A\n0.3,B\n0.4,B\n")
     with pytest.raises(DatasetError, match="missing score"):
         load_csv(path, UNIT)
+
+
+@pytest.mark.parametrize("content, message", [
+    ("score,group\n0.1,A\n0.2,A\nnan,B\n0.4,B\n", ":4: score out of domain: nan"),
+    ("score,group\n0.1,A\n0.2,A\n0.3,B,extra\n0.4,B\n", ":4: 3 cells but the header has 2"),
+    ("score,group,group\n0.1,A,A\n", "header repeats a column"),
+], ids=["nan-score", "extra-cell", "duplicate-header"])
+def test_csv_malformed_rows_rejected_with_line(tmp_path, content, message):
+    path = tmp_path / "data.csv"
+    path.write_text(content)
+    with pytest.raises(DatasetError, match=message):
+        load_csv(path, UNIT)
+
+
+def test_csv_skips_blank_lines_and_pads_short_rows(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("score,group,label\n0.1,A,1\n\n0.2,A\n0.3,B,0\n0.4,B,1\n")
+    ds = load_csv(path, UNIT)
+    assert len(ds) == 4
+    assert ds.labels.tolist() == [1, -1, 0, 1]

@@ -13,6 +13,7 @@ from fairrepair import (
     solve_maxmin,
     solve_probabilistic,
     split,
+    subset_by_label,
 )
 from fairrepair.lex import LexProblem
 
@@ -47,12 +48,11 @@ def test_build_problem_matches_direct_means(rng):
     ds = random_binary_dataset(rng, n_per_group=(60, 80))
     plan = fit_plan(ds)
     prob = build_problem(plan, ds, TPR)
-    from fairrepair.solver import conditional_mean_and_shift
-
+    sub = subset_by_label(ds, TPR)
     for i, g in enumerate(prob.groups):
-        a, b = conditional_mean_and_shift(plan, ds, TPR, g)
-        assert prob.base_means[i] == pytest.approx(a)
-        assert prob.mean_shifts[i] == pytest.approx(b)
+        x = sub.group_scores(g)
+        assert prob.base_means[i] == pytest.approx(x.mean())
+        assert prob.mean_shifts[i] == pytest.approx(plan.total_repair_score(g, x).mean() - x.mean())
 
 
 def test_affine_mean_model_matches_applied_scores(rng):

@@ -6,14 +6,12 @@ import pytest
 from fairrepair import (
     DatasetError,
     EmpiricalDistribution,
-    TransportMap,
+    RepairPlan,
     barycenter_quantile,
-    transport_to_barycenter,
     wasserstein,
-    wasserstein_uniform,
 )
 
-from conftest import random_distribution
+from conftest import UNIT, random_distribution
 
 D_HIGH = [0.2, 0.4, 0.6, 0.8]
 D_LOW = [0.1, 0.2, 0.3, 0.4]
@@ -21,6 +19,14 @@ D_LOW = [0.1, 0.2, 0.3, 0.4]
 
 def dist(values):
     return EmpiricalDistribution.from_samples(values)
+
+
+def to_barycenter(dists, w, source_index, x):
+    """Full repair of source group x through a plan: F_beta^-1(F_source(x))."""
+    groups = tuple(f"g{i}" for i in range(len(dists)))
+    plan = RepairPlan(UNIT, groups, np.asarray(w, dtype=float), dict(zip(groups, dists)),
+                      {g: 1.0 for g in groups})
+    return plan.total_repair_score(groups[source_index], x)
 
 
 # -- cdf / quantile ----------------------------------------------------------
@@ -85,6 +91,8 @@ def test_constructor_contracts():
         EmpiricalDistribution([0.2, 1.4], [0.5, 0.5])  # atom outside [0, 1]
     with pytest.raises(DatasetError):
         EmpiricalDistribution([0.2, 0.4], [0.5, -0.5])
+    with pytest.raises(DatasetError):
+        EmpiricalDistribution([0.2, 0.4], [1.0, float("nan")])
     with pytest.raises(DatasetError):
         EmpiricalDistribution.from_samples([0.5])
 
@@ -152,7 +160,8 @@ def test_fast_path_matches_partition_integral(rng):
         y = rng.random(n)
         for p in (1.0, 2.0, 3.0):
             exact = wasserstein(dist(x), dist(y), p)
-            fast = wasserstein_uniform(x, y, p)
+            # equal sizes: the optimal coupling pairs order statistics
+            fast = float(np.mean(np.abs(np.sort(x) - np.sort(y)) ** p))
             assert abs(exact - fast) <= 1e-12
 
 
@@ -174,6 +183,8 @@ def test_barycenter_weight_validation():
     d1, d2 = dist(D_HIGH), dist(D_LOW)
     with pytest.raises(DatasetError):
         barycenter_quantile([d1, d2], [0.6, 0.6], 0.5)
+    with pytest.raises(DatasetError):
+        barycenter_quantile([d1, d2], [1.0, float("nan")], 0.5)
     with pytest.raises(DatasetError):
         barycenter_quantile([d1], [1.0], 0.5)
 
@@ -228,19 +239,19 @@ def test_barycenter_optimality_against_brute_force(rng):
             assert best <= _transport_cost(cand, [d1, d2], w) + 1e-9
 
 
-# -- transport ---------------------------------------------------------------
+# -- transport (tabulated by RepairPlan) -----------------------------------------
 
 
 def test_transport_examples():
     d1, d2 = dist(D_HIGH), dist(D_LOW)
     w = [0.5, 0.5]
-    assert transport_to_barycenter([d1, d2], w, 0, 0.2) == pytest.approx(0.15)
+    assert to_barycenter([d1, d2], w, 0, 0.2) == pytest.approx(0.15)
     # all weight on the source: identity at atoms
     for a in d1.atoms:
-        assert transport_to_barycenter([d1, d2], [1.0, 0.0], 0, a) == a
+        assert to_barycenter([d1, d2], [1.0, 0.0], 0, a) == a
     # identical distributions: nothing to move, at atoms
     for a in d1.atoms:
-        assert transport_to_barycenter([d1, d1], w, 0, a) == a
+        assert to_barycenter([d1, d1], w, 0, a) == a
 
 
 def test_transport_monotone(rng):
@@ -249,35 +260,34 @@ def test_transport_monotone(rng):
         d2 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
         wv = rng.random()
         xs = np.sort(rng.random(30))
-        out = transport_to_barycenter([d1, d2], [wv, 1 - wv], 0, xs)
+        out = to_barycenter([d1, d2], [wv, 1 - wv], 0, xs)
         assert np.all(np.diff(out) >= -1e-15)
 
 
 def test_transport_map_stays_in_unit_interval(rng):
     for _ in range(10):
-        src = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
-        dst = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
-        t = TransportMap.to_distribution(src, dst)
-        out = t(rng.random(40))
+        d1 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
+        d2 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
+        wv = rng.random()
+        out = to_barycenter([d1, d2], [wv, 1 - wv], 0, rng.random(40))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
     with pytest.raises(DatasetError):
-        t(1.5)
+        to_barycenter([d1, d2], [wv, 1 - wv], 0, 1.5)
 
 
 def test_transport_map_pushes_source_onto_target(rng):
-    # pushing the source atoms through T reproduces the target when sizes match
-    x = rng.random(40)
-    y = rng.random(40)
-    src, dst = dist(x), dist(y)
-    t = TransportMap.to_distribution(src, dst)
-    pushed = EmpiricalDistribution(t(src.atoms), src.weights)
-    assert wasserstein(pushed, dst, 1.0) <= 1e-12
+    # equal-size samples share quantile levels, so pushing the source atoms
+    # through T reproduces the barycenter exactly
+    src, other = dist(rng.random(40)), dist(rng.random(40))
+    w = [0.3, 0.7]
+    pushed = EmpiricalDistribution(to_barycenter([src, other], w, 0, src.atoms), src.weights)
+    assert wasserstein(pushed, _materialize_barycenter([src, other], w), 1.0) <= 1e-12
 
 
 def test_transport_out_of_sample_hits_barycenter_extremes():
     d1, d2 = dist(D_HIGH), dist(D_LOW)
     w = [0.5, 0.5]
-    lo = transport_to_barycenter([d1, d2], w, 0, 0.0)   # below every atom
-    hi = transport_to_barycenter([d1, d2], w, 0, 1.0)   # above every atom
+    lo = to_barycenter([d1, d2], w, 0, 0.0)   # below every atom
+    hi = to_barycenter([d1, d2], w, 0, 1.0)   # above every atom
     assert lo == pytest.approx(barycenter_quantile([d1, d2], w, 0.0))
     assert hi == pytest.approx(barycenter_quantile([d1, d2], w, 1.0))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import json
+
 from fairrepair import (
     PR,
     DatasetError,
     EmpiricalDistribution,
+    RepairPlan,
     ScoreDomain,
     ThresholdGrid,
     barycenter_quantile,
@@ -15,7 +18,7 @@ from fairrepair import (
     wasserstein,
 )
 
-from conftest import UNIT, make_dataset, random_binary_dataset
+from conftest import UNIT, make_dataset, random_binary_dataset, random_distribution
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 
@@ -92,6 +95,32 @@ def test_unknown_group_rejected():
     plan = binary_plan()
     with pytest.raises(DatasetError, match="not in plan"):
         plan.total_repair_score("Z", 0.5)
+    with pytest.raises(DatasetError, match="not in plan"):
+        plan.repaired_score("Z", 0.5)
+
+
+def test_compiled_map_matches_composition_oracle(rng):
+    """The tabulated map equals Q_bary(F_g(x)) evaluated directly, bit for bit,
+    including points below the smallest and above the largest fitted atom."""
+    for domain in (UNIT, ScoreDomain(-20.0, 80.0)):
+        for _ in range(20):
+            k = int(rng.integers(2, 6))
+            dists = [EmpiricalDistribution(*random_distribution(rng, max_atoms=8)) for _ in range(k)]
+            w = rng.random(k) + 0.05
+            w /= w.sum()
+            groups = tuple(f"g{i}" for i in range(k))
+            plan = RepairPlan(domain, groups, w, dict(zip(groups, dists)), {g: 1.0 for g in groups})
+            for g, d in zip(groups, dists):
+                z = np.concatenate((
+                    [0.0, d.atoms[0] / 2, (1.0 + d.atoms[-1]) / 2, 1.0],
+                    d.atoms, np.nextafter(d.atoms, 0.0), rng.random(50),
+                ))
+                x = domain.denormalize(z)
+                reference = domain.denormalize(
+                    barycenter_quantile(dists, w, d.cdf(domain.normalize(x)))
+                )
+                assert np.array_equal(plan.total_repair_score(g, x), reference)
+                assert plan.total_repair_score(g, float(x[1])) == reference[1]
 
 
 # -- apply -----------------------------------------------------------------------
@@ -253,6 +282,8 @@ def test_with_lambdas_validates_range():
     plan = binary_plan()
     with pytest.raises(DatasetError, match="lambda"):
         plan.with_lambdas({"A": 1.5})
+    with pytest.raises(DatasetError, match="lambdas"):
+        plan.with_lambdas({"Z": 0.5})  # not a plan group
     updated = plan.with_lambdas({"A": 0.25})
     assert updated.lambdas == {"A": 0.25, "B": 1.0}
     assert plan.lambdas["A"] == 1.0  # original untouched
@@ -275,3 +306,59 @@ def test_out_of_sample_scores_map_to_barycenter_extremes():
     hi = barycenter_quantile(dists, plan.group_weights, 1.0)
     assert plan.total_repair_score("A", 0.0) == pytest.approx(lo)
     assert plan.total_repair_score("A", 0.99) == pytest.approx(hi)
+
+
+def _nan_group_weight(data):
+    data["group_weights"][0] = float("nan")
+
+
+def _nan_atom_weight(data):
+    data["fitted"]["A"]["weights"][0] = float("nan")
+
+
+def _extra_fitted_group(data):
+    data["fitted"]["Z"] = data["fitted"]["A"]
+
+
+def _extra_lambda_group(data):
+    data["lambdas"]["Z"] = 0.5
+
+
+def _missing_domain(data):
+    del data["domain"]
+
+
+def _missing_atoms(data):
+    del data["fitted"]["B"]["atoms"]
+
+
+def _fitted_not_an_object(data):
+    data["fitted"] = [1, 2]
+
+
+def _bad_number(data):
+    data["domain"]["hi"] = "high"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nan_group_weight, _nan_atom_weight, _extra_fitted_group, _extra_lambda_group,
+    _missing_domain, _missing_atoms, _fitted_not_an_object, _bad_number,
+], ids=lambda f: f.__name__.strip("_"))
+def test_load_plan_rejects_malformed_plan(tmp_path, corrupt):
+    path = tmp_path / "plan.json"
+    save_plan(binary_plan(), path)
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(DatasetError):
+        load_plan(path)
+
+
+def test_load_plan_rejects_non_object_and_non_utf8(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(DatasetError, match="JSON object"):
+        load_plan(path)
+    path.write_bytes(b'{"format_version": 1, "groups": ["\xff"]}')
+    with pytest.raises(DatasetError, match="not valid plan JSON"):
+        load_plan(path)

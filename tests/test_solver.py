@@ -15,8 +15,8 @@ from fairrepair import (
     solve_exact,
     solve_grid,
     solve_probabilistic,
+    subset_by_label,
 )
-from fairrepair.solver import conditional_mean_and_shift
 
 from conftest import make_dataset, random_binary_dataset
 
@@ -155,9 +155,11 @@ def test_probabilistic_matches_mean_ratio_oracle(rng):
     """Closed form vs independently computed conditional means and shifts."""
     ds = random_binary_dataset(rng, n_per_group=(150, 200), label_offsets=(-0.15, 0.15))
     plan = fit_plan(ds)
-    a1, b1 = conditional_mean_and_shift(plan, ds, TPR, "a")
-    a2, b2 = conditional_mean_and_shift(plan, ds, TPR, "b")
-    expected = (a2 - a1) / (b1 - b2)
+    sub = subset_by_label(ds, TPR)
+    x1, x2 = sub.group_scores("a"), sub.group_scores("b")
+    b1 = plan.total_repair_score("a", x1).mean() - x1.mean()
+    b2 = plan.total_repair_score("b", x2).mean() - x2.mean()
+    expected = (x2.mean() - x1.mean()) / (b1 - b2)
     sol = solve_probabilistic(plan, ds, TPR)
     assert sol.raw_lambda == pytest.approx(expected, abs=1e-12)
 
