@@ -24,7 +24,7 @@ from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
 from .repair import fit_plan, load_plan, save_plan
-from .solver import LambdaObjective, objective_eval, solve_exact, solve_grid, solve_probabilistic
+from .solver import LambdaObjective, _sweep, solve_exact, solve_grid, solve_probabilistic
 from .synth import GENERATOR_ID, JointSpec, bundled_spec, sample, split
 
 EXIT_OK = 0
@@ -215,13 +215,7 @@ def _cmd_lambda_sweep(args, config) -> int:
     if steps < 2:
         raise _CliError("--steps must be at least 2", EXIT_VALIDATION)
     ds = _load_input(args.input, domain)
-    if len(ds.groups) != 2:
-        raise _CliError("lambda-sweep needs exactly 2 groups", EXIT_VALIDATION)
-    plan = fit_plan(ds)
-    obj = LambdaObjective(combo, p)
-    lams = np.linspace(0.0, 1.0, steps)
-    vals = [objective_eval(plan, ds, obj, float(lam)) for lam in lams]
-    best = int(np.argmin(vals))
+    lams, vals, best = _sweep(fit_plan(ds), ds, LambdaObjective(combo, p), steps)
     lines = ["lambda,objective,is_argmin"]
     for i, (lam, v) in enumerate(zip(lams, vals)):
         lines.append(f"{float(lam)!r},{float(v)!r},{int(i == best)}")

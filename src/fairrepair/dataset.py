@@ -304,6 +304,12 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
     )
 
 
+def _conditional_means(ds: ScoredDataset, kind: MetricKind) -> np.ndarray:
+    """E[score | condition, g] for each group of ``ds``, in order; original units."""
+    sub = subset_by_label(ds, kind)
+    return np.array([sub.group_scores(g).mean() for g in ds.groups])
+
+
 # ---------------------------------------------------------------------------
 # CSV interface: header "score,group,label", label column optional
 # ---------------------------------------------------------------------------

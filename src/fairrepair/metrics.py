@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MetricKind, ScoreDomain, ScoredDataset, subset_by_label
+from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_means, subset_by_label
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, wasserstein
 
@@ -170,8 +170,6 @@ def distributional_disparity(
     """
     if len(ds.groups) < 2:
         raise DatasetError("disparity needs at least 2 groups")
-    if p < 1:
-        raise DatasetError("order p must be >= 1")
     if grid is None:
         grid = ThresholdGrid.linspace(ds.domain)
     curve = rate_curve(ds, kind, grid)
@@ -184,9 +182,9 @@ def distributional_disparity(
     width = ds.domain.width
     pairs = []
     for a, b in itertools.combinations(sub.groups, 2):
+        exact = wasserstein(dists[a], dists[b], p)  # rejects a bad p before diff**p
         diff = np.abs(curve.values[a] - curve.values[b])
         expected = float(_trapezoid(diff**p, grid.points) / width)
-        exact = wasserstein(dists[a], dists[b], p)
         pairs.append(PairGap(a, b, expected, exact, float(diff.max())))
 
     if len(pairs) == 1:
@@ -199,17 +197,12 @@ def distributional_disparity(
     return DisparityReport(kind, p, grid.count, expected_gap, exact_gap, max_gap, tuple(pairs))
 
 
-def _conditional_means(ds: ScoredDataset, kind: MetricKind) -> dict[str, float]:
-    sub = subset_by_label(ds, kind)
-    return {g: float(sub.group_scores(g).mean()) for g in sub.groups}
-
-
 def probabilistic_parity_gap(ds: ScoredDataset, kind: MetricKind) -> dict[tuple[str, str], float]:
     """Pairwise differences of label-conditioned mean scores, original units.
 
     Returns every ordered pair (g, g') -> E[score | cond, g] - E[score | cond, g'].
     """
-    means = _conditional_means(ds, kind)
+    means = dict(zip(ds.groups, _conditional_means(ds, kind).tolist()))
     return {
         (a, b): means[a] - means[b]
         for a, b in itertools.permutations(sorted(means), 2)
@@ -220,7 +213,7 @@ def groupwise_lex_loss(ds: ScoredDataset, kind: MetricKind) -> dict[str, float]:
     """Per-group sum of absolute pairwise conditional-mean gaps."""
     if len(ds.groups) < 2:
         raise DatasetError("lex loss needs at least 2 groups")
-    means = _conditional_means(ds, kind)
+    means = dict(zip(ds.groups, _conditional_means(ds, kind).tolist()))
     return {
         g: float(sum(abs(means[g] - means[h]) for h in means if h != g))
         for g in means

@@ -84,6 +84,20 @@ class EmpiricalDistribution:
             weights = np.full(values.size, 1.0 / values.size)
         return cls(values, weights)
 
+    def _toward(self, targets: np.ndarray, lam: float) -> "EmpiricalDistribution":
+        """The same weights on atoms moved a fraction lam of the way to targets.
+
+        Targets are nondecreasing in [0, 1], one per atom, so the moved atoms
+        stay sorted.  Unlike the constructor this neither merges ties nor
+        re-normalizes: the cumulative weights stay bit-identical, and atoms that
+        meet stay separate, which leaves the CDF and quantile function unchanged.
+        """
+        out = object.__new__(EmpiricalDistribution)
+        out.atoms = np.clip((1.0 - lam) * self.atoms + lam * targets, 0.0, 1.0)
+        out.weights, out._cumw = self.weights, self._cumw
+        out.atoms.flags.writeable = False
+        return out
+
     @property
     def n_atoms(self) -> int:
         return self.atoms.size
@@ -125,11 +139,6 @@ class EmpiricalDistribution:
         return f"EmpiricalDistribution({self.n_atoms} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 
 
-def _merged_breakpoints(dists) -> np.ndarray:
-    grids = [d.breakpoints for d in dists]
-    return np.union1d(grids[0], np.concatenate(grids[1:])) if len(grids) > 1 else grids[0]
-
-
 def wasserstein(d1: EmpiricalDistribution, d2: EmpiricalDistribution, p: float = 1.0) -> float:
     """p-th power of the p-Wasserstein distance, W_p^p.
 
@@ -137,9 +146,9 @@ def wasserstein(d1: EmpiricalDistribution, d2: EmpiricalDistribution, p: float =
     quantile functions are constant between consecutive merged cumulative
     weights, so the integral is a finite sum over that partition.
     """
-    if p < 1:
-        raise DatasetError("order p must be >= 1")
-    q = _merged_breakpoints((d1, d2))
+    if not 1.0 <= p < np.inf:  # also rejects NaN
+        raise DatasetError(f"order p must be finite and >= 1, got {p}")
+    q = np.union1d(d1.breakpoints, d2.breakpoints)
     seg = np.diff(q, prepend=0.0)
     diff = np.abs(d1.quantile(q) - d2.quantile(q))
     return float(seg @ diff**p)

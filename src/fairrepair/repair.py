@@ -111,9 +111,7 @@ class RepairPlan:
         if not 0.0 <= lam <= 1.0:
             raise DatasetError("lambda must lie in [0, 1]")
         targets = self._targets_of(group)[1:]
-        d = self.fitted[group]
-        atoms = (1.0 - lam) * d.atoms + lam * targets
-        return EmpiricalDistribution(np.clip(atoms, 0.0, 1.0), d.weights)
+        return self.fitted[group]._toward(targets, lam)
 
     def with_lambdas(self, lambdas: dict[str, float]) -> "RepairPlan":
         merged = dict(self.lambdas)

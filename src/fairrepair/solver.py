@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MetricCombo, MetricKind, ScoredDataset, subset_by_label
+from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_means, subset_by_label
 from .errors import DatasetError, SolverError
 from .ot import EmpiricalDistribution, wasserstein
 from .repair import RepairPlan
@@ -38,8 +38,8 @@ class LambdaObjective:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DatasetError("order p must be >= 1")
+        if not 1.0 <= self.p < math.inf:  # also rejects NaN
+            raise DatasetError(f"order p must be finite and >= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -67,50 +67,41 @@ def _binary_groups(ds: ScoredDataset) -> tuple[str, str]:
     return ds.groups[0], ds.groups[1]
 
 
-class _ConditionalRepairCache:
-    """Per-kind conditional scores and their full-repair targets.
+class _RepairPath:
+    """The objective's conditional distributions along the repair path.
 
-    The lambda-repaired conditional distribution of a group is its conditional
-    sample pushed through the monotone map (1-lam)*x + lam*T(x), so caching x
-    and T(x) once makes each objective evaluation a cheap interpolation.
+    Partial repair moves a conditional atom z to (1-lam)*z + lam*T(z) with T
+    monotone, so the atoms' order, ties and weights do not depend on lam.  Each
+    nonzero term keeps, per group, the lam = 0 distribution and T at its atoms;
+    an evaluation only moves the atoms.
     """
 
-    def __init__(self, plan: RepairPlan, ds: ScoredDataset):
-        self.plan = plan
-        self.ds = ds
-        self._by_kind: dict[tuple[int | None, str], tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective):
+        groups = _binary_groups(ds)
+        self.p = obj.p
+        self.terms = []
+        for kind, w in obj.combo.terms:
+            if w == 0.0:
+                continue
+            sub = subset_by_label(ds, kind)
+            pair = []
+            for g in groups:
+                x = np.sort(sub.group_scores(g))
+                tz = plan.domain.normalize(plan.total_repair_score(g, x))
+                if x.size < 2:
+                    raise SolverError(f"group '{g}' has fewer than 2 conditioned rows")
+                z = plan.domain.normalize(x)
+                d = EmpiricalDistribution.from_samples(z)
+                pair.append((d, tz[np.searchsorted(z, d.atoms)]))  # T at each atom's first sample
+            self.terms.append((w, pair))
 
-    def arrays(self, kind: MetricKind, group: str) -> tuple[np.ndarray, np.ndarray]:
-        key = (kind.label_condition, group)
-        if key not in self._by_kind:
-            sub = subset_by_label(self.ds, kind)
-            x = np.sort(sub.group_scores(group))
-            t = self.plan.total_repair_score(group, x)
-            z = self.plan.domain.normalize(x)
-            tz = self.plan.domain.normalize(t)
-            self._by_kind[key] = (z, tz)
-        return self._by_kind[key]
-
-    def repaired_dist(self, kind: MetricKind, group: str, lam: float) -> EmpiricalDistribution:
-        z, tz = self.arrays(kind, group)
-        if z.size < 2:
-            raise SolverError(f"group '{group}' has fewer than 2 conditioned rows")
-        atoms = np.clip((1.0 - lam) * z + lam * tz, 0.0, 1.0)
-        return EmpiricalDistribution.from_samples(atoms)
-
-
-def _eval_with_cache(cache: _ConditionalRepairCache, obj: LambdaObjective, lam: float) -> float:
-    g1, g2 = _binary_groups(cache.ds)
-    total = 0.0
-    for kind, w in obj.combo.terms:
-        if w == 0.0:
-            continue
-        d1 = cache.repaired_dist(kind, g1, lam)
-        d2 = cache.repaired_dist(kind, g2, lam)
-        total += w * wasserstein(d1, d2, obj.p)
-    if not math.isfinite(total):
-        raise SolverError(f"objective is not finite at lambda={lam}")
-    return total
+    def __call__(self, lam: float) -> float:
+        total = 0.0
+        for w, ((d1, t1), (d2, t2)) in self.terms:
+            total += w * wasserstein(d1._toward(t1, lam), d2._toward(t2, lam), self.p)
+        if not math.isfinite(total):
+            raise SolverError(f"objective is not finite at lambda={lam}")
+        return total
 
 
 def objective_eval(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, lam: float) -> float:
@@ -118,19 +109,26 @@ def objective_eval(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, la
     conditional score distributions of the two groups."""
     if not 0.0 <= lam <= 1.0:
         raise DatasetError("lambda must lie in [0, 1]")
-    return _eval_with_cache(_ConditionalRepairCache(plan, ds), obj, lam)
+    return _RepairPath(plan, ds, obj)(lam)
+
+
+def _sweep(
+    plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, steps: int
+) -> tuple[np.ndarray, list[float], int]:
+    """The objective on an even lambda grid, and the index of its first minimum."""
+    if steps < 2:
+        raise DatasetError("grid search needs at least 2 steps")
+    path = _RepairPath(plan, ds, obj)
+    lams = np.linspace(0.0, 1.0, steps)
+    vals = [path(lam) for lam in lams]
+    return lams, vals, int(np.argmin(vals))  # argmin returns the first (smallest lambda) tie
 
 
 def solve_grid(
     plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, steps: int = 101
 ) -> LambdaSolution:
     """Evaluate the objective on an even lambda grid; ties go to smaller lambda."""
-    if steps < 2:
-        raise DatasetError("grid search needs at least 2 steps")
-    cache = _ConditionalRepairCache(plan, ds)
-    lams = np.linspace(0.0, 1.0, steps)
-    vals = np.array([_eval_with_cache(cache, obj, lam) for lam in lams])
-    best = int(np.argmin(vals))  # argmin returns the first (smallest lambda) tie
+    lams, vals, best = _sweep(plan, ds, obj, steps)
     return LambdaSolution(float(lams[best]), float(vals[best]), "grid", steps)
 
 
@@ -141,23 +139,25 @@ def solve_exact(
 
     Convexity of the objective along the repair path makes bracketing valid;
     on flat stretches the <= comparison drags the bracket toward smaller
-    lambda.  Terminates when the bracket is narrower than tol.
+    lambda.  Terminates when the bracket is narrower than tol, or when float
+    spacing stops it from shrinking.
     """
-    if tol <= 0:
-        raise DatasetError("tol must be positive")
-    cache = _ConditionalRepairCache(plan, ds)
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise DatasetError(f"tol must be finite and positive, got {tol}")
+    path = _RepairPath(plan, ds, obj)
     evals = 0
 
     def f(lam: float) -> float:
         nonlocal evals
         evals += 1
-        return _eval_with_cache(cache, obj, lam)
+        return path(lam)
 
-    a, b = 0.0, 1.0
+    a, b, width = 0.0, 1.0, math.inf
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while tol < b - a < width:
+        width = b - a
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -179,13 +179,8 @@ def conditional_means_and_shifts(
     m_g(lam) = a_g + lam * b_g that the closed-form and lexicographic solvers use.
     """
     sub = subset_by_label(ds, kind)
-    a = np.empty(len(ds.groups))
-    b = np.empty(len(ds.groups))
-    for i, g in enumerate(ds.groups):
-        x = sub.group_scores(g)
-        a[i] = x.mean()
-        b[i] = plan.shift(g, x).mean()
-    return a, b
+    shifts = [plan.shift(g, sub.group_scores(g)).mean() for g in ds.groups]
+    return _conditional_means(ds, kind), np.array(shifts)
 
 
 def solve_probabilistic(
@@ -201,7 +196,7 @@ def solve_probabilistic(
     _binary_groups(ds)
     a, b = conditional_means_and_shifts(plan, ds, kind)
     denom = float(b[0] - b[1])
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= 1e-12 * plan.domain.width:  # 1e-12 in normalized units
         raise SolverError(
             "groups are equally shifted on average; the closed-form lambda is undefined"
         )

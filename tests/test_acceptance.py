@@ -35,7 +35,7 @@ from fairrepair import (
     wasserstein,
 )
 from fairrepair.cli import main as cli_main
-from fairrepair.solver import _ConditionalRepairCache, _eval_with_cache
+from fairrepair.solver import _sweep
 
 from conftest import UNIT
 
@@ -100,7 +100,6 @@ def test_criterion_2_sdp_at_full_repair():
 def test_criterion_3_objective_convexity():
     """Second differences of the disparity objective stay above -1e-6."""
     start = time.time()
-    lams = np.linspace(0.0, 1.0, 101)
     worst = np.inf
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
@@ -108,8 +107,7 @@ def test_criterion_3_objective_convexity():
         plan = fit_plan(ds)
         for combo in ("pr", "tpr", "fpr", "tpr:1,fpr:1"):
             obj = LambdaObjective(parse_combo(combo))
-            cache = _ConditionalRepairCache(plan, ds)
-            vals = np.array([_eval_with_cache(cache, obj, float(l)) for l in lams])
+            _, vals, _ = _sweep(plan, ds, obj, 101)
             worst = min(worst, float(np.diff(vals, 2).min()))
     elapsed = time.time() - start
     _report(3, worst >= -1e-6 and elapsed < 30,

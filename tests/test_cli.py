@@ -1,9 +1,25 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairrepair import ScoreDomain, load_csv, load_plan, write_csv
+from fairrepair import (
+    LambdaObjective,
+    ScoreDomain,
+    fit_plan,
+    load_csv,
+    load_plan,
+    objective_eval,
+    parse_combo,
+    write_csv,
+)
 from fairrepair.cli import main
 
 from conftest import UNIT, make_dataset, random_binary_dataset
@@ -348,6 +364,28 @@ def test_sweep_convex_and_argmin_matches_exact(tmp_path):
     assert abs(marked[0] - lam_exact) <= 1.0 / 100 + 1e-9
 
 
+@pytest.mark.parametrize("metric, p", [("tpr", "1"), ("tpr:1,fpr:0.5", "2")])
+def test_sweep_rows_match_objective_and_grid_solver(tmp_path, metric, p):
+    """Every sweep row is objective_eval at its lambda, bit for bit, and the
+    marked row is the lambda fit --solver grid picks on the same grid."""
+    data = labeled_binary(tmp_path)
+    out = tmp_path / "sweep.csv"
+    flags = ("--metric", metric, "--p", p)
+    assert run("lambda-sweep", "--input", data, "--output", out, "--steps", "23", *flags) == 0
+    ds = load_csv(data, UNIT)
+    plan = fit_plan(ds)
+    obj = LambdaObjective(parse_combo(metric), float(p))
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert len(rows) == 23
+    for lam, value, _ in rows:
+        assert float(value) == objective_eval(plan, ds, obj, float(lam))
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "grid",
+               "--grid", "23", *flags) == 0
+    solution = json.loads((tmp_path / "plan.json.solution.json").read_text())
+    assert [float(l) for l, _, flag in rows if flag == "1"] == [solution["lambda"]]
+
+
 def test_sweep_requires_two_groups(tmp_path):
     groups = {"a": [0.1, 0.2], "b": [0.3, 0.4], "c": [0.5, 0.6]}
     data = write_dataset(tmp_path, "three.csv", groups)
@@ -358,6 +396,96 @@ def test_sweep_rejects_one_step(tmp_path):
     data = write_dataset(tmp_path)
     assert run("lambda-sweep", "--input", data, "--output", tmp_path / "s.csv",
                "--steps", "1") == 2
+
+
+# -- numeric flags ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--p", "nan"),
+    ("evaluate", "--p", "inf"),
+    ("fit", "--p", "nan"),
+    ("fit", "--p", "inf"),
+    ("fit", "--solver", "exact", "--tol", "nan"),
+    ("fit", "--solver", "exact", "--tol", "inf"),
+    ("lambda-sweep", "--p", "nan"),
+], ids=lambda argv: " ".join(argv).replace("--", "").replace(" ", "-"))
+def test_non_finite_p_and_tol_are_validation_errors(tmp_path, argv):
+    data = labeled_binary(tmp_path)
+    command, *flags = argv
+    out = tmp_path / "out"
+    assert run(command, "--input", data, "--output", out, "--metric", "tpr", *flags) == 2
+    assert list(tmp_path.iterdir()) == [data]  # no partial output
+
+
+@pytest.mark.parametrize("tol, groups", [
+    ("1e-17", None),
+    ("1e-300", {"A": [0.2, 0.4, 0.6], "B": [0.2, 0.4, 0.6]}),  # flat: the bracket shrinks toward 0
+    ("5e-324", {"A": [0.2, 0.4, 0.6], "B": [0.2, 0.4, 0.6]}),
+], ids=["1e-17", "1e-300-flat", "subnormal-flat"])
+def test_exact_terminates_for_tiny_tol(tmp_path, tol, groups):
+    if groups:
+        data = write_dataset(tmp_path, groups=groups, labels={g: [1, 1, 0] for g in groups})
+    else:
+        data = labeled_binary(tmp_path)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairrepair.cli", "fit", "--input", str(data), "--output",
+         str(tmp_path / "plan.json"), "--solver", "exact", "--metric", "tpr", "--tol", tol],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 <= json.loads((tmp_path / "plan.json.solution.json").read_text())["lambda"] <= 1.0
+
+
+def test_numeric_flags_keep_exit_code_contract(tmp_path):
+    """Fuzzed --p/--tol/--grid/--steps: exit 0/2/3/4, no traceback, no NaN in JSON."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    data = write_dataset(tmp_path, groups={"A": [0.1, 0.3, 0.6], "B": [0.2, 0.5, 0.9]},
+                         labels={"A": [0, 1, 1], "B": [1, 0, 1]})
+    special = ["nan", "-nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "2e-308", "1e-17", "1"]
+    floats = st.one_of(st.sampled_from(special), st.floats().map(repr))
+    # Counts stay at most 1e4 so no example allocates a huge grid.
+    counts = st.one_of(st.sampled_from(special), st.integers(-3, 10**4).map(str))
+    commands = st.sampled_from([
+        ("evaluate",),
+        ("fit", "--solver", "exact"),
+        ("fit", "--solver", "grid"),
+        ("lambda-sweep",),
+    ])
+
+    def no_nan(token):
+        raise AssertionError(f"{token} in JSON output")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(commands, st.none() | floats, st.none() | floats,
+                      st.none() | counts, st.none() | counts)
+    @hypothesis.example(("evaluate",), "nan", None, None, None)
+    @hypothesis.example(("fit", "--solver", "exact"), None, "1e-17", None, None)
+    def check(command, p, tol, grid, steps):
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        argv = [*command, "--input", str(data), "--output", str(out / "out"), "--metric", "tpr"]
+        flags = {"--p": p, "--tol": tol, "--grid": grid}
+        if command[0] == "lambda-sweep":
+            flags["--steps"] = steps
+        for flag, value in flags.items():
+            if value is not None:
+                argv.append(f"{flag}={value}")  # '=' keeps a leading '-' a value
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a malformed number
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=no_nan)
+
+    check()
 
 
 # -- generate ---------------------------------------------------------------------

@@ -110,6 +110,13 @@ def test_three_groups_give_three_pairs():
     assert {(p.group_a, p.group_b) for p in rep.pairs} == {("A", "B"), ("A", "C"), ("B", "C")}
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_disparity_rejects_bad_order(p):
+    ds = make_dataset({"A": [0.1, 0.2], "B": [0.3, 0.4]})
+    with pytest.raises(DatasetError, match="order p"):
+        distributional_disparity(ds, PR, p, GRID)
+
+
 def test_disparity_needs_two_groups():
     ds = make_dataset({"A": [0.1, 0.2]})
     with pytest.raises(DatasetError):

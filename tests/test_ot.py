@@ -106,6 +106,12 @@ def test_wasserstein_identity():
     assert wasserstein(d, d, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_wasserstein_rejects_bad_order(p):
+    with pytest.raises(DatasetError, match="order p"):
+        wasserstein(dist(D_HIGH), dist(D_LOW), p)
+
+
 def test_wasserstein_uniform_shift_example():
     # equal-size uniform case: mean |sorted difference| = (0.1+0.2+0.3+0.4)/4
     assert wasserstein(dist(D_HIGH), dist(D_LOW), 1.0) == pytest.approx(0.25, abs=1e-15)

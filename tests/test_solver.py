@@ -5,7 +5,9 @@ from fairrepair import (
     PR,
     TPR,
     DatasetError,
+    EmpiricalDistribution,
     LambdaObjective,
+    ScoreDomain,
     SolverError,
     ThresholdGrid,
     fit_plan,
@@ -16,9 +18,11 @@ from fairrepair import (
     solve_grid,
     solve_probabilistic,
     subset_by_label,
+    validate_dataset,
+    wasserstein,
 )
 
-from conftest import make_dataset, random_binary_dataset
+from conftest import UNIT, make_dataset, random_binary_dataset
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 PR_OBJ = LambdaObjective(parse_combo("pr"))
@@ -69,6 +73,53 @@ def test_objective_discrete_convexity(rng):
         assert np.diff(vals, 2).min() >= -1e-6
 
 
+def _reference_objective(plan, ds, obj, lam):
+    """Per term, W_p^p between distributions rebuilt from the moved samples."""
+    total = 0.0
+    for kind, w in obj.combo.terms:
+        sub = subset_by_label(ds, kind)
+        dists = []
+        for g in ds.groups:
+            x = sub.group_scores(g)
+            z = plan.domain.normalize(x)
+            tz = plan.domain.normalize(plan.total_repair_score(g, x))
+            moved = np.clip((1.0 - lam) * z + lam * tz, 0.0, 1.0)
+            dists.append(EmpiricalDistribution.from_samples(moved))
+        total += w * wasserstein(*dists, obj.p)
+    return total
+
+
+def _tied_binary_dataset(rng, domain):
+    """Scores on 21 evenly spaced levels, so every group has many ties."""
+    rows = []
+    for g, n, shift in (("a", 150, 0), ("b", 190, 4)):
+        levels = np.clip(rng.integers(0, 17, n) + shift, 0, 20)
+        scores = domain.lo + levels * (domain.width / 20)
+        labels = rng.random(n) < (levels / 20)
+        rows.extend(zip(scores.tolist(), [g] * n, labels.astype(int).tolist()))
+    return validate_dataset(rows, domain)
+
+
+@pytest.mark.parametrize("domain", [UNIT, ScoreDomain(0.0, 100.0)], ids=["0:1", "0:100"])
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+def test_objective_matches_rebuilt_distribution_oracle(rng, domain, tied):
+    """objective_eval and solve_grid agree bitwise with a per-lambda rebuild."""
+    if tied:
+        ds = _tied_binary_dataset(rng, domain)
+    else:
+        ds = random_binary_dataset(rng, n_per_group=(150, 190), domain=domain)
+    plan = fit_plan(ds)
+    for combo in ("pr", "tpr:1,fpr:0", "tpr:1,fpr:0.5"):
+        for p in (1.0, 2.0):
+            obj = LambdaObjective(parse_combo(combo), p)
+            for lam in (0.0, 0.37, 1.0):
+                assert objective_eval(plan, ds, obj, lam) == _reference_objective(plan, ds, obj, lam)
+            ref = [_reference_objective(plan, ds, obj, lam) for lam in (0.0, 0.5, 1.0)]
+            sol = solve_grid(plan, ds, obj, steps=3)
+            assert sol.objective_value == min(ref)
+            assert sol.lambda_star == 0.5 * ref.index(min(ref))
+
+
 def test_rates_move_monotonically_under_repair(rng):
     """At a fixed threshold, the group with the heavier lower tail sees its
     positive rate rise with lambda (and vice versa), up to atom-count noise."""
@@ -112,6 +163,12 @@ def test_grid_two_steps_picks_better_endpoint():
     assert sol.lambda_star == 1.0  # full repair beats none for PR here
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_objective_rejects_bad_order(p):
+    with pytest.raises(DatasetError, match="order p"):
+        LambdaObjective(parse_combo("pr"), p)
+
+
 def test_grid_rejects_bad_steps():
     ds = make_dataset(BINARY)
     with pytest.raises(DatasetError):
@@ -126,6 +183,13 @@ def test_exact_identical_groups_returns_zero_value():
     sol = solve_exact(fit_plan(ds), ds, PR_OBJ)
     assert sol.objective_value == pytest.approx(0.0, abs=1e-15)
     assert 0.0 <= sol.lambda_star <= 1e-5  # flat objective resolves low
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_exact_rejects_bad_tol(tol):
+    ds = make_dataset(BINARY)
+    with pytest.raises(DatasetError, match="tol"):
+        solve_exact(fit_plan(ds), ds, PR_OBJ, tol)
 
 
 def test_exact_agrees_with_fine_grid(rng):
@@ -182,6 +246,25 @@ def test_probabilistic_zero_denominator_errors():
     ds = identical_groups()
     with pytest.raises(SolverError, match="equally shifted"):
         solve_probabilistic(fit_plan(ds), ds, TPR)
+
+
+def test_probabilistic_degeneracy_test_is_unit_free(rng):
+    """Scaling the scores and the domain by 1e-12 leaves lambda unchanged."""
+    tiny = ScoreDomain(0.0, 1e-12)
+
+    def scaled(ds):
+        groups = [ds.groups[i] for i in ds.group_indices]
+        return validate_dataset(zip(ds.scores * 1e-12, groups, ds.labels), tiny)
+
+    ds = random_binary_dataset(rng, n_per_group=(150, 200), label_offsets=(-0.15, 0.15))
+    small = scaled(ds)
+    want = solve_probabilistic(fit_plan(ds), ds, TPR)
+    got = solve_probabilistic(fit_plan(small), small, TPR)
+    assert got.raw_lambda == pytest.approx(want.raw_lambda, abs=1e-9)
+    assert got.lambda_star == pytest.approx(want.lambda_star, abs=1e-9)
+    for same in (identical_groups(), scaled(identical_groups())):
+        with pytest.raises(SolverError, match="equally shifted"):
+            solve_probabilistic(fit_plan(same), same, TPR)
 
 
 def test_probabilistic_clamps_out_of_range_lambda():
