@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .dataset import ScoreDomain, _read_scored_csv, _write_dataset, load_csv, parse_combo
+from .dataset import ScoreDomain, _index_groups, _read_scored_csv, _write_dataset, load_csv, parse_combo
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
@@ -197,11 +197,11 @@ def _cmd_apply(args, config) -> int:
     # accepts groups with a single row.
     table = _read_scored_csv(args.input, plan.domain)
     repaired = np.empty_like(table.scores)
-    names, first, inverse = np.unique(table.groups, return_index=True, return_inverse=True)
-    for k, group in enumerate(map(str, names)):
-        if group not in plan.groups:
-            raise DatasetError(f"{args.input}:{table.lines[first[k]]}: group '{group}' not in plan")
+    names, inverse = _index_groups(table.groups)
+    for k, group in enumerate(names):
         rows = inverse == k
+        if group not in plan.groups:
+            raise DatasetError(f"{args.input}:{table.lines[rows.argmax()]}: group '{group}' not in plan")
         repaired[rows] = plan.repaired_score(group, table.scores[rows])
     _atomic_write(args.output, lambda fh: table.write(fh, repaired))
     return EXIT_OK

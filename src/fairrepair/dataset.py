@@ -101,12 +101,9 @@ class ScoredDataset:
             raise DatasetError(f"non-binary label: {labels[~ok][0]}")
 
         self.domain = domain
-        # Deterministic group order: lexicographic on the identifier.
-        self.groups: tuple[str, ...] = tuple(sorted(set(groups)))
-        index = {g: i for i, g in enumerate(self.groups)}
+        self.groups, self._group_idx = _index_groups(groups)
         self._scores = scores
         self._labels = labels
-        self._group_idx = np.fromiter((index[g] for g in groups), dtype=int, count=len(groups))
         self._scores.flags.writeable = False
         self._labels.flags.writeable = False
         self._group_idx.flags.writeable = False
@@ -166,6 +163,17 @@ class ScoredDataset:
             self.domain,
             _min_rows=1,
         )
+
+
+def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct groups in lexicographic order, and each row's index into them.
+
+    Indexes Python strings: a numpy string array would drop trailing NULs and
+    merge e.g. 'a' with 'a\\0'.
+    """
+    names = tuple(sorted(set(groups)))
+    index = {g: i for i, g in enumerate(names)}
+    return names, np.fromiter((index[g] for g in groups), dtype=int, count=len(groups))
 
 
 def validate_dataset(rows, domain: ScoreDomain) -> ScoredDataset:
@@ -304,10 +312,10 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
     )
 
 
-def _conditional_means(ds: ScoredDataset, kind: MetricKind) -> np.ndarray:
-    """E[score | condition, g] for each group of ``ds``, in order; original units."""
+def _conditional_scores(ds: ScoredDataset, kind: MetricKind) -> list[np.ndarray]:
+    """Each group's scores under the metric's label condition, in ``ds.groups`` order."""
     sub = subset_by_label(ds, kind)
-    return np.array([sub.group_scores(g).mean() for g in ds.groups])
+    return [sub.group_scores(g) for g in ds.groups]
 
 
 # ---------------------------------------------------------------------------

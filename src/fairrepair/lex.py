@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,23 +27,22 @@ __all__ = ["LexProblem", "LexSolution", "build_problem", "solve_maxmin", "solve_
 
 MAX_GROUPS = 12  # subset constraints are enumerated explicitly
 
-# Stabilization: alpha loosens inherited round bounds; eps_stab is a tiny
-# pull toward lambda = 0 that makes flat optima deterministic.
-DEFAULT_ALPHA = 1e-4
-DEFAULT_EPS_STAB = 1e-6
-
 
 @dataclass(frozen=True)
 class LexProblem:
-    """Affine conditional-mean model of a repair problem, original units."""
+    """Affine conditional-mean model of a repair problem, original units.
 
-    plan: RepairPlan
-    kind: MetricKind
+    ``LexProblem(groups, base_means, mean_shifts)``; :func:`build_problem`
+    computes the coefficients from a plan and a labeled dataset.
+    """
+
     groups: tuple[str, ...]
     base_means: np.ndarray   # a_g = E[score | condition, g]
     mean_shifts: np.ndarray  # b_g = E[t(score) | condition, g]
-    alpha: float = DEFAULT_ALPHA
-    eps_stab: float = DEFAULT_EPS_STAB
+    # Stabilization: alpha loosens inherited round bounds; eps_stab is a tiny
+    # pull toward lambda = 0 that makes flat optima deterministic.
+    alpha: ClassVar[float] = 1e-4
+    eps_stab: ClassVar[float] = 1e-6
 
     @property
     def n(self) -> int:
@@ -57,19 +57,14 @@ class LexProblem:
         return np.abs(m[:, None] - m[None, :]).sum(axis=1)
 
 
-def build_problem(
-    plan: RepairPlan,
-    ds: ScoredDataset,
-    kind: MetricKind,
-    alpha: float = DEFAULT_ALPHA,
-    eps_stab: float = DEFAULT_EPS_STAB,
-) -> LexProblem:
+def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexProblem:
+    """The ``kind``-conditioned means and mean shifts of ``ds``'s groups under ``plan``."""
     if len(ds.groups) < 2:
         raise DatasetError("need at least 2 groups")
     if len(ds.groups) > MAX_GROUPS:
         raise DatasetError(f"at most {MAX_GROUPS} groups supported, got {len(ds.groups)}")
     a, b = conditional_means_and_shifts(plan, ds, kind)
-    return LexProblem(plan, kind, ds.groups, a, b, alpha, eps_stab)
+    return LexProblem(ds.groups, a, b)
 
 
 @dataclass(frozen=True)
@@ -102,65 +97,45 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     summed loss at most eps_j + alpha.
     """
     n = prob.n
-    pairs = list(itertools.combinations(range(n), 2))
-    iu = {p: n + idx for idx, p in enumerate(pairs)}  # u columns
-    it = n + len(pairs)                               # t column
-    iv = {g: it + 1 + g for g in range(n)}            # v columns
-    nvar = it + 1 + n
-
+    first, second = np.triu_indices(n, 1)  # pairs in itertools.combinations order
+    npairs = first.size
+    signed = np.zeros((npairs, n))  # pair-group incidence, +1 on i and -1 on j
+    signed[np.arange(npairs), first] = 1.0
+    signed[np.arange(npairs), second] = -1.0
     a, b = prob.base_means, prob.mean_shifts
-    rows, rhs = [], []
 
-    def add_row(coeffs: dict[int, float], bound: float) -> None:
-        row = np.zeros(nvar)
-        for j, v in coeffs.items():
-            row[j] = v
-        rows.append(row)
-        rhs.append(bound)
-
+    # Columns: [lambdas (n) | u (npairs) | t | v (n)].
     # u_ij >= +-(m_i - m_j):  +-(b_i lam_i - b_j lam_j) - u_ij <= -+(a_i - a_j)
-    for i, j in pairs:
-        add_row({i: b[i], j: -b[j], iu[(i, j)]: -1.0}, a[j] - a[i])
-        add_row({i: -b[i], j: b[j], iu[(i, j)]: -1.0}, a[i] - a[j])
+    u_cols = np.hstack([-np.eye(npairs), np.zeros((npairs, 1 + n))])
+    u_rows = np.stack([np.hstack([signed * b, u_cols]), np.hstack([-signed * b, u_cols])], axis=1)
+    gap = a[first] - a[second]
 
-    def loss_coeffs(group: int) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for p in pairs:
-            if group in p:
-                out[iu[p]] = out.get(iu[p], 0.0) + 1.0
-        return out
-
-    # v_g >= L_g - t
-    for g in range(n):
-        coeffs = loss_coeffs(g)
-        coeffs[it] = -1.0
-        coeffs[iv[g]] = -1.0
-        add_row(coeffs, 0.0)
+    # L_g = sum of u over the pairs that contain g;  v_g >= L_g - t
+    loss = np.hstack([np.zeros((n, n)), np.abs(signed).T, np.zeros((n, 1 + n))])
+    excess = loss - np.hstack([np.zeros((n, n + npairs)), np.ones((n, 1)), np.eye(n)])
 
     # Inherited subset bounds from earlier rounds (with alpha slack).
-    for j, eps in enumerate(inherited, start=1):
-        for subset in itertools.combinations(range(n), j):
-            coeffs: dict[int, float] = {}
-            for g in subset:
-                for col, v in loss_coeffs(g).items():
-                    coeffs[col] = coeffs.get(col, 0.0) + v
-            add_row(coeffs, eps + prob.alpha)
+    members = [
+        np.eye(n)[list(itertools.combinations(range(n), j))].sum(axis=1)
+        for j in range(1, len(inherited) + 1)
+    ]
 
-    cost = np.zeros(nvar)
-    cost[:n] = prob.eps_stab  # deterministic tie-break toward lambda = 0
-    cost[it] = float(k)
-    for g in range(n):
-        cost[iv[g]] = 1.0
-
-    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * len(pairs) + [(None, None)] + [(0.0, None)] * n
-    x = linprog(cost, np.array(rows), np.array(rhs), bounds)
+    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, *(s @ loss for s in members)])
+    rhs = np.concatenate([
+        np.stack([-gap, gap], axis=1).ravel(),
+        np.zeros(n),
+        *(np.full(len(s), eps + prob.alpha) for s, eps in zip(members, inherited)),
+    ])
+    cost = np.concatenate([np.full(n, prob.eps_stab), np.zeros(npairs), [float(k)], np.ones(n)])
+    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * npairs + [(None, None)] + [(0.0, None)] * n
+    x = linprog(cost, A, rhs, bounds)
     return np.clip(x[:n], 0.0, 1.0)
 
 
 def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
     if prob.n > MAX_GROUPS:
         raise SolverError(f"at most {MAX_GROUPS} groups supported")
-    lambdas = np.zeros(prob.n)
+    lambdas = losses = np.zeros(prob.n)
     epsilons: list[float] = []
     trace: list[dict] = []
     for k in range(1, n_rounds + 1):
@@ -176,7 +151,6 @@ def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
                 "losses": {g: float(l) for g, l in zip(prob.groups, losses)},
             }
         )
-    losses = prob.losses(lambdas)
     return LexSolution(
         lambdas={g: float(l) for g, l in zip(prob.groups, lambdas)},
         epsilons=epsilons,

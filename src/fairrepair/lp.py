@@ -32,36 +32,33 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> Non
     m = T.shape[0] - 1
     for _ in range(max_iter):
         # Entering: smallest column index with a negative reduced cost.
-        col = -1
-        for j in range(ncols):
-            if T[m, j] < -_PIVOT_TOL:
-                col = j
-                break
-        if col < 0:
+        entering = np.flatnonzero(T[m, :ncols] < -_PIVOT_TOL)
+        if not entering.size:
             return
+        col = entering[0]
         # Leaving: min ratio; ties broken by smallest basis variable index.
         best_ratio, best_row = np.inf, -1
-        for i in range(m):
-            if T[i, col] > _PIVOT_TOL:
-                ratio = T[i, -1] / T[i, col]
-                if (
-                    best_row < 0
-                    or ratio < best_ratio - _PIVOT_TOL
-                    or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[best_row])
-                ):
-                    best_ratio, best_row = ratio, i
+        for i in np.flatnonzero(T[:m, col] > _PIVOT_TOL):
+            ratio = T[i, -1] / T[i, col]
+            if (
+                best_row < 0
+                or ratio < best_ratio - _PIVOT_TOL
+                or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[best_row])
+            ):
+                best_ratio, best_row = ratio, i
         if best_row < 0:
             raise LPError("LP is unbounded")
         _pivot(T, basis, best_row, col)
     raise LPError("simplex iteration limit reached")
 
 
-def linprog(c, A_ub=None, b_ub=None, bounds=None, max_iter: int | None = None) -> np.ndarray:
+def linprog(c, A_ub=None, b_ub=None, bounds=None) -> np.ndarray:
     """Exact minimizer of c.x subject to A_ub x <= b_ub and bounds.
 
     bounds is a sequence of (lo, hi) per variable; lo may be 0.0 or None
     (free), hi may be a float or None.  Returns the optimal x; raises
-    :class:`LPError` on infeasible or unbounded problems.
+    :class:`LPError` on infeasible or unbounded problems, and when a phase
+    takes more than 2000 + 200 * (rows + columns) pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -70,86 +67,61 @@ def linprog(c, A_ub=None, b_ub=None, bounds=None, max_iter: int | None = None) -
         b_ub = np.zeros(0)
     A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+    if b_ub.size != A_ub.shape[0]:
+        raise LPError("one b_ub entry per A_ub row required")
     if bounds is None:
         bounds = [(0.0, None)] * n
     if len(bounds) != n:
         raise LPError("one (lo, hi) bound pair per variable required")
 
-    # Map every variable onto nonnegative columns: free variables split into
-    # positive and negative parts; finite upper bounds become extra rows.
-    cols: list[tuple[int, float]] = []  # (source variable, sign)
-    ub_rows: list[tuple[int, float]] = []
+    # Map every variable onto nonnegative columns: tableau column k carries
+    # sign[k] * x[src[k]], so a free variable takes a +1 and a -1 column.  A
+    # finite upper bound becomes an extra row on the variable's one column.
+    src, sign, capped, caps = [], [], [], []
     for j, (lo, hi) in enumerate(bounds):
         if lo is None:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
+            if hi is not None:
+                raise LPError("upper bound on a free variable is not supported")
+            src += [j, j]
+            sign += [1.0, -1.0]
         elif lo == 0.0:
-            cols.append((j, 1.0))
+            if hi is not None:
+                capped.append(len(src))
+                caps.append(float(hi))
+            src.append(j)
+            sign.append(1.0)
         else:
             raise LPError("lower bounds other than 0 or None are not supported")
-        if hi is not None:
-            if lo is None:
-                raise LPError("upper bound on a free variable is not supported")
-            ub_rows.append((j, float(hi)))
-
-    nx = len(cols)
-    col_of_var: dict[int, list[tuple[int, float]]] = {}
-    for k, (j, sign) in enumerate(cols):
-        col_of_var.setdefault(j, []).append((k, sign))
-
-    m = A_ub.shape[0] + len(ub_rows)
-    A = np.zeros((m, nx))
-    b = np.zeros(m)
-    for i in range(A_ub.shape[0]):
-        row = A_ub[i]
-        for j in np.nonzero(row)[0]:
-            for k, sign in col_of_var[j]:
-                A[i, k] = sign * row[j]
-        b[i] = b_ub[i]
-    for r, (j, hi) in enumerate(ub_rows):
-        i = A_ub.shape[0] + r
-        for k, sign in col_of_var[j]:
-            A[i, k] = sign
-        b[i] = hi
-
-    cx = np.zeros(nx)
-    for k, (j, sign) in enumerate(cols):
-        cx[k] = sign * c[j]
+    src, sign = np.array(src, dtype=int), np.array(sign)
+    nx, mu = src.size, A_ub.shape[0]
+    m = mu + len(caps)
 
     # Orient every row to b >= 0.  "<=" rows take a slack column (initially
     # basic); flipped rows become ">=" and take surplus + artificial columns.
+    b = np.concatenate([b_ub, caps])
     ge = b < 0
-    A[ge] *= -1.0
-    b[ge] *= -1.0
-    ge_rows = np.nonzero(ge)[0]
-    le_rows = np.nonzero(~ge)[0]
+    ge_rows = np.flatnonzero(ge)
+    le_rows = np.flatnonzero(~ge)
     n_art = ge_rows.size
 
     # Column layout: [x | slacks | surpluses | artificials | rhs]
     ncols = nx + le_rows.size + 2 * n_art
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :nx] = A
+    T[:mu, :nx] = A_ub[:, src] * sign
+    T[mu + np.arange(len(caps)), capped] = 1.0
     T[:m, -1] = b
+    T[ge_rows] *= -1.0
     basis = np.empty(m, dtype=int)
-    for k, i in enumerate(le_rows):
-        col = nx + k
-        T[i, col] = 1.0
-        basis[i] = col
-    art_cols = []
-    for k, i in enumerate(ge_rows):
-        T[i, nx + le_rows.size + k] = -1.0  # surplus
-        col = nx + le_rows.size + n_art + k  # artificial
-        T[i, col] = 1.0
-        basis[i] = col
-        art_cols.append(col)
-
-    if max_iter is None:
-        max_iter = 2000 + 200 * (m + ncols)
+    basis[le_rows] = nx + np.arange(le_rows.size)  # slacks
+    basis[ge_rows] = ncols - n_art + np.arange(n_art)  # artificials
+    T[np.arange(m), basis] = 1.0
+    T[ge_rows, basis[ge_rows] - n_art] = -1.0  # surplus
+    max_iter = 2000 + 200 * (m + ncols)
 
     if n_art:
         # Phase 1: minimize the sum of artificials (cost 1 on each artificial,
         # then zero out the reduced costs of the basic artificial columns).
-        T[m, art_cols] = 1.0
+        T[m, ncols - n_art:ncols] = 1.0
         for i in ge_rows:
             T[m] -= T[i]
         _simplex(T, basis, ncols, max_iter)
@@ -157,43 +129,28 @@ def linprog(c, A_ub=None, b_ub=None, bounds=None, max_iter: int | None = None) -
             raise LPError("LP is infeasible")
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are redundant and dropped.
-        art_set = set(art_cols)
-        drop_rows = []
-        for i in range(m):
-            if int(basis[i]) in art_set:
-                piv = -1
-                for j in range(ncols):
-                    if j not in art_set and abs(T[i, j]) > _PIVOT_TOL:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(T, basis, i, piv)
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            T = T[keep + [m]]
-            basis = basis[keep]
-            m = len(keep)
-        keep_cols = [j for j in range(ncols) if j not in art_set]
-        T = T[:, keep_cols + [ncols]]
-        remap = {old: new for new, old in enumerate(keep_cols)}
-        basis = np.array([remap[int(bj)] for bj in basis], dtype=int)
-        ncols = len(keep_cols)
+        ncols -= n_art
+        drop = []
+        for i in np.flatnonzero(basis >= ncols):
+            piv = np.flatnonzero(np.abs(T[i, :ncols]) > _PIVOT_TOL)
+            if piv.size:
+                _pivot(T, basis, i, piv[0])
+            else:
+                drop.append(i)
+        # The artificial columns come last, so deleting them renumbers nothing.
+        T = np.delete(np.delete(T, drop, axis=0), np.s_[ncols:-1], axis=1)
+        basis = np.delete(basis, drop)
+        m -= len(drop)
 
     # Phase 2: install the real objective row and optimize.
     T[m, :] = 0.0
-    T[m, :nx] = cx
+    T[m, :nx] = sign * c[src]
     for i in range(m):
-        bj = int(basis[i])
+        bj = basis[i]
         if T[m, bj] != 0.0:
             T[m] -= T[m, bj] * T[i]
     _simplex(T, basis, ncols, max_iter)
 
     xfull = np.zeros(ncols)
-    for i in range(m):
-        xfull[int(basis[i])] = T[i, -1]
-    x = np.zeros(n)
-    for k, (j, sign) in enumerate(cols):
-        x[j] += sign * xfull[k]
-    return x
+    xfull[basis] = T[:m, -1]
+    return np.bincount(src, weights=sign * xfull[:nx], minlength=n)

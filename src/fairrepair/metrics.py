@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_means, subset_by_label
+from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_scores, subset_by_label
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, wasserstein
 
@@ -202,7 +202,7 @@ def probabilistic_parity_gap(ds: ScoredDataset, kind: MetricKind) -> dict[tuple[
 
     Returns every ordered pair (g, g') -> E[score | cond, g] - E[score | cond, g'].
     """
-    means = dict(zip(ds.groups, _conditional_means(ds, kind).tolist()))
+    means = {g: float(x.mean()) for g, x in zip(ds.groups, _conditional_scores(ds, kind))}
     return {
         (a, b): means[a] - means[b]
         for a, b in itertools.permutations(sorted(means), 2)
@@ -213,7 +213,7 @@ def groupwise_lex_loss(ds: ScoredDataset, kind: MetricKind) -> dict[str, float]:
     """Per-group sum of absolute pairwise conditional-mean gaps."""
     if len(ds.groups) < 2:
         raise DatasetError("lex loss needs at least 2 groups")
-    means = dict(zip(ds.groups, _conditional_means(ds, kind).tolist()))
+    means = {g: float(x.mean()) for g, x in zip(ds.groups, _conditional_scores(ds, kind))}
     return {
         g: float(sum(abs(means[g] - means[h]) for h in means if h != g))
         for g in means

@@ -21,6 +21,7 @@ from .ot import EmpiricalDistribution, barycenter_quantile
 __all__ = ["RepairPlan", "fit_plan", "load_plan", "save_plan"]
 
 PLAN_FORMAT_VERSION = 1
+_PLAN_KEYS = {"format_version", "domain", "groups", "group_weights", "fitted", "lambdas"}
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,20 @@ class RepairPlan:
         version = data.get("format_version")
         if version != PLAN_FORMAT_VERSION:
             raise DatasetError(f"unsupported plan format_version {version!r}")
+        _check_keys("plan", data, _PLAN_KEYS)
+        _check_keys("plan domain", data["domain"], {"lo", "hi"})
+        groups = data["groups"]
+        if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
+            raise DatasetError("plan groups must be a JSON array of strings")
         try:
             domain = ScoreDomain(float(data["domain"]["lo"]), float(data["domain"]["hi"]))
-            fitted = {
-                g: EmpiricalDistribution(spec["atoms"], spec["weights"])
-                for g, spec in data["fitted"].items()
-            }
+            fitted = {}
+            for g, spec in data["fitted"].items():
+                _check_keys(f"plan fitted entry '{g}'", spec, {"atoms", "weights"})
+                fitted[g] = EmpiricalDistribution(spec["atoms"], spec["weights"])
             return cls(
                 domain,
-                tuple(data["groups"]),
+                tuple(groups),
                 np.asarray(data["group_weights"], dtype=float),
                 fitted,
                 {g: float(v) for g, v in data["lambdas"].items()},
@@ -161,6 +167,11 @@ class RepairPlan:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DatasetError(f"malformed plan ({type(exc).__name__}: {exc})") from None
+
+
+def _check_keys(what: str, obj, keys: set[str]) -> None:
+    if not isinstance(obj, dict) or set(obj) != keys:
+        raise DatasetError(f"{what} must be a JSON object with exactly the keys {sorted(keys)}")
 
 
 def fit_plan(ds: ScoredDataset, lambdas: dict[str, float] | float = 1.0) -> RepairPlan:

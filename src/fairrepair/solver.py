@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_means, subset_by_label
+from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_scores, subset_by_label
 from .errors import DatasetError, SolverError
 from .ot import EmpiricalDistribution, wasserstein
 from .repair import RepairPlan
@@ -178,9 +178,9 @@ def conditional_means_and_shifts(
     Original units.  These are the coefficients of the affine repaired mean
     m_g(lam) = a_g + lam * b_g that the closed-form and lexicographic solvers use.
     """
-    sub = subset_by_label(ds, kind)
-    shifts = [plan.shift(g, sub.group_scores(g)).mean() for g in ds.groups]
-    return _conditional_means(ds, kind), np.array(shifts)
+    scores = _conditional_scores(ds, kind)
+    shifts = [plan.shift(g, x).mean() for g, x in zip(ds.groups, scores)]
+    return np.array([x.mean() for x in scores]), np.array(shifts)
 
 
 def solve_probabilistic(

@@ -265,6 +265,21 @@ def test_apply_matches_per_row_reference(tmp_path):
     assert out.read_text().splitlines() == expected
 
 
+def test_apply_keeps_groups_that_differ_by_a_trailing_nul(tmp_path):
+    """Groups 'a' and 'a\\0' keep their own maps, as in RepairPlan.apply."""
+    src = tmp_path / "nul.csv"
+    src.write_text("score,group\n0.1,a\n0.2,a\n0.3,a\n0.6,a\0\n0.7,a\0\n0.8,a\0\n")
+    plan_path = tmp_path / "plan.json"
+    out = tmp_path / "out.csv"
+    assert run("fit", "--input", src, "--output", plan_path, "--solver", "none") == 0
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", out) == 0
+    ds = load_csv(src, UNIT)
+    assert ds.groups == ("a", "a\0")
+    expected = load_plan(plan_path).apply(ds).scores
+    got = np.array([float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]])
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def test_apply_header_only_input(tmp_path):
     plan_path = tmp_path / "plan.json"
     assert run("fit", "--input", write_dataset(tmp_path), "--output", plan_path,

@@ -16,6 +16,7 @@ from fairrepair import (
     subset_by_label,
 )
 from fairrepair.lex import LexProblem
+from fairrepair.lp import linprog
 
 from conftest import make_dataset, random_binary_dataset
 
@@ -25,9 +26,7 @@ def synthetic_problem(a, b, groups=None):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     groups = tuple(groups or (f"g{i}" for i in range(a.size)))
-    ds = make_dataset({"A": [0.2, 0.4], "B": [0.5, 0.7]})
-    plan = fit_plan(ds)
-    return LexProblem(plan, TPR, groups, a, b)
+    return LexProblem(groups, a, b)
 
 
 def brute_force_losses(a, b, levels=41):
@@ -75,6 +74,22 @@ def test_frozen_shifts_give_constant_loss():
     prob = synthetic_problem([0.3, 0.5, 0.6], [0.0, 0.0, 0.0])
     sol = solve_lexicographic(prob)
     assert all(v == 0.0 for v in sol.lambdas.values())  # nothing movable
+
+
+def test_lp_size_per_round(monkeypatch):
+    """Round k of a 4-group solve has 12 u rows, 4 loss rows and one row per
+    nonempty subset of fewer than k groups, over 4 + 6 + 1 + 4 columns."""
+    import fairrepair.lex as lex
+
+    shapes = []
+
+    def recording_linprog(c, A_ub, b_ub, bounds):
+        shapes.append(A_ub.shape)
+        return linprog(c, A_ub, b_ub, bounds)
+
+    monkeypatch.setattr(lex, "linprog", recording_linprog)
+    solve_lexicographic(synthetic_problem([0.3, 0.5, 0.6, 0.9], [0.2, 0.0, -0.1, -0.3]))
+    assert shapes == [(16, 15), (20, 15), (26, 15), (30, 15)]
 
 
 def test_too_many_groups_rejected(rng):

@@ -122,3 +122,21 @@ def test_random_lps_against_vertex_enumeration(rng):
         x = linprog(c, A, b, bounds)
         _feasible(x, A, b, bounds)
         assert float(c @ x) == pytest.approx(best, abs=1e-7)
+
+
+def test_phase_one_pivots_leftover_artificial_out():
+    # Two identical ">=" rows: phase 1 ends with an artificial basic at zero,
+    # which must be pivoted onto a real column before phase 2.
+    x = linprog([1.0], [[-1.0], [-1.0], [1.0]], [-1.0, -1.0, 1.0], bounds=[(0.0, None)])
+    assert x.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("A, b, bounds, message", [
+    ([[1.0]], [1.0, 2.0], [(0.0, None)], "one b_ub entry per A_ub row"),
+    ([[1.0]], [1.0], [(0.0, None), (0.0, None)], "one .* bound pair per variable"),
+    ([[1.0]], [1.0], [(0.5, None)], "lower bounds other than 0"),
+    ([[1.0]], [1.0], [(None, 2.0)], "upper bound on a free variable"),
+], ids=["b_ub_length", "bounds_length", "lower_bound", "free_upper_bound"])
+def test_malformed_problem_rejected(A, b, bounds, message):
+    with pytest.raises(LPError, match=message):
+        linprog([1.0], A, b, bounds)

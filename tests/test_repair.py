@@ -340,9 +340,26 @@ def _bad_number(data):
     data["domain"]["hi"] = "high"
 
 
+def _groups_as_string(data):
+    data["groups"] = "".join(data["groups"])  # "AB" iterates into ('A', 'B')
+
+
+def _unknown_top_level_key(data):
+    data["note"] = 1
+
+
+def _unknown_domain_key(data):
+    data["domain"]["step"] = 0.1
+
+
+def _unknown_fitted_key(data):
+    data["fitted"]["A"]["note"] = 1
+
+
 @pytest.mark.parametrize("corrupt", [
     _nan_group_weight, _nan_atom_weight, _extra_fitted_group, _extra_lambda_group,
     _missing_domain, _missing_atoms, _fitted_not_an_object, _bad_number,
+    _groups_as_string, _unknown_top_level_key, _unknown_domain_key, _unknown_fitted_key,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_load_plan_rejects_malformed_plan(tmp_path, corrupt):
     path = tmp_path / "plan.json"
