@@ -23,7 +23,7 @@ from .dataset import ScoreDomain, _index_groups, _read_scored_csv, _write_datase
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
-from .repair import fit_plan, load_plan, save_plan
+from .repair import fit_plan, load_plan
 from .solver import LambdaObjective, _sweep, solve_exact, solve_grid, solve_probabilistic
 from .synth import GENERATOR_ID, JointSpec, bundled_spec, sample, split
 
@@ -31,19 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-_DEFAULTS = {
-    "metric": "pr",
-    "grid": 101,
-    "p": 1.0,
-    "solver": "auto",
-    "seed": 0,
-    "domain": "0:1",
-    "tol": 1e-6,
-    "steps": 101,
-    "n": 8000,
-    "fraction": 0.5,
-}
 
 
 class _CliError(Exception):
@@ -67,40 +54,23 @@ def _atomic_write(path: str, write) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, lambda fh: fh.write(text))
+    def write(fh):
+        json.dump(payload, fh, indent=2, sort_keys=True)  # streamed: no whole-text copy
+        fh.write("\n")
+
+    _atomic_write(path, write)
 
 
 def _parse_domain(text: str) -> ScoreDomain:
     try:
         lo, _, hi = text.partition(":")
         return ScoreDomain(float(lo), float(hi))
-    except (ValueError, DatasetError):
-        raise _CliError(f"bad --domain '{text}', expected lo:hi", EXIT_VALIDATION) from None
+    except ValueError:  # DatasetError included
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got '{text}'") from None
 
 
-def _load_input(path: str, domain: ScoreDomain):
-    if not os.path.exists(path):
-        raise _CliError(f"input file not found: {path}", EXIT_IO)
-    return load_csv(path, domain)
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str):
-    """Precedence: command-line flag > config file > built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
-
-
-def _load_config(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    if not os.path.exists(path):
-        raise _CliError(f"config file not found: {path}", EXIT_IO)
+def _config_flags(path: str, command: str) -> list[str]:
+    """The config file's values for ``command`` as ``--key=value`` flags."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -108,7 +78,14 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise _CliError(f"{path}: config is not valid JSON ({exc})", EXIT_VALIDATION) from None
     if not isinstance(data, dict):
         raise _CliError(f"{path}: config must be a JSON object", EXIT_VALIDATION)
-    return data
+    flags = []
+    for key, value in data.items():
+        commands, kwargs = _OPTIONS.get(key, ((), {}))
+        if "default" not in kwargs:
+            raise _CliError(f"{path}: unknown config key '{key}'", EXIT_VALIDATION)
+        if command in commands:
+            flags.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +93,15 @@ def _load_config(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_evaluate(args, config) -> int:
-    domain = _parse_domain(_resolve(args, config, "domain"))
-    combo = parse_combo(_resolve(args, config, "metric"))
-    grid = ThresholdGrid.linspace(domain, int(_resolve(args, config, "grid")))
-    p = float(_resolve(args, config, "p"))
-    ds = _load_input(args.input, domain)
+def _cmd_evaluate(args) -> int:
+    combo = parse_combo(args.metric)
+    grid = ThresholdGrid.linspace(args.domain, args.grid)
+    ds = load_csv(args.input, args.domain)
 
     curves, reports = [], []
     for kind in combo.kinds:
         curves.append(rate_curve(ds, kind, grid))
-        reports.append(distributional_disparity(ds, kind, p, grid))
+        reports.append(distributional_disparity(ds, kind, args.p, grid))
     payload = {"input": args.input, "reports": [r.to_dict() for r in reports]}
     if len(reports) > 1:
         payload["weighted_expected_gap"] = float(
@@ -146,15 +121,11 @@ def _pick_solver(name: str, n_groups: int) -> str:
     return name
 
 
-def _cmd_fit(args, config) -> int:
-    domain = _parse_domain(_resolve(args, config, "domain"))
-    combo = parse_combo(_resolve(args, config, "metric"))
-    p = float(_resolve(args, config, "p"))
-    tol = float(_resolve(args, config, "tol"))
-    steps = int(_resolve(args, config, "grid"))
-    ds = _load_input(args.input, domain)
+def _cmd_fit(args) -> int:
+    combo = parse_combo(args.metric)
+    ds = load_csv(args.input, args.domain)
     plan = fit_plan(ds)
-    solver = _pick_solver(_resolve(args, config, "solver"), len(ds.groups))
+    solver = _pick_solver(args.solver, len(ds.groups))
 
     if solver in ("probabilistic", "maxmin", "lex") and combo.single_kind is None:
         raise _CliError(f"solver '{solver}' needs a single metric, not a combination", EXIT_VALIDATION)
@@ -164,11 +135,11 @@ def _cmd_fit(args, config) -> int:
         # Fit-only barycenter mode: label-free, keeps the full-repair default.
         solution_dict = {"method": "none", "lambdas": dict(plan.lambdas)}
     elif solver == "grid":
-        sol = solve_grid(plan, ds, LambdaObjective(combo, p), steps)
+        sol = solve_grid(plan, ds, LambdaObjective(combo, args.p), args.grid)
         plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
         solution_dict = sol.to_dict()
     elif solver == "exact":
-        sol = solve_exact(plan, ds, LambdaObjective(combo, p), tol)
+        sol = solve_exact(plan, ds, LambdaObjective(combo, args.p), args.tol)
         plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
         solution_dict = sol.to_dict()
     elif solver == "probabilistic":
@@ -181,18 +152,13 @@ def _cmd_fit(args, config) -> int:
         plan = plan.with_lambdas(sol.lambdas)
         solution_dict = sol.to_dict()
 
-    save_plan(plan, args.output)
+    _write_json(args.output, plan.to_dict())
     _write_json(args.output + ".solution.json", solution_dict)
     return EXIT_OK
 
 
-def _cmd_apply(args, config) -> int:
-    if not os.path.exists(args.plan):
-        raise _CliError(f"plan file not found: {args.plan}", EXIT_IO)
+def _cmd_apply(args) -> int:
     plan = load_plan(args.plan)
-    if not os.path.exists(args.input):
-        raise _CliError(f"input file not found: {args.input}", EXIT_IO)
-
     # Not a ScoredDataset: apply keeps every column and the row order, and
     # accepts groups with a single row.
     table = _read_scored_csv(args.input, plan.domain)
@@ -207,15 +173,12 @@ def _cmd_apply(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_lambda_sweep(args, config) -> int:
-    domain = _parse_domain(_resolve(args, config, "domain"))
-    combo = parse_combo(_resolve(args, config, "metric"))
-    p = float(_resolve(args, config, "p"))
-    steps = int(_resolve(args, config, "steps"))
-    if steps < 2:
+def _cmd_lambda_sweep(args) -> int:
+    combo = parse_combo(args.metric)
+    if args.steps < 2:
         raise _CliError("--steps must be at least 2", EXIT_VALIDATION)
-    ds = _load_input(args.input, domain)
-    lams, vals, best = _sweep(fit_plan(ds), ds, LambdaObjective(combo, p), steps)
+    ds = load_csv(args.input, args.domain)
+    lams, vals, best = _sweep(fit_plan(ds), ds, LambdaObjective(combo, args.p), args.steps)
     lines = ["lambda,objective,is_argmin"]
     for i, (lam, v) in enumerate(zip(lams, vals)):
         lines.append(f"{float(lam)!r},{float(v)!r},{int(i == best)}")
@@ -223,26 +186,18 @@ def _cmd_lambda_sweep(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_generate(args, config) -> int:
-    seed = int(_resolve(args, config, "seed"))
-    n = int(_resolve(args, config, "n"))
-    fraction = float(_resolve(args, config, "fraction"))
-    if args.spec:
-        if not os.path.exists(args.spec):
-            raise _CliError(f"spec file not found: {args.spec}", EXIT_IO)
-        spec = JointSpec.from_json(args.spec)
-    else:
-        spec = bundled_spec()
-    ds = sample(spec, n, seed)
-    labeled, holdout = split(ds, fraction, seed)
+def _cmd_generate(args) -> int:
+    spec = JointSpec.from_json(args.spec) if args.spec else bundled_spec()
+    ds = sample(spec, args.n, args.seed)
+    labeled, holdout = split(ds, args.fraction, args.seed)
     prefix = args.output
     _atomic_write(prefix + "_labeled.csv", lambda fh: _write_dataset(fh, labeled))
     _atomic_write(prefix + "_holdout.csv", lambda fh: _write_dataset(fh, holdout))
     meta = {
         "generator": GENERATOR_ID,
-        "seed": seed,
-        "n": n,
-        "fraction": fraction,
+        "seed": args.seed,
+        "n": args.n,
+        "fraction": args.fraction,
         "spec": spec.to_dict(),
     }
     _write_json(prefix + "_meta.json", meta)
@@ -253,26 +208,53 @@ def _cmd_generate(args, config) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "evaluate": (_cmd_evaluate, "threshold-sweep disparity curves and report"),
+    "fit": (_cmd_fit, "fit a repair plan and solve for lambda(s)"),
+    "apply": (_cmd_apply, "apply a fitted plan to a CSV of scores"),
+    "lambda-sweep": (_cmd_lambda_sweep, "objective value over a lambda grid"),
+    "generate": (_cmd_generate, "sample a synthetic dataset and split it"),
+}
+_SCORED = ("evaluate", "fit", "lambda-sweep")  # measure a metric on a scored CSV
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", help="pr|tpr|fpr|nr|tnr|fnr or weighted combo like 'tpr:1,fpr:1'")
-    p.add_argument(
-        "--grid",
+# Each option once: the subcommands that read it and its argparse keywords.
+# A --config file may set the options that have a default.
+_OPTIONS = {
+    "input": (_SCORED + ("apply",), dict(required=True, help="scored CSV")),
+    "plan": (("apply",), dict(required=True, help="plan JSON written by fit")),
+    "spec": (("generate",), dict(help="joint spec JSON (default: bundled 4-group example)")),
+    "output": (tuple(_COMMANDS), dict(
+        required=True,
+        help="report JSON (evaluate), plan JSON (fit), repaired CSV (apply), "
+        "sweep CSV (lambda-sweep) or path prefix (generate)",
+    )),
+    "curves": (("evaluate",), dict(help="curve CSV path (default: <output>.curves.csv)")),
+    "metric": (_SCORED, dict(
+        default="pr",
+        help="pr|tpr|fpr|nr|tnr|fnr or weighted combo like 'tpr:1,fpr:1' (default %(default)s)",
+    )),
+    "grid": (("evaluate", "fit"), dict(
         type=int,
-        help="threshold-grid size (default 101); 'fit --solver grid' also takes its "
-        "lambda step count from it, while lambda-sweep uses --steps",
-    )
-    p.add_argument("--p", type=float, help="disparity order p >= 1 (default 1)")
-    p.add_argument(
-        "--solver",
+        default=101,
+        help="threshold-grid size (default %(default)s); 'fit --solver grid' also takes its "
+        "lambda step count from it",
+    )),
+    "p": (_SCORED, dict(type=float, default=1.0, help="disparity order p >= 1 (default %(default)s)")),
+    "solver": (("fit",), dict(
+        default="auto",
         choices=["auto", "grid", "exact", "probabilistic", "maxmin", "lex", "none"],
-        help="lambda solver; 'none' fits the barycenter only (label-free, lambda=1)",
-    )
-    p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    p.add_argument("--domain", help="score domain as lo:hi (default 0:1)")
-    p.add_argument("--tol", type=float, help="solver tolerance (default 1e-6)")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--json-errors", action="store_true", help="emit errors as JSON on stderr")
+        help="lambda solver (default %(default)s); 'none' fits the barycenter only "
+        "(label-free, lambda=1)",
+    )),
+    "domain": (_SCORED, dict(type=_parse_domain, default="0:1", help="score domain as lo:hi (default %(default)s)")),
+    "tol": (("fit",), dict(type=float, default=1e-6, help="solver tolerance (default %(default)s)")),
+    "steps": (("lambda-sweep",), dict(type=int, default=101, help="lambda grid size (default %(default)s)")),
+    "seed": (("generate",), dict(type=int, default=0, help="PRNG seed (default %(default)s)")),
+    "n": (("generate",), dict(type=int, default=8000, help="total rows (default %(default)s)")),
+    "fraction": (("generate",), dict(type=float, default=0.5, help="labeled fraction (default %(default)s)")),
+    "config": (_SCORED + ("generate",), dict(help="JSON config file; flags override its values")),
+    "json-errors": (tuple(_COMMANDS), dict(action="store_true", help="emit errors as JSON on stderr")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,42 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Post-process classifier scores for threshold-independent group parity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pe = sub.add_parser("evaluate", help="threshold-sweep disparity curves and report")
-    pe.add_argument("--input", required=True)
-    pe.add_argument("--output", required=True, help="report JSON path")
-    pe.add_argument("--curves", help="curve CSV path (default: <output>.curves.csv)")
-    _add_shared(pe)
-    pe.set_defaults(func=_cmd_evaluate)
-
-    pf = sub.add_parser("fit", help="fit a repair plan and solve for lambda(s)")
-    pf.add_argument("--input", required=True, help="labeled CSV")
-    pf.add_argument("--output", required=True, help="plan JSON path")
-    _add_shared(pf)
-    pf.set_defaults(func=_cmd_fit)
-
-    pa = sub.add_parser("apply", help="apply a fitted plan to a CSV of scores")
-    pa.add_argument("--input", required=True)
-    pa.add_argument("--plan", required=True)
-    pa.add_argument("--output", required=True, help="repaired CSV path")
-    _add_shared(pa)
-    pa.set_defaults(func=_cmd_apply)
-
-    ps = sub.add_parser("lambda-sweep", help="objective value over a lambda grid")
-    ps.add_argument("--input", required=True, help="labeled 2-group CSV")
-    ps.add_argument("--output", required=True, help="sweep CSV path")
-    ps.add_argument("--steps", type=int, help="lambda grid size (default 101)")
-    _add_shared(ps)
-    ps.set_defaults(func=_cmd_lambda_sweep)
-
-    pg = sub.add_parser("generate", help="sample a synthetic dataset and split it")
-    pg.add_argument("--spec", help="joint spec JSON (default: bundled 4-group example)")
-    pg.add_argument("--n", type=int, help="total rows (default 8000)")
-    pg.add_argument("--fraction", type=float, help="labeled fraction (default 0.5)")
-    pg.add_argument("--output", required=True, help="output path prefix")
-    _add_shared(pg)
-    pg.set_defaults(func=_cmd_generate)
-
+    for command, (func, help_text) in _COMMANDS.items():
+        # No prefix matching: 'apply --p 2' would otherwise set --plan.
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, (commands, kwargs) in _OPTIONS.items():
+            if command in commands:
+                p.add_argument(f"--{name}", **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -331,20 +284,24 @@ def _fail(message: str, code: int, json_errors: bool, error_cls: str) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    json_errors = bool(getattr(args, "json_errors", False))
     try:
-        config = _load_config(args)
-        return args.func(args, config)
+        if getattr(args, "config", None):
+            # Config values go in as flags ahead of the command line's: they
+            # get each flag's type and choices checks, and the last flag wins.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, args.command) + argv[at:])
+        return args.func(args)
     except _CliError as exc:
-        return _fail(str(exc), exc.code, json_errors, type(exc).__name__)
+        return _fail(str(exc), exc.code, args.json_errors, type(exc).__name__)
     except (DatasetError, SpecError) as exc:
-        return _fail(str(exc), EXIT_VALIDATION, json_errors, type(exc).__name__)
+        return _fail(str(exc), EXIT_VALIDATION, args.json_errors, type(exc).__name__)
     except SolverError as exc:
-        return _fail(str(exc), EXIT_SOLVER, json_errors, type(exc).__name__)
+        return _fail(str(exc), EXIT_SOLVER, args.json_errors, type(exc).__name__)
     except OSError as exc:
-        return _fail(str(exc), EXIT_IO, json_errors, type(exc).__name__)
+        return _fail(str(exc), EXIT_IO, args.json_errors, type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -81,11 +81,17 @@ class ScoredDataset:
     not the constructor.
     """
 
-    def __init__(self, scores, groups, labels, domain, *, _min_rows=MIN_ROWS_PER_GROUP):
+    def __init__(self, scores, groups, labels, domain):
+        names, group_idx = _index_groups(list(groups))
+        self._init(scores, names, group_idx, labels, domain)
+        for g, c in zip(self.groups, self._counts):
+            if c < MIN_ROWS_PER_GROUP:
+                raise DatasetError(f"group '{g}' has {c} row(s), needs at least {MIN_ROWS_PER_GROUP}")
+
+    def _init(self, scores, groups, group_idx, labels, domain) -> None:
         scores = np.array(scores, dtype=float)
         labels = np.array(labels, dtype=int)  # -1 encodes "no label"
-        groups = list(groups)
-        if scores.ndim != 1 or len(groups) != scores.size or labels.size != scores.size:
+        if scores.ndim != 1 or group_idx.size != scores.size or labels.size != scores.size:
             raise DatasetError("scores, groups and labels must be equal-length 1-d sequences")
         if scores.size == 0:
             raise DatasetError("dataset has zero rows")
@@ -101,18 +107,19 @@ class ScoredDataset:
             raise DatasetError(f"non-binary label: {labels[~ok][0]}")
 
         self.domain = domain
-        self.groups, self._group_idx = _index_groups(groups)
+        self.groups, self._group_idx = groups, group_idx
         self._scores = scores
         self._labels = labels
         self._scores.flags.writeable = False
         self._labels.flags.writeable = False
         self._group_idx.flags.writeable = False
+        self._counts = np.bincount(group_idx, minlength=len(groups))
 
-        counts = np.bincount(self._group_idx, minlength=len(self.groups))
-        for g, c in zip(self.groups, counts):
-            if c < _min_rows:
-                raise DatasetError(f"group '{g}' has {c} row(s), needs at least {_min_rows}")
-        self._counts = counts
+    def _derive(self, scores, group_idx, labels) -> "ScoredDataset":
+        """Rows over this dataset's groups, each group keeping at least one row."""
+        out = object.__new__(ScoredDataset)
+        out._init(scores, self.groups, group_idx, labels, self.domain)
+        return out
 
     # -- basic accessors ---------------------------------------------------
 
@@ -156,13 +163,7 @@ class ScoredDataset:
 
     def replace_scores(self, new_scores) -> "ScoredDataset":
         """Same rows with new scores (used by repair application)."""
-        return ScoredDataset(
-            new_scores,
-            [self.groups[i] for i in self._group_idx],
-            self._labels,
-            self.domain,
-            _min_rows=1,
-        )
+        return self._derive(new_scores, self._group_idx, self._labels)
 
 
 def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -303,13 +304,7 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
     for g, c in zip(ds.groups, kept):
         if c == 0:
             raise DatasetError(f"group '{g}' is empty under Y={kind.label_condition}")
-    return ScoredDataset(
-        ds.scores[mask],
-        [ds.groups[i] for i in ds.group_indices[mask]],
-        ds.labels[mask],
-        ds.domain,
-        _min_rows=1,
-    )
+    return ds._derive(ds.scores[mask], ds.group_indices[mask], ds.labels[mask])
 
 
 def _conditional_scores(ds: ScoredDataset, kind: MetricKind) -> list[np.ndarray]:

@@ -71,8 +71,8 @@ class EmpiricalDistribution:
             a.flags.writeable = False
 
     @classmethod
-    def from_samples(cls, values, weights=None) -> "EmpiricalDistribution":
-        """Distribution of a sample (uniform weights unless given).
+    def from_samples(cls, values) -> "EmpiricalDistribution":
+        """Distribution of a sample, each point weighted equally.
 
         Requires at least two sample points; ties may still merge to a single
         atom (a legitimate point mass).
@@ -80,9 +80,7 @@ class EmpiricalDistribution:
         values = np.asarray(values, dtype=float)
         if values.size < 2:
             raise DatasetError("need at least 2 sample points")
-        if weights is None:
-            weights = np.full(values.size, 1.0 / values.size)
-        return cls(values, weights)
+        return cls(values, np.full(values.size, 1.0 / values.size))
 
     def _toward(self, targets: np.ndarray, lam: float) -> "EmpiricalDistribution":
         """The same weights on atoms moved a fraction lam of the way to targets.

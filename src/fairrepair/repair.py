@@ -174,11 +174,11 @@ def _check_keys(what: str, obj, keys: set[str]) -> None:
         raise DatasetError(f"{what} must be a JSON object with exactly the keys {sorted(keys)}")
 
 
-def fit_plan(ds: ScoredDataset, lambdas: dict[str, float] | float = 1.0) -> RepairPlan:
+def fit_plan(ds: ScoredDataset) -> RepairPlan:
     """Fit per-group unconditional distributions; proportions become weights.
 
-    Label-free.  The default lambda of 1 gives full repair; solvers typically
-    replace it afterwards via :meth:`RepairPlan.with_lambdas`.
+    Label-free.  Every lambda is 1 (full repair); solvers replace them
+    afterwards via :meth:`RepairPlan.with_lambdas`.
     """
     if len(ds.groups) < 2:
         raise DatasetError("need at least 2 groups to fit a repair plan")
@@ -186,9 +186,7 @@ def fit_plan(ds: ScoredDataset, lambdas: dict[str, float] | float = 1.0) -> Repa
         g: EmpiricalDistribution.from_samples(ds.domain.normalize(ds.group_scores(g)))
         for g in ds.groups
     }
-    if not isinstance(lambdas, dict):
-        lambdas = {g: float(lambdas) for g in ds.groups}
-    return RepairPlan(ds.domain, ds.groups, ds.proportions, fitted, lambdas)
+    return RepairPlan(ds.domain, ds.groups, ds.proportions, fitted, dict.fromkeys(ds.groups, 1.0))
 
 
 def save_plan(plan: RepairPlan, path) -> None:

@@ -471,6 +471,9 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
         ("fit", "--solver", "grid"),
         ("lambda-sweep",),
     ])
+    # Each command is fuzzed only with the numeric flags it declares.
+    declared = {"evaluate": ("--p", "--grid"), "fit": ("--p", "--tol", "--grid"),
+                "lambda-sweep": ("--p", "--steps")}
 
     def no_nan(token):
         raise AssertionError(f"{token} in JSON output")
@@ -483,10 +486,9 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     def check(command, p, tol, grid, steps):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
         argv = [*command, "--input", str(data), "--output", str(out / "out"), "--metric", "tpr"]
-        flags = {"--p": p, "--tol": tol, "--grid": grid}
-        if command[0] == "lambda-sweep":
-            flags["--steps"] = steps
-        for flag, value in flags.items():
+        flags = {"--p": p, "--tol": tol, "--grid": grid, "--steps": steps}
+        for flag in declared[command[0]]:
+            value = flags[flag]
             if value is not None:
                 argv.append(f"{flag}={value}")  # '=' keeps a leading '-' a value
         err = io.StringIO()
@@ -562,3 +564,112 @@ def test_cli_outputs_deterministic(tmp_path):
         run("fit", "--input", data, "--output", plan_path, "--solver", "exact", "--metric", "tpr")
         outs.append(plan_path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def exit_code(*argv):
+    """main's exit code, or argparse's when it rejects the arguments."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Flags each subcommand used to accept without reading them, with a valid value.
+UNREAD_FLAGS = {
+    "evaluate": {"--solver": "auto", "--seed": "0", "--tol": "1e-6"},
+    "fit": {"--seed": "0"},
+    "apply": {"--metric": "pr", "--grid": "101", "--p": "1", "--solver": "auto", "--seed": "0",
+              "--domain": "0:1", "--tol": "1e-6", "--config": None},
+    "lambda-sweep": {"--grid": "101", "--solver": "auto", "--seed": "0", "--tol": "1e-6"},
+    "generate": {"--metric": "pr", "--grid": "101", "--p": "1", "--solver": "auto",
+                 "--domain": "0:1", "--tol": "1e-6"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in UNREAD_FLAGS.items() for f in flags],
+                         ids=lambda x: x.strip("-"))
+def test_unread_flag_is_rejected(tmp_path, command, flag):
+    data = labeled_binary(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out = tmp_path / "out"
+    argv = {
+        "apply": ["--input", data, "--plan", plan_path],
+        "generate": ["--n", "40"],
+    }.get(command, ["--input", data])
+    value = UNREAD_FLAGS[command][flag] or config
+    assert exit_code(command, *argv, "--output", out, flag, value) == 2
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("fit", {"grid": "x"}),
+    ("fit", {"p": "x"}),
+    ("fit", {"metric": 5}),
+    ("fit", {"domain": 5}),
+    ("fit", {"tol": [1]}),
+    ("fit", {"grid": 11.0}),
+    ("evaluate", {"grid": None}),
+    ("generate", {"seed": "x"}),
+    ("generate", {"n": "x"}),
+    ("generate", {"fraction": "x"}),
+    ("lambda-sweep", {"steps": "x"}),
+], ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_bad_config_value_is_validation_error(tmp_path, capsys, command, config):
+    data = labeled_binary(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["--n", "40"] if command == "generate" else ["--input", data]
+    assert exit_code(command, *argv, "--output", tmp_path / "out", "--config", path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_config_solver_takes_the_flag_choices(tmp_path, capsys):
+    data = labeled_binary(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"metric": "tpr", "solver": "bogus"}))
+    plan_path = tmp_path / "plan.json"
+    assert exit_code("fit", "--input", data, "--output", plan_path, "--config", config) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not plan_path.exists()
+
+
+def test_config_serves_every_command_but_rejects_unknown_keys(tmp_path, capsys):
+    data = labeled_binary(tmp_path)
+    shared = {"metric": "tpr", "solver": "grid", "grid": 21, "p": 1, "tol": 1e-6,
+              "domain": "0:1", "steps": 11, "seed": 3, "n": 100, "fraction": 0.5}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(shared))
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--config", config) == 0
+    assert json.loads((tmp_path / "plan.json.solution.json").read_text())["evaluations"] == 21
+    sweep = tmp_path / "sweep.csv"
+    assert run("lambda-sweep", "--input", data, "--output", sweep, "--config", config) == 0
+    assert len(sweep.read_text().splitlines()) == 1 + 11
+    assert run("generate", "--output", tmp_path / "g", "--config", config) == 0
+    assert json.loads((tmp_path / "g_meta.json").read_text())["n"] == 100
+
+    config.write_text(json.dumps({"metirc": "tpr", "solver": "exact"}))
+    assert run("fit", "--input", data, "--output", tmp_path / "p2.json", "--config", config) == 2
+    assert "'metirc'" in capsys.readouterr().err
+    assert not (tmp_path / "p2.json").exists()
+
+
+def test_fit_keeps_old_plan_when_the_write_fails(tmp_path, monkeypatch):
+    data = labeled_binary(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    before = plan_path.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"format_version": 1, "groups": [')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "exact",
+               "--metric", "tpr") == 4
+    assert plan_path.read_bytes() == before
+    assert not list(tmp_path.glob(".tmp-*"))

@@ -16,7 +16,7 @@ from fairrepair import (
 )
 from fairrepair.dataset import FNR, FPR, NR, TNR
 
-from conftest import UNIT, make_dataset
+from conftest import UNIT, make_dataset, random_binary_dataset
 
 
 def test_symmetric_counts_give_half_half():
@@ -114,6 +114,25 @@ def test_subset_partitions_rows():
     assert len(y1) + len(y0) == len(ds)
     merged = np.sort(np.concatenate([y1.scores, y0.scores]))
     assert np.array_equal(merged, np.sort(ds.scores))
+
+
+def test_derived_datasets_match_the_constructor():
+    """subset_by_label and replace_scores give the arrays validate_dataset builds."""
+    ds = random_binary_dataset(np.random.default_rng(3), n_per_group=(40, 30))
+
+    def same(got, rows):
+        want = validate_dataset(rows, ds.domain)
+        assert got.groups == want.groups
+        for a, b in ((got.scores, want.scores), (got.labels, want.labels),
+                     (got.group_indices, want.group_indices), (got.proportions, want.proportions)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    rows = list(zip(ds.scores, (ds.groups[g] for g in ds.group_indices), ds.labels))
+    same(subset_by_label(ds, TPR), [r for r in rows if r[2] == 1])
+    new = ds.scores[::-1].copy()
+    same(ds.replace_scores(new), [(s, g, l) for s, (_, g, l) in zip(new, rows)])
+    with pytest.raises(DatasetError, match="score out of domain"):
+        ds.replace_scores(new + 1.0)
 
 
 def test_conditioning_on_unlabeled_data_errors():
