@@ -15,15 +15,15 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from .dataset import ScoreDomain, _index_groups, _read_scored_csv, _write_dataset, load_csv, parse_combo
+from .dataset import (ScoreDomain, _atomic_write, _index_groups, _read_scored_csv, _write_dataset,
+                      _write_json, load_csv, parse_combo)
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
-from .repair import fit_plan, load_plan
+from .repair import fit_plan, load_plan, save_plan
 from .solver import LambdaObjective, _sweep, solve_exact, solve_grid, solve_probabilistic
 from .synth import GENERATOR_ID, JointSpec, bundled_spec, sample, split
 
@@ -37,28 +37,6 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _atomic_write(path: str, write) -> None:
-    """Run ``write(fh)`` on a temp file beside ``path``, then rename it over ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, payload) -> None:
-    def write(fh):
-        json.dump(payload, fh, indent=2, sort_keys=True)  # streamed: no whole-text copy
-        fh.write("\n")
-
-    _atomic_write(path, write)
 
 
 def _parse_domain(text: str) -> ScoreDomain:
@@ -82,7 +60,9 @@ def _config_flags(path: str, command: str) -> list[str]:
     for key, value in data.items():
         commands, kwargs = _OPTIONS.get(key, ((), {}))
         if "default" not in kwargs:
-            raise _CliError(f"{path}: unknown config key '{key}'", EXIT_VALIDATION)
+            settable = ", ".join(k for k, (_, kw) in _OPTIONS.items() if "default" in kw)
+            raise _CliError(f"{path}: '{key}' cannot be set in a config file (settable: {settable})",
+                            EXIT_VALIDATION)
         if command in commands:
             flags.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
     return flags
@@ -152,7 +132,7 @@ def _cmd_fit(args) -> int:
         plan = plan.with_lambdas(sol.lambdas)
         solution_dict = sol.to_dict()
 
-    _write_json(args.output, plan.to_dict())
+    save_plan(plan, args.output)
     _write_json(args.output + ".solution.json", solution_dict)
     return EXIT_OK
 
@@ -257,8 +237,15 @@ _OPTIONS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print usage and exit; a bad flag or config value is
+        # a validation error like any other, so --json-errors covers it.
+        raise _CliError(f"{message} (see '{self.prog} --help')", EXIT_VALIDATION)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fairrepair",
         description="Post-process classifier scores for threshold-independent group parity.",
     )
@@ -286,22 +273,27 @@ def _fail(message: str, code: int, json_errors: bool, error_cls: str) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    json_errors = "--json-errors" in argv  # known before argparse can fail
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # Config values go in as flags ahead of the command line's: they
             # get each flag's type and choices checks, and the last flag wins.
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config, args.command) + argv[at:])
+            flags = _config_flags(args.config, args.command)
+            try:
+                args = parser.parse_args(argv[:at] + flags + argv[at:])
+            except _CliError as exc:  # the command line alone parsed, so a config value is bad
+                raise _CliError(f"{args.config}: {exc}", EXIT_VALIDATION) from None
         return args.func(args)
     except _CliError as exc:
-        return _fail(str(exc), exc.code, args.json_errors, type(exc).__name__)
+        return _fail(str(exc), exc.code, json_errors, type(exc).__name__)
     except (DatasetError, SpecError) as exc:
-        return _fail(str(exc), EXIT_VALIDATION, args.json_errors, type(exc).__name__)
+        return _fail(str(exc), EXIT_VALIDATION, json_errors, type(exc).__name__)
     except SolverError as exc:
-        return _fail(str(exc), EXIT_SOLVER, args.json_errors, type(exc).__name__)
+        return _fail(str(exc), EXIT_SOLVER, json_errors, type(exc).__name__)
     except OSError as exc:
-        return _fail(str(exc), EXIT_IO, args.json_errors, type(exc).__name__)
+        return _fail(str(exc), EXIT_IO, json_errors, type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Core domain types: score domains, scored datasets, metric selectors, CSV I/O.
+"""Core domain types: score domains, scored datasets, metric selectors, CSV I/O
+and atomic file writes.
 
 Scores are kept in the caller's original units.  Everything downstream that
 does transport math normalizes to [0, 1] through :class:`ScoreDomain` and maps
@@ -9,7 +10,10 @@ credit-score axes.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
+import tempfile
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -421,3 +425,25 @@ def _write_dataset(fh, ds: ScoredDataset) -> None:
         if labeled:
             row.append(int(l))
         writer.writerow(row)
+
+
+def _atomic_write(path, write) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then rename it over ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_json(path, payload) -> None:
+    def write(fh):
+        json.dump(payload, fh, indent=2, sort_keys=True)  # streamed: no whole-text copy
+        fh.write("\n")
+
+    _atomic_write(path, write)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset
+from .dataset import ScoreDomain, ScoredDataset, _write_json
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, barycenter_quantile
 
@@ -190,9 +190,8 @@ def fit_plan(ds: ScoredDataset) -> RepairPlan:
 
 
 def save_plan(plan: RepairPlan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``plan`` as JSON; an existing file is replaced only once the write succeeds."""
+    _write_json(path, plan.to_dict())
 
 
 def load_plan(path) -> RepairPlan:

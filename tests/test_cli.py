@@ -493,10 +493,7 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
                 argv.append(f"{flag}={value}")  # '=' keeps a leading '-' a value
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects a malformed number
-                code = exc.code
+            code = main(argv)
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         for path in out.glob("*.json"):
@@ -566,14 +563,6 @@ def test_cli_outputs_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def exit_code(*argv):
-    """main's exit code, or argparse's when it rejects the arguments."""
-    try:
-        return run(*argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 # Flags each subcommand used to accept without reading them, with a valid value.
 UNREAD_FLAGS = {
     "evaluate": {"--solver": "auto", "--seed": "0", "--tol": "1e-6"},
@@ -600,7 +589,7 @@ def test_unread_flag_is_rejected(tmp_path, command, flag):
         "generate": ["--n", "40"],
     }.get(command, ["--input", data])
     value = UNREAD_FLAGS[command][flag] or config
-    assert exit_code(command, *argv, "--output", out, flag, value) == 2
+    assert run(command, *argv, "--output", out, flag, value) == 2
     assert not list(tmp_path.glob("out*"))
 
 
@@ -622,7 +611,7 @@ def test_bad_config_value_is_validation_error(tmp_path, capsys, command, config)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = ["--n", "40"] if command == "generate" else ["--input", data]
-    assert exit_code(command, *argv, "--output", tmp_path / "out", "--config", path) == 2
+    assert run(command, *argv, "--output", tmp_path / "out", "--config", path) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
 
@@ -632,7 +621,7 @@ def test_config_solver_takes_the_flag_choices(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"metric": "tpr", "solver": "bogus"}))
     plan_path = tmp_path / "plan.json"
-    assert exit_code("fit", "--input", data, "--output", plan_path, "--config", config) == 2
+    assert run("fit", "--input", data, "--output", plan_path, "--config", config) == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert not plan_path.exists()
 
@@ -656,6 +645,25 @@ def test_config_serves_every_command_but_rejects_unknown_keys(tmp_path, capsys):
     assert run("fit", "--input", data, "--output", tmp_path / "p2.json", "--config", config) == 2
     assert "'metirc'" in capsys.readouterr().err
     assert not (tmp_path / "p2.json").exists()
+    config.write_text(json.dumps({"input": str(data)}))
+    assert run("fit", "--input", data, "--output", tmp_path / "p2.json", "--config", config) == 2
+    assert "'input' cannot be set in a config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config", [(["--domain", "x"], None), ([], {"domain": "x"})],
+                         ids=["flag", "config"])
+def test_json_errors_covers_bad_flag_and_config_values(tmp_path, capsys, flags, config):
+    data = labeled_binary(tmp_path)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = ["--config", path]
+    assert run("evaluate", "--input", data, "--output", tmp_path / "r.json", *flags,
+               "--json-errors") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2 and "--domain" in err["message"]
+    if config is not None:
+        assert str(path) in err["message"]
 
 
 def test_fit_keeps_old_plan_when_the_write_fails(tmp_path, monkeypatch):
