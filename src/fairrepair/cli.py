@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .dataset import (ScoreDomain, _atomic_write, _index_groups, _read_scored_csv, _write_dataset,
-                      _write_json, load_csv, parse_combo)
+from .dataset import (ScoreDomain, _atomic_write, _index_groups, _read_json, _read_scored_csv,
+                      _write_json, load_csv, parse_combo, write_csv)
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
@@ -49,11 +49,7 @@ def _parse_domain(text: str) -> ScoreDomain:
 
 def _config_flags(path: str, command: str) -> list[str]:
     """The config file's values for ``command`` as ``--key=value`` flags."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise _CliError(f"{path}: config is not valid JSON ({exc})", EXIT_VALIDATION) from None
+    data = _read_json(path, "config", DatasetError)
     if not isinstance(data, dict):
         raise _CliError(f"{path}: config must be a JSON object", EXIT_VALIDATION)
     flags = []
@@ -171,8 +167,8 @@ def _cmd_generate(args) -> int:
     ds = sample(spec, args.n, args.seed)
     labeled, holdout = split(ds, args.fraction, args.seed)
     prefix = args.output
-    _atomic_write(prefix + "_labeled.csv", lambda fh: _write_dataset(fh, labeled))
-    _atomic_write(prefix + "_holdout.csv", lambda fh: _write_dataset(fh, holdout))
+    write_csv(labeled, prefix + "_labeled.csv")
+    write_csv(holdout, prefix + "_holdout.csv")
     meta = {
         "generator": GENERATOR_ID,
         "seed": args.seed,

@@ -1,5 +1,5 @@
-"""Core domain types: score domains, scored datasets, metric selectors, CSV I/O
-and atomic file writes.
+"""Core domain types: score domains, scored datasets, metric selectors, CSV I/O,
+JSON input checks and atomic file writes.
 
 Scores are kept in the caller's original units.  Everything downstream that
 does transport math normalizes to [0, 1] through :class:`ScoreDomain` and maps
@@ -412,19 +412,23 @@ def load_csv(path, domain: ScoreDomain) -> ScoredDataset:
 
 
 def write_csv(ds: ScoredDataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_dataset(fh, ds)
+    """Write ``ds`` as a scored CSV; an existing file is replaced only once the write succeeds.
 
+    The label column is written when any row has a label, with an empty cell
+    for each missing one.
+    """
+    labels = ds.labels.tolist()
+    labeled = max(labels) >= 0
 
-def _write_dataset(fh, ds: ScoredDataset) -> None:
-    writer = csv.writer(fh)
-    labeled = ds.is_labeled
-    writer.writerow(["score", "group", "label"] if labeled else ["score", "group"])
-    for s, g, l in zip(ds.scores, ds.group_indices, ds.labels):
-        row = [repr(float(s)), ds.groups[g]]
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["score", "group", "label"] if labeled else ["score", "group"])
+        rows = zip(map(repr, ds.scores.tolist()), (ds.groups[g] for g in ds.group_indices.tolist()))
         if labeled:
-            row.append(int(l))
-        writer.writerow(row)
+            rows = ((s, g, "" if y < 0 else y) for (s, g), y in zip(rows, labels))
+        writer.writerows(rows)
+
+    _atomic_write(path, write)
 
 
 def _atomic_write(path, write) -> None:
@@ -439,6 +443,20 @@ def _atomic_write(path, write) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _read_json(path, what: str, error: type[Exception]):
+    """Parse the JSON file at ``path``; bad JSON or non-UTF-8 bytes raise ``error``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise error(f"{path}: not valid {what} JSON ({exc})") from None
+
+
+def _check_keys(what: str, obj, keys: set[str], error: type[Exception] = DatasetError) -> None:
+    if not isinstance(obj, dict) or set(obj) != keys:
+        raise error(f"{what} must be a JSON object with exactly the keys {sorted(keys)}")
 
 
 def _write_json(path, payload) -> None:

@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared across the package."""
 
+__all__ = ["FairRepairError", "DatasetError", "SpecError", "SolverError", "LPError"]
+
 
 class FairRepairError(Exception):
     """Base class for all errors raised by this package."""

@@ -9,12 +9,11 @@ labels; labels only ever enter through the choice of lambda.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _write_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _read_json, _write_json
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, barycenter_quantile
 
@@ -165,13 +164,8 @@ class RepairPlan:
             )
         except DatasetError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
             raise DatasetError(f"malformed plan ({type(exc).__name__}: {exc})") from None
-
-
-def _check_keys(what: str, obj, keys: set[str]) -> None:
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise DatasetError(f"{what} must be a JSON object with exactly the keys {sorted(keys)}")
 
 
 def fit_plan(ds: ScoredDataset) -> RepairPlan:
@@ -195,9 +189,4 @@ def save_plan(plan: RepairPlan, path) -> None:
 
 
 def load_plan(path) -> RepairPlan:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise DatasetError(f"{path}: not valid plan JSON ({exc})") from None
-    return RepairPlan.from_dict(data)
+    return RepairPlan.from_dict(_read_json(path, "plan", DatasetError))

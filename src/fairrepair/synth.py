@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _read_json
 from .errors import DatasetError, SpecError
 
 __all__ = ["JointSpec", "sample", "split", "bundled_spec", "GENERATOR_ID"]
@@ -22,6 +22,7 @@ __all__ = ["JointSpec", "sample", "split", "bundled_spec", "GENERATOR_ID"]
 GENERATOR_ID = "numpy-pcg64"
 
 _BUNDLED_SPEC = "synthetic_joint_4group.json"
+_SPEC_KEYS = {"domain", "groups", "score_support", "score_pmf", "label1_prob"}
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -42,20 +43,21 @@ class JointSpec:
     def __post_init__(self):
         props = np.asarray(self.proportions, dtype=float)
         support = np.asarray(self.support, dtype=float)
+        # Each check reads "not np.all(ok)": a NaN fails every comparison.
         if len(self.groups) < 1 or props.shape != (len(self.groups),):
             raise SpecError("one proportion per group required")
-        if np.any(props <= 0) or abs(props.sum() - 1.0) > 1e-9:
+        if not (np.all(props > 0) and abs(props.sum() - 1.0) <= 1e-9):
             raise SpecError("group proportions must be positive and sum to 1")
-        if support.ndim != 1 or support.size < 1 or np.any(np.diff(support) <= 0):
+        if support.ndim != 1 or support.size < 1 or not np.all(np.diff(support) > 0):
             raise SpecError("score support must be strictly increasing")
         if not self.domain.contains(support):
             raise SpecError("score support must lie inside the domain")
         for g in self.groups:
             p = np.asarray(self.pmf.get(g), dtype=float)
             q = np.asarray(self.label1_prob.get(g), dtype=float)
-            if p.shape != support.shape or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+            if p.shape != support.shape or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
                 raise SpecError(f"pmf for group '{g}' must be over the support and sum to 1")
-            if q.shape != support.shape or np.any(q < 0) or np.any(q > 1):
+            if q.shape != support.shape or not np.all((q >= 0) & (q <= 1)):
                 raise SpecError(f"label probabilities for group '{g}' must lie in [0, 1]")
         object.__setattr__(self, "proportions", props)
         object.__setattr__(self, "support", support)
@@ -72,26 +74,34 @@ class JointSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "JointSpec":
+    def from_dict(cls, data) -> "JointSpec":
+        """Build a spec from :meth:`to_dict` output, validating every field."""
+        _check_keys("spec", data, _SPEC_KEYS, SpecError)
+        _check_keys("spec domain", data["domain"], {"lo", "hi"}, SpecError)
+        entries = data["groups"]
+        if not isinstance(entries, list):
+            raise SpecError("spec groups must be a JSON array")
+        groups = []
+        for entry in entries:
+            _check_keys("spec group entry", entry, {"name", "proportion"}, SpecError)
+            if not isinstance(entry["name"], str) or entry["name"] in groups:
+                raise SpecError(f"spec group names must be distinct strings, got {entry['name']!r}")
+            groups.append(entry["name"])
+        for table in ("score_pmf", "label1_prob"):
+            _check_keys(f"spec {table}", data[table], set(groups), SpecError)
         try:
-            domain = ScoreDomain(float(data["domain"]["lo"]), float(data["domain"]["hi"]))
-            groups = tuple(entry["name"] for entry in data["groups"])
-            props = np.array([entry["proportion"] for entry in data["groups"]], dtype=float)
+            lo, hi = float(data["domain"]["lo"]), float(data["domain"]["hi"])
+            props = np.array([entry["proportion"] for entry in entries], dtype=float)
             support = np.asarray(data["score_support"], dtype=float)
             pmf = {g: np.asarray(data["score_pmf"][g], dtype=float) for g in groups}
             lab = {g: np.asarray(data["label1_prob"][g], dtype=float) for g in groups}
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"malformed joint spec: missing {exc}") from None
-        return cls(domain, groups, props, support, pmf, lab)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(f"malformed joint spec ({type(exc).__name__}: {exc})") from None
+        return cls(ScoreDomain(lo, hi), tuple(groups), props, support, pmf, lab)
 
     @classmethod
     def from_json(cls, path) -> "JointSpec":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"{path}: not valid spec JSON ({exc})") from None
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path, "spec", SpecError))
 
 
 def bundled_spec() -> JointSpec:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from fairrepair import (
     LambdaObjective,
     ScoreDomain,
+    bundled_spec,
     fit_plan,
     load_csv,
     load_plan,
@@ -350,6 +352,17 @@ def test_plan_missing_key_is_validation_error(tmp_path):
     assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
 
 
+def test_plan_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    data = write_dataset(tmp_path)
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    payload = json.loads(plan_path.read_text())
+    payload["lambdas"]["A"] = 10**400
+    plan_path.write_text(json.dumps(payload))
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+    assert "malformed plan (OverflowError" in capsys.readouterr().err
+
+
 # -- lambda-sweep ------------------------------------------------------------------
 
 
@@ -524,20 +537,124 @@ def test_generate_deterministic_bytes(tmp_path):
     assert (tmp_path / "one_holdout.csv").read_bytes() == (tmp_path / "two_holdout.csv").read_bytes()
 
 
+CUSTOM_SPEC = {
+    "domain": {"lo": 0.0, "hi": 1.0},
+    "groups": [{"name": "a", "proportion": 0.5}, {"name": "b", "proportion": 0.5}],
+    "score_support": [0.25, 0.75],
+    "score_pmf": {"a": [0.8, 0.2], "b": [0.2, 0.8]},
+    "label1_prob": {"a": [0.2, 0.9], "b": [0.3, 0.8]},
+}
+
+
 def test_generate_custom_spec(tmp_path):
-    spec = {
-        "domain": {"lo": 0.0, "hi": 1.0},
-        "groups": [{"name": "a", "proportion": 0.5}, {"name": "b", "proportion": 0.5}],
-        "score_support": [0.25, 0.75],
-        "score_pmf": {"a": [0.8, 0.2], "b": [0.2, 0.8]},
-        "label1_prob": {"a": [0.2, 0.9], "b": [0.3, 0.8]},
-    }
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(CUSTOM_SPEC))
     prefix = tmp_path / "custom"
     assert run("generate", "--spec", spec_path, "--output", prefix, "--n", "200", "--seed", "1") == 0
     ds = load_csv(f"{prefix}_labeled.csv", UNIT)
     assert set(np.unique(ds.scores)) <= {0.25, 0.75}
+
+
+def custom_spec_with(path, value):
+    """CUSTOM_SPEC as JSON bytes, with the value at ``path`` replaced."""
+    spec = copy.deepcopy(CUSTOM_SPEC)
+    *parents, last = path
+    node = spec
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(spec).encode()
+
+
+NAN = float("nan")
+# Each case ended in a traceback or exit 0 before the spec got the plan's checks.
+BAD_SPECS = {
+    "lo-not-a-number": (custom_spec_with(("domain", "lo"), "x"), "malformed joint spec"),
+    "support-not-numbers": (custom_spec_with(("score_support",), ["q", 0.75]), "malformed joint spec"),
+    "nan-proportion": (custom_spec_with(("groups", 0, "proportion"), NAN), "proportions must be"),
+    "nan-pmf": (custom_spec_with(("score_pmf", "a"), [NAN, 0.2]), "pmf for group 'a'"),
+    "nan-label1-prob": (custom_spec_with(("label1_prob", "a"), [NAN, 0.9]), "group 'a' must lie"),
+    "repeated-name": (custom_spec_with(("groups", 1, "name"), "a"), "distinct strings, got 'a'"),
+    "name-not-a-string": (custom_spec_with(("groups", 0, "name"), 1), "distinct strings, got 1"),
+    "unknown-key": (custom_spec_with(("comment",), "x"), "spec must be a JSON object with exactly"),
+    "not-utf8": (b'{"domain": "\xff"}', "not valid spec JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_is_validation_error(tmp_path, capsys, case):
+    content, message = BAD_SPECS[case]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(content)
+    assert run("generate", "--spec", spec_path, "--output", tmp_path / "out", "--n", "200") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_spec_bytes_keep_exit_code_contract(tmp_path):
+    """Mutated bundled-spec bytes: exit 0/2/3/4, no traceback, no NaN in _meta.json."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spec = bundled_spec().to_dict()
+
+    def paths(node, prefix=()):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield prefix + (key,)
+            if isinstance(child, (dict, list)):
+                yield from paths(child, prefix + (key,))
+
+    def mutated(path, op, value):
+        tree = copy.deepcopy(spec)
+        *parents, key = path
+        node = tree
+        for k in parents:
+            node = node[k]
+        if op == "swap":
+            node[key] = value
+        elif op == "drop":
+            del node[key]
+        elif op == "repeat" and isinstance(node, list):
+            node.insert(key, node[key])
+        elif op == "repeat":  # json.dumps cannot repeat a key: splice the pair in as text
+            k, mark = json.dumps(key), "\0repeat"
+            old, node[key] = node[key], mark
+            return json.dumps(tree).replace(f"{k}: {json.dumps(mark)}",
+                                            f"{k}: {json.dumps(old)}, {k}: {json.dumps(value)}")
+        return json.dumps(tree)
+
+    def no_nan(token):
+        raise AssertionError(f"{token} in JSON output")
+
+    ops = st.sampled_from(["keep", "swap", "drop", "repeat"])
+    values = st.sampled_from([NAN, "group_a", True, [], [0.5, 0.5]])
+    flips = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(list(paths(spec))), ops, values, flips)
+    @hypothesis.example(("domain", "lo"), "swap", "group_a", [])
+    @hypothesis.example(("score_support", 0), "swap", "group_a", [])
+    @hypothesis.example(("groups", 0, "proportion"), "swap", NAN, [])
+    @hypothesis.example(("score_pmf", "group_a", 0), "swap", NAN, [])
+    @hypothesis.example(("label1_prob", "group_a", 0), "swap", NAN, [])
+    @hypothesis.example(("domain",), "keep", NAN, [(2, 0xFF)])
+    def check(path, op, value, flips):
+        content = bytearray(mutated(path, op, value).encode())
+        for pos, byte in flips:
+            content[pos % len(content)] = byte
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        (out / "spec.json").write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["generate", "--spec", str(out / "spec.json"), "--output", str(out / "g"),
+                         "--n", "40"])
+        assert code in (0, 2, 3, 4), (bytes(content), err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        for meta in out.glob("*_meta.json"):
+            json.loads(meta.read_text(), parse_constant=no_nan)
+
+    check()
 
 
 def test_config_file_precedence(tmp_path):

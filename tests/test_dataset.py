@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,33 @@ def test_csv_skips_blank_lines_and_pads_short_rows(tmp_path):
     ds = load_csv(path, UNIT)
     assert len(ds) == 4
     assert ds.labels.tolist() == [1, -1, 0, 1]
+
+
+def test_csv_roundtrip_keeps_partial_labels(tmp_path):
+    ds = make_dataset({"A": [0.1, 0.2], "B": [0.3, 0.4]}, {"A": [1, None], "B": [0, 1]})
+    path = tmp_path / "data.csv"
+    write_csv(ds, path)
+    assert path.read_text().splitlines()[2] == "0.2,A,"
+    assert load_csv(path, UNIT).labels.tolist() == ds.labels.tolist() == [1, -1, 0, 1]
+
+
+def test_write_csv_keeps_old_file_when_the_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    write_csv(_labeled(), path)
+    before = path.read_bytes()
+
+    class HeaderThenFail:  # stands in for csv.writer
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerow(self, row):
+            self.fh.write(",".join(row) + "\r\n")
+
+        def writerows(self, rows):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(csv, "writer", HeaderThenFail)
+    with pytest.raises(OSError):
+        write_csv(make_dataset({"A": [0.1, 0.2], "B": [0.3, 0.4]}), path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob(".tmp-*"))
