@@ -39,6 +39,26 @@ class _CliError(Exception):
         self.code = code
 
 
+# Row, grid and step counts above this are rejected before anything is allocated.
+MAX_COUNT = 2**31 - 1
+
+
+def _int_type(name: str, ok, requirement: str):
+    """An argparse type for integers that also satisfy ``ok``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+_count = _int_type("count", lambda v: v <= MAX_COUNT, f"at most {MAX_COUNT}")
+_seed = _int_type("seed", lambda v: v >= 0, "nonnegative")
+
+
 def _parse_domain(text: str) -> ScoreDomain:
     try:
         lo, _, hi = text.partition(":")
@@ -106,26 +126,22 @@ def _cmd_fit(args) -> int:
     if solver in ("probabilistic", "maxmin", "lex") and combo.single_kind is None:
         raise _CliError(f"solver '{solver}' needs a single metric, not a combination", EXIT_VALIDATION)
 
-    solution_dict: dict
     if solver == "none":
         # Fit-only barycenter mode: label-free, keeps the full-repair default.
         solution_dict = {"method": "none", "lambdas": dict(plan.lambdas)}
-    elif solver == "grid":
-        sol = solve_grid(plan, ds, LambdaObjective(combo, args.p), args.grid)
-        plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
-        solution_dict = sol.to_dict()
-    elif solver == "exact":
-        sol = solve_exact(plan, ds, LambdaObjective(combo, args.p), args.tol)
-        plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
-        solution_dict = sol.to_dict()
-    elif solver == "probabilistic":
-        sol = solve_probabilistic(plan, ds, combo.single_kind)
-        plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
-        solution_dict = sol.to_dict()
-    else:
+    elif solver in ("maxmin", "lex"):
         prob = build_problem(plan, ds, combo.single_kind)
         sol = solve_maxmin(prob) if solver == "maxmin" else solve_lexicographic(prob)
         plan = plan.with_lambdas(sol.lambdas)
+        solution_dict = sol.to_dict()
+    else:
+        if solver == "grid":
+            sol = solve_grid(plan, ds, LambdaObjective(combo, args.p), args.grid)
+        elif solver == "exact":
+            sol = solve_exact(plan, ds, LambdaObjective(combo, args.p), args.tol)
+        else:
+            sol = solve_probabilistic(plan, ds, combo.single_kind)
+        plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
         solution_dict = sol.to_dict()
 
     save_plan(plan, args.output)
@@ -138,21 +154,18 @@ def _cmd_apply(args) -> int:
     # Not a ScoredDataset: apply keeps every column and the row order, and
     # accepts groups with a single row.
     table = _read_scored_csv(args.input, plan.domain)
-    repaired = np.empty_like(table.scores)
-    names, inverse = _index_groups(table.groups)
+    names, index = _index_groups(table.groups)
     for k, group in enumerate(names):
-        rows = inverse == k
         if group not in plan.groups:
-            raise DatasetError(f"{args.input}:{table.lines[rows.argmax()]}: group '{group}' not in plan")
-        repaired[rows] = plan.repaired_score(group, table.scores[rows])
+            line = table.lines[np.argmax(index == k)]
+            raise DatasetError(f"{args.input}:{line}: group '{group}' not in plan")
+    repaired = plan._repaired(names, index, table.scores)
     _atomic_write(args.output, lambda fh: table.write(fh, repaired))
     return EXIT_OK
 
 
 def _cmd_lambda_sweep(args) -> int:
     combo = parse_combo(args.metric)
-    if args.steps < 2:
-        raise _CliError("--steps must be at least 2", EXIT_VALIDATION)
     ds = load_csv(args.input, args.domain)
     lams, vals, best = _sweep(fit_plan(ds), ds, LambdaObjective(combo, args.p), args.steps)
     lines = ["lambda,objective,is_argmin"]
@@ -210,7 +223,7 @@ _OPTIONS = {
         help="pr|tpr|fpr|nr|tnr|fnr or weighted combo like 'tpr:1,fpr:1' (default %(default)s)",
     )),
     "grid": (("evaluate", "fit"), dict(
-        type=int,
+        type=_count,
         default=101,
         help="threshold-grid size (default %(default)s); 'fit --solver grid' also takes its "
         "lambda step count from it",
@@ -224,9 +237,9 @@ _OPTIONS = {
     )),
     "domain": (_SCORED, dict(type=_parse_domain, default="0:1", help="score domain as lo:hi (default %(default)s)")),
     "tol": (("fit",), dict(type=float, default=1e-6, help="solver tolerance (default %(default)s)")),
-    "steps": (("lambda-sweep",), dict(type=int, default=101, help="lambda grid size (default %(default)s)")),
-    "seed": (("generate",), dict(type=int, default=0, help="PRNG seed (default %(default)s)")),
-    "n": (("generate",), dict(type=int, default=8000, help="total rows (default %(default)s)")),
+    "steps": (("lambda-sweep",), dict(type=_count, default=101, help="lambda grid size (default %(default)s)")),
+    "seed": (("generate",), dict(type=_seed, default=0, help="PRNG seed (default %(default)s)")),
+    "n": (("generate",), dict(type=_count, default=8000, help="total rows (default %(default)s)")),
     "fraction": (("generate",), dict(type=float, default=0.5, help="labeled fraction (default %(default)s)")),
     "config": (_SCORED + ("generate",), dict(help="JSON config file; flags override its values")),
     "json-errors": (tuple(_COMMANDS), dict(action="store_true", help="emit errors as JSON on stderr")),
@@ -290,6 +303,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_SOLVER, json_errors, type(exc).__name__)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO, json_errors, type(exc).__name__)
+    except MemoryError as exc:  # an input too large for this machine is a validation error
+        return _fail(f"out of memory: {exc}", EXIT_VALIDATION, json_errors, type(exc).__name__)
 
 
 if __name__ == "__main__":

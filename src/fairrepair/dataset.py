@@ -311,10 +311,30 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
     return ds._derive(ds.scores[mask], ds.group_indices[mask], ds.labels[mask])
 
 
-def _conditional_scores(ds: ScoredDataset, kind: MetricKind) -> list[np.ndarray]:
-    """Each group's scores under the metric's label condition, in ``ds.groups`` order."""
+def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_PER_GROUP) -> list[np.ndarray]:
+    """Each group's scores under the metric's label condition, in ``ds.groups`` order.
+
+    Every group needs ``min_rows`` of them: by default enough for a distribution.
+    """
     sub = subset_by_label(ds, kind)
-    return [sub.group_scores(g) for g in ds.groups]
+    scores = [sub.group_scores(g) for g in ds.groups]
+    for g, x in zip(ds.groups, scores):
+        if x.size < min_rows:
+            raise DatasetError(f"group '{g}' has {x.size} row(s) under Y={kind.label_condition}, "
+                               f"needs at least {min_rows}")
+    return scores
+
+
+def _conditional_means(ds: ScoredDataset, kind: MetricKind, shift=None):
+    """Each group's mean score under the metric's label condition, in ``ds.groups`` order.
+
+    Given ``shift(group, scores)``, returns the pair (means, mean shifts).
+    """
+    scores = _conditional_scores(ds, kind, min_rows=1)  # subset_by_label rejects an empty group
+    means = np.array([x.mean() for x in scores])
+    if shift is None:
+        return means
+    return means, np.array([shift(g, x).mean() for g, x in zip(ds.groups, scores)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +343,18 @@ def _conditional_scores(ds: ScoredDataset, kind: MetricKind) -> list[np.ndarray]
 
 
 class _ScoredCsv(NamedTuple):
-    """A scored CSV as read: raw cells by column, the score and group parsed."""
+    """A scored CSV: raw cells by column, the score and group parsed."""
 
     header: list[str]
     columns: list[list[str]]  # raw cells per header column; the score column stays empty
-    lines: array              # file line each record ends on
+    lines: array              # file line each record ends on, if read from a file
     scores: np.ndarray
     groups: list[str]         # stripped
 
     def write(self, fh, new_scores) -> None:
         """Write the table back with each record's score cell replaced."""
         columns = list(self.columns)
-        columns[self.header.index("score")] = [repr(float(s)) for s in new_scores]
+        columns[self.header.index("score")] = map(repr, np.asarray(new_scores, dtype=float).tolist())
         writer = csv.writer(fh)
         writer.writerow(self.header)
         writer.writerows(zip(*columns))
@@ -417,18 +437,13 @@ def write_csv(ds: ScoredDataset, path) -> None:
     The label column is written when any row has a label, with an empty cell
     for each missing one.
     """
-    labels = ds.labels.tolist()
-    labeled = max(labels) >= 0
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["score", "group", "label"] if labeled else ["score", "group"])
-        rows = zip(map(repr, ds.scores.tolist()), (ds.groups[g] for g in ds.group_indices.tolist()))
-        if labeled:
-            rows = ((s, g, "" if y < 0 else y) for (s, g), y in zip(rows, labels))
-        writer.writerows(rows)
-
-    _atomic_write(path, write)
+    groups = [ds.groups[g] for g in ds.group_indices.tolist()]
+    header, columns = ["score", "group"], [[], groups]
+    if ds.labels.max() >= 0:
+        header.append("label")
+        columns.append(["" if y < 0 else y for y in ds.labels.tolist()])  # csv.writer formats the ints
+    table = _ScoredCsv(header, columns, array("q"), ds.scores, groups)
+    _atomic_write(path, lambda fh: table.write(fh, ds.scores))
 
 
 def _atomic_write(path, write) -> None:
@@ -457,6 +472,20 @@ def _read_json(path, what: str, error: type[Exception]):
 def _check_keys(what: str, obj, keys: set[str], error: type[Exception] = DatasetError) -> None:
     if not isinstance(obj, dict) or set(obj) != keys:
         raise error(f"{what} must be a JSON object with exactly the keys {sorted(keys)}")
+
+
+def _numbers(what: str, value, error: type[Exception] = DatasetError, many: bool = False):
+    """A JSON number as a float, or with ``many`` a JSON array of them as a float array.
+
+    float() would also take a boolean or a numeric string; here either one is
+    an error that names the field.
+    """
+    if many and not isinstance(value, list):
+        raise error(f"malformed {what}: expected a JSON array, got {type(value).__name__}")
+    for v in value if many else [value]:
+        if type(v) not in (int, float):
+            raise error(f"malformed {what}: {v!r:.40} is not a JSON number")
+    return np.array(value, dtype=float) if many else float(value)
 
 
 def _write_json(path, payload) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import MetricKind, ScoredDataset
 from .errors import DatasetError, SolverError
 from .lp import linprog
+from .metrics import _mean_gap_losses
 from .repair import RepairPlan
 from .solver import conditional_means_and_shifts
 
@@ -53,8 +54,7 @@ class LexProblem:
 
     def losses(self, lambdas: np.ndarray) -> np.ndarray:
         """L_g = sum over other groups of |m_g - m_j|."""
-        m = self.means(lambdas)
-        return np.abs(m[:, None] - m[None, :]).sum(axis=1)
+        return _mean_gap_losses(self.means(lambdas))
 
 
 def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexProblem:

@@ -25,8 +25,10 @@ _WEIGHT_TOL = 1e-12
 class EmpiricalDistribution:
     """Sorted atoms in [0, 1] with positive weights summing to 1.
 
-    Duplicate atom values are merged (weights summed) so the CDF and quantile
-    functions are well defined.  Instances are immutable.
+    The weights are kept as given, so a distribution rebuilt from its own atoms
+    and weights is bit for bit the same.  Duplicate atom values are merged
+    (weights summed) so the CDF and quantile functions are well defined.
+    Instances are immutable.
     """
 
     __slots__ = ("atoms", "weights", "_cumw")
@@ -50,7 +52,7 @@ class EmpiricalDistribution:
 
         order = np.argsort(atoms, kind="stable")
         atoms = np.clip(atoms[order], 0.0, 1.0)
-        weights = weights[order] / total
+        weights = weights[order]
 
         # Merge exact ties.
         keep = np.empty(atoms.size, dtype=bool)
@@ -80,15 +82,16 @@ class EmpiricalDistribution:
         values = np.asarray(values, dtype=float)
         if values.size < 2:
             raise DatasetError("need at least 2 sample points")
-        return cls(values, np.full(values.size, 1.0 / values.size))
+        weights = np.full(values.size, 1.0 / values.size)
+        return cls(values, weights / weights.sum())
 
     def _toward(self, targets: np.ndarray, lam: float) -> "EmpiricalDistribution":
         """The same weights on atoms moved a fraction lam of the way to targets.
 
         Targets are nondecreasing in [0, 1], one per atom, so the moved atoms
-        stay sorted.  Unlike the constructor this neither merges ties nor
-        re-normalizes: the cumulative weights stay bit-identical, and atoms that
-        meet stay separate, which leaves the CDF and quantile function unchanged.
+        stay sorted.  Unlike the constructor this does not merge ties: the
+        cumulative weights stay bit-identical, and atoms that meet stay
+        separate, which leaves the CDF and quantile function unchanged.
         """
         out = object.__new__(EmpiricalDistribution)
         out.atoms = np.clip((1.0 - lam) * self.atoms + lam * targets, 0.0, 1.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _check_keys, _read_json, _write_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _numbers, _read_json, _write_json
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, barycenter_quantile
 
@@ -88,19 +88,20 @@ class RepairPlan:
 
     def apply(self, ds: ScoredDataset) -> ScoredDataset:
         """Repair every row's score with its group's lambda; labels untouched."""
-        unknown = set(ds.groups) - set(self.groups)
-        if unknown:
-            raise DatasetError(f"dataset groups not in plan: {sorted(unknown)}")
         if ds.domain != self.domain:
             raise DatasetError(
                 f"dataset domain [{ds.domain.lo}, {ds.domain.hi}] does not match "
                 f"plan domain [{self.domain.lo}, {self.domain.hi}]"
             )
-        new_scores = np.array(ds.scores)
-        for g in ds.groups:
-            mask = ds.group_indices == ds.groups.index(g)
-            new_scores[mask] = self.repaired_score(g, ds.scores[mask])
-        return ds.replace_scores(new_scores)
+        return ds.replace_scores(self._repaired(ds.groups, ds.group_indices, ds.scores))
+
+    def _repaired(self, names, index, scores) -> np.ndarray:
+        """Each score repaired with its group's lambda; row i is in group ``names[index[i]]``."""
+        out = np.empty_like(scores)
+        for k, g in enumerate(names):
+            rows = index == k
+            out[rows] = self.repaired_score(g, scores[rows])
+        return out
 
     def repaired_distribution(self, group: str, lam: float) -> EmpiricalDistribution:
         """The group's fitted atoms pushed through the lambda-repair map.
@@ -123,7 +124,7 @@ class RepairPlan:
     def to_dict(self) -> dict:
         return {
             "format_version": PLAN_FORMAT_VERSION,
-            "domain": {"lo": self.domain.lo, "hi": self.domain.hi},
+            "domain": {"lo": float(self.domain.lo), "hi": float(self.domain.hi)},
             "groups": list(self.groups),
             "group_weights": [float(w) for w in self.group_weights],
             "fitted": {
@@ -150,17 +151,18 @@ class RepairPlan:
         if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
             raise DatasetError("plan groups must be a JSON array of strings")
         try:
-            domain = ScoreDomain(float(data["domain"]["lo"]), float(data["domain"]["hi"]))
+            domain = ScoreDomain(*(_numbers(f"plan domain {k}", data["domain"][k]) for k in ("lo", "hi")))
             fitted = {}
             for g, spec in data["fitted"].items():
                 _check_keys(f"plan fitted entry '{g}'", spec, {"atoms", "weights"})
-                fitted[g] = EmpiricalDistribution(spec["atoms"], spec["weights"])
+                fitted[g] = EmpiricalDistribution(
+                    *(_numbers(f"plan {k} of '{g}'", spec[k], many=True) for k in ("atoms", "weights")))
             return cls(
                 domain,
                 tuple(groups),
-                np.asarray(data["group_weights"], dtype=float),
+                _numbers("plan group_weights", data["group_weights"], many=True),
                 fitted,
-                {g: float(v) for g, v in data["lambdas"].items()},
+                {g: _numbers(f"plan lambda of '{g}'", v) for g, v in data["lambdas"].items()},
             )
         except DatasetError:
             raise

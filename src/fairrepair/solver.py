@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_scores, subset_by_label
+from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_means, _conditional_scores
 from .errors import DatasetError, SolverError
 from .ot import EmpiricalDistribution, wasserstein
 from .repair import RepairPlan
@@ -83,13 +83,10 @@ class _RepairPath:
         for kind, w in obj.combo.terms:
             if w == 0.0:
                 continue
-            sub = subset_by_label(ds, kind)
             pair = []
-            for g in groups:
-                x = np.sort(sub.group_scores(g))
+            for g, x in zip(groups, _conditional_scores(ds, kind)):
+                x = np.sort(x)
                 tz = plan.domain.normalize(plan.total_repair_score(g, x))
-                if x.size < 2:
-                    raise SolverError(f"group '{g}' has fewer than 2 conditioned rows")
                 z = plan.domain.normalize(x)
                 d = EmpiricalDistribution.from_samples(z)
                 pair.append((d, tz[np.searchsorted(z, d.atoms)]))  # T at each atom's first sample
@@ -178,9 +175,7 @@ def conditional_means_and_shifts(
     Original units.  These are the coefficients of the affine repaired mean
     m_g(lam) = a_g + lam * b_g that the closed-form and lexicographic solvers use.
     """
-    scores = _conditional_scores(ds, kind)
-    shifts = [plan.shift(g, x).mean() for g, x in zip(ds.groups, scores)]
-    return np.array([x.mean() for x in scores]), np.array(shifts)
+    return _conditional_means(ds, kind, plan.shift)
 
 
 def solve_probabilistic(

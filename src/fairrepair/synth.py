@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _check_keys, _read_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _numbers, _read_json
 from .errors import DatasetError, SpecError
 
 __all__ = ["JointSpec", "sample", "split", "bundled_spec", "GENERATOR_ID"]
@@ -89,13 +89,17 @@ class JointSpec:
             groups.append(entry["name"])
         for table in ("score_pmf", "label1_prob"):
             _check_keys(f"spec {table}", data[table], set(groups), SpecError)
+
+        def numbers(what, value, many=False):
+            return _numbers(f"joint spec {what}", value, SpecError, many)
+
         try:
-            lo, hi = float(data["domain"]["lo"]), float(data["domain"]["hi"])
-            props = np.array([entry["proportion"] for entry in entries], dtype=float)
-            support = np.asarray(data["score_support"], dtype=float)
-            pmf = {g: np.asarray(data["score_pmf"][g], dtype=float) for g in groups}
-            lab = {g: np.asarray(data["label1_prob"][g], dtype=float) for g in groups}
-        except (TypeError, ValueError, OverflowError) as exc:
+            lo, hi = (numbers(f"domain {k}", data["domain"][k]) for k in ("lo", "hi"))
+            props = np.array([numbers(f"proportion of '{e['name']}'", e["proportion"]) for e in entries])
+            support = numbers("score_support", data["score_support"], many=True)
+            pmf = {g: numbers(f"score_pmf of '{g}'", data["score_pmf"][g], many=True) for g in groups}
+            lab = {g: numbers(f"label1_prob of '{g}'", data["label1_prob"][g], many=True) for g in groups}
+        except OverflowError as exc:  # an integer too large for a float
             raise SpecError(f"malformed joint spec ({type(exc).__name__}: {exc})") from None
         return cls(ScoreDomain(lo, hi), tuple(groups), props, support, pmf, lab)
 

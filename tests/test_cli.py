@@ -22,11 +22,13 @@ from fairrepair import (
     parse_combo,
     write_csv,
 )
+from fairrepair import cli
 from fairrepair.cli import main
 
 from conftest import UNIT, make_dataset, random_binary_dataset
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
+MAX_COUNT = 2**31 - 1  # the largest row, grid or step count the CLI accepts
 
 
 def write_dataset(tmp_path, name="data.csv", groups=BINARY, labels=None, domain=UNIT):
@@ -151,6 +153,31 @@ def test_fit_solver_error_exits_three(tmp_path, capsys):
                "--solver", "probabilistic", "--metric", "tpr")
     assert code == 3
     assert "equally shifted" in capsys.readouterr().err
+
+
+# Group 'a' has a single row under Y=1: too few for its TPR score distribution.
+ONE_POSITIVE = ({"a": [0.2, 0.4, 0.6], "b": [0.1, 0.5, 0.9]}, {"a": [1, 0, 0], "b": [1, 1, 0]})
+
+
+@pytest.mark.parametrize("command", [
+    ("evaluate",),
+    ("fit", "--solver", "exact"),
+    ("fit", "--solver", "grid"),
+    ("fit", "--solver", "probabilistic"),
+    ("lambda-sweep",),
+], ids=lambda c: "-".join(c).replace("--solver-", ""))
+def test_too_few_conditioned_rows_is_validation_error(tmp_path, capsys, command):
+    data = write_dataset(tmp_path, groups=ONE_POSITIVE[0], labels=ONE_POSITIVE[1])
+    assert run(*command, "--input", data, "--output", tmp_path / "out", "--metric", "tpr") == 2
+    assert "group 'a' has 1 row(s) under Y=1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("solver", ["lex", "maxmin"])
+def test_mean_solvers_take_one_conditioned_row(tmp_path, solver):
+    data = write_dataset(tmp_path, groups=ONE_POSITIVE[0], labels=ONE_POSITIVE[1])
+    assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--solver", solver,
+               "--metric", "tpr") == 0
 
 
 def test_fit_none_is_label_free_full_repair(tmp_path):
@@ -363,6 +390,36 @@ def test_plan_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys
     assert "malformed plan (OverflowError" in capsys.readouterr().err
 
 
+def _set_first_atom(data, value):
+    data["fitted"]["A"]["atoms"][0] = value
+
+
+# Each of these loaded and applied, with exit 0, while numeric fields took any
+# value float() accepts.
+BAD_PLAN_NUMBERS = {
+    "lo-string": (lambda data: data["domain"].update(lo="0"), "plan domain lo: '0'"),
+    "hi-true": (lambda data: data["domain"].update(hi=True), "plan domain hi: True"),
+    "lambda-true": (lambda data: data["lambdas"].update(A=True), "plan lambda of 'A': True"),
+    "atom-string": (lambda data: _set_first_atom(data, "0.01"), "plan atoms of 'A': '0.01'"),
+    "weights-strings": (lambda data: data.update(group_weights=["0.5", "0.5"]),
+                        "plan group_weights: '0.5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_NUMBERS))
+def test_plan_numbers_must_be_json_numbers(tmp_path, capsys, case):
+    edit, message = BAD_PLAN_NUMBERS[case]
+    plan_path = tmp_path / "plan.json"
+    data = write_dataset(tmp_path)
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    payload = json.loads(plan_path.read_text())
+    edit(payload)
+    plan_path.write_text(json.dumps(payload))
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+    assert f"{message} is not a JSON number" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # -- lambda-sweep ------------------------------------------------------------------
 
 
@@ -469,37 +526,47 @@ def test_exact_terminates_for_tiny_tol(tmp_path, tol, groups):
 
 
 def test_numeric_flags_keep_exit_code_contract(tmp_path):
-    """Fuzzed --p/--tol/--grid/--steps: exit 0/2/3/4, no traceback, no NaN in JSON."""
+    """Fuzzed --p/--tol/--grid/--steps/--n/--seed: exit 0/2/3/4, no traceback, no NaN in JSON."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     data = write_dataset(tmp_path, groups={"A": [0.1, 0.3, 0.6], "B": [0.2, 0.5, 0.9]},
                          labels={"A": [0, 1, 1], "B": [1, 0, 1]})
     special = ["nan", "-nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "2e-308", "1e-17", "1"]
     floats = st.one_of(st.sampled_from(special), st.floats().map(repr))
-    # Counts stay at most 1e4 so no example allocates a huge grid.
+    # Drawn counts stay at most 1e4 so no example allocates much; the pinned
+    # examples above the count ceiling are rejected before any allocation.
     counts = st.one_of(st.sampled_from(special), st.integers(-3, 10**4).map(str))
     commands = st.sampled_from([
         ("evaluate",),
         ("fit", "--solver", "exact"),
         ("fit", "--solver", "grid"),
         ("lambda-sweep",),
+        ("generate",),
     ])
     # Each command is fuzzed only with the numeric flags it declares.
     declared = {"evaluate": ("--p", "--grid"), "fit": ("--p", "--tol", "--grid"),
-                "lambda-sweep": ("--p", "--steps")}
+                "lambda-sweep": ("--p", "--steps"), "generate": ("--n", "--seed")}
+    over = str(MAX_COUNT + 1)
 
     def no_nan(token):
         raise AssertionError(f"{token} in JSON output")
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(commands, st.none() | floats, st.none() | floats,
-                      st.none() | counts, st.none() | counts)
-    @hypothesis.example(("evaluate",), "nan", None, None, None)
-    @hypothesis.example(("fit", "--solver", "exact"), None, "1e-17", None, None)
-    def check(command, p, tol, grid, steps):
+                      st.none() | counts, st.none() | counts, st.none() | counts, st.none() | counts)
+    @hypothesis.example(("evaluate",), "nan", None, None, None, None, None)
+    @hypothesis.example(("fit", "--solver", "exact"), None, "1e-17", None, None, None, None)
+    @hypothesis.example(("evaluate",), None, None, str(10**20), None, None, None)
+    @hypothesis.example(("fit", "--solver", "grid"), None, None, over, None, None, None)
+    @hypothesis.example(("lambda-sweep",), None, None, None, str(10**17), None, None)
+    @hypothesis.example(("generate",), None, None, None, None, str(10**17), None)
+    @hypothesis.example(("generate",), None, None, None, None, str(10**20), "-1")
+    def check(command, p, tol, grid, steps, n, seed):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
-        argv = [*command, "--input", str(data), "--output", str(out / "out"), "--metric", "tpr"]
-        flags = {"--p": p, "--tol": tol, "--grid": grid, "--steps": steps}
+        argv = [*command, "--output", str(out / "out")]
+        if command[0] != "generate":
+            argv += ["--input", str(data), "--metric", "tpr"]
+        flags = {"--p": p, "--tol": tol, "--grid": grid, "--steps": steps, "--n": n, "--seed": seed}
         for flag in declared[command[0]]:
             value = flags[flag]
             if value is not None:
@@ -513,6 +580,50 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
             json.loads(path.read_text(), parse_constant=no_nan)
 
     check()
+
+
+# Each ended in a traceback with exit 1 before counts had a ceiling and seeds a
+# sign: numpy's "Maximum allowed size exceeded", OverflowError or MemoryError.
+# No value here reaches an allocation.
+BAD_COUNTS = [
+    (("evaluate",), "grid", value) for value in (10**17, 10**20, MAX_COUNT + 1)
+] + [
+    (("fit", "--solver", "grid"), "grid", value) for value in (10**17, 10**20, MAX_COUNT + 1)
+] + [
+    (("lambda-sweep",), "steps", value) for value in (10**17, 10**20, MAX_COUNT + 1)
+] + [
+    (("generate",), "n", value) for value in (10**17, 10**20, MAX_COUNT + 1)
+] + [(("generate",), "seed", -1)]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, value", BAD_COUNTS,
+                         ids=[f"{c[0]}-{f}-{v}" for c, f, v in BAD_COUNTS])
+def test_count_ceiling_and_seed_sign_exit_two(tmp_path, capsys, command, flag, value, via):
+    argv = [*command, "--output", tmp_path / "out"]
+    if command[0] != "generate":
+        argv += ["--input", write_dataset(tmp_path, "in.csv")]
+    if via == "flag":
+        argv.append(f"--{flag}={value}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: value}))
+        argv += ["--config", config]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument --{flag}: " in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_out_of_memory_is_validation_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "load_csv", exhausted)
+    out = tmp_path / "r.json"
+    assert run("evaluate", "--input", write_dataset(tmp_path), "--output", out) == 2
+    assert "out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- generate ---------------------------------------------------------------------
@@ -578,6 +689,10 @@ BAD_SPECS = {
     "name-not-a-string": (custom_spec_with(("groups", 0, "name"), 1), "distinct strings, got 1"),
     "unknown-key": (custom_spec_with(("comment",), "x"), "spec must be a JSON object with exactly"),
     "not-utf8": (b'{"domain": "\xff"}', "not valid spec JSON"),
+    "proportion-string": (custom_spec_with(("groups", 0, "proportion"), "0.5"),
+                          "joint spec proportion of 'a': '0.5' is not a JSON number"),
+    "hi-string": (custom_spec_with(("domain", "hi"), "100"),
+                  "joint spec domain hi: '100' is not a JSON number"),
 }
 
 
