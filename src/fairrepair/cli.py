@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from .dataset import (ScoreDomain, _atomic_write, _index_groups, _read_json, _re
                       _write_json, load_csv, parse_combo, write_csv)
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
-from .metrics import ThresholdGrid, _write_curves, distributional_disparity, rate_curve
+from .metrics import ThresholdGrid, _write_curves, distributional_disparity
 from .repair import fit_plan, load_plan, save_plan
 from .solver import LambdaObjective, _sweep, solve_exact, solve_grid, solve_probabilistic
 from .synth import GENERATOR_ID, JointSpec, bundled_spec, sample, split
@@ -34,51 +35,55 @@ EXIT_IO = 4
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A command-line validation error (exit 2)."""
 
 
 # Row, grid and step counts above this are rejected before anything is allocated.
 MAX_COUNT = 2**31 - 1
 
 
-def _int_type(name: str, ok, requirement: str):
-    """An argparse type for integers that also satisfy ``ok``."""
-    def parse(text: str) -> int:
-        value = int(text)
+def _checked(convert, name: str, ok, requirement: str):
+    """An argparse type for ``convert``-ed values that also satisfy ``ok``."""
+    def parse(text: str):
+        value = convert(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value: ..."
     return parse
 
 
-_count = _int_type("count", lambda v: v <= MAX_COUNT, f"at most {MAX_COUNT}")
-_seed = _int_type("seed", lambda v: v >= 0, "nonnegative")
+_count = _checked(int, "count", lambda v: v <= MAX_COUNT, f"at most {MAX_COUNT}")
+_steps = _checked(int, "count", lambda v: 2 <= v <= MAX_COUNT, f"between 2 and {MAX_COUNT}")
+_seed = _checked(int, "seed", lambda v: v >= 0, "nonnegative")
+_order = _checked(float, "order p", lambda v: 1.0 <= v < math.inf, "finite and >= 1")  # rejects NaN
+_tol = _checked(float, "tol", lambda v: 0.0 < v < math.inf, "finite and positive")
 
 
 def _parse_domain(text: str) -> ScoreDomain:
+    lo, _, hi = text.partition(":")
     try:
-        lo, _, hi = text.partition(":")
-        return ScoreDomain(float(lo), float(hi))
-    except ValueError:  # DatasetError included
+        lo, hi = float(lo), float(hi)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got '{text}'") from None
+    try:
+        return ScoreDomain(lo, hi)
+    except DatasetError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _config_flags(path: str, command: str) -> list[str]:
     """The config file's values for ``command`` as ``--key=value`` flags."""
     data = _read_json(path, "config", DatasetError)
     if not isinstance(data, dict):
-        raise _CliError(f"{path}: config must be a JSON object", EXIT_VALIDATION)
+        raise _CliError(f"{path}: config must be a JSON object")
     flags = []
     for key, value in data.items():
         commands, kwargs = _OPTIONS.get(key, ((), {}))
         if "default" not in kwargs:
             settable = ", ".join(k for k, (_, kw) in _OPTIONS.items() if "default" in kw)
-            raise _CliError(f"{path}: '{key}' cannot be set in a config file (settable: {settable})",
-                            EXIT_VALIDATION)
+            raise _CliError(f"{path}: '{key}' cannot be set in a config file (settable: {settable})")
         if command in commands:
             flags.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
     return flags
@@ -89,15 +94,12 @@ def _config_flags(path: str, command: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     combo = parse_combo(args.metric)
     grid = ThresholdGrid.linspace(args.domain, args.grid)
     ds = load_csv(args.input, args.domain)
 
-    curves, reports = [], []
-    for kind in combo.kinds:
-        curves.append(rate_curve(ds, kind, grid))
-        reports.append(distributional_disparity(ds, kind, args.p, grid))
+    reports = [distributional_disparity(ds, kind, args.p, grid) for kind in combo.kinds]
     payload = {"input": args.input, "reports": [r.to_dict() for r in reports]}
     if len(reports) > 1:
         payload["weighted_expected_gap"] = float(
@@ -105,26 +107,25 @@ def _cmd_evaluate(args) -> int:
         )
     _write_json(args.output, payload)
     curves_path = args.curves or os.path.splitext(args.output)[0] + ".curves.csv"
-    _atomic_write(curves_path, lambda fh: _write_curves(fh, curves))
-    return EXIT_OK
+    _atomic_write(curves_path, lambda fh: _write_curves(fh, [r.curve for r in reports]))
 
 
 def _pick_solver(name: str, n_groups: int) -> str:
     if name == "auto":
         return "exact" if n_groups == 2 else "lex"
     if name in ("grid", "exact", "probabilistic") and n_groups != 2:
-        raise _CliError(f"solver '{name}' is binary-only but data has {n_groups} groups", EXIT_VALIDATION)
+        raise _CliError(f"solver '{name}' is binary-only but data has {n_groups} groups")
     return name
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     combo = parse_combo(args.metric)
     ds = load_csv(args.input, args.domain)
     plan = fit_plan(ds)
     solver = _pick_solver(args.solver, len(ds.groups))
 
     if solver in ("probabilistic", "maxmin", "lex") and combo.single_kind is None:
-        raise _CliError(f"solver '{solver}' needs a single metric, not a combination", EXIT_VALIDATION)
+        raise _CliError(f"solver '{solver}' needs a single metric, not a combination")
 
     if solver == "none":
         # Fit-only barycenter mode: label-free, keeps the full-repair default.
@@ -146,10 +147,9 @@ def _cmd_fit(args) -> int:
 
     save_plan(plan, args.output)
     _write_json(args.output + ".solution.json", solution_dict)
-    return EXIT_OK
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> None:
     plan = load_plan(args.plan)
     # Not a ScoredDataset: apply keeps every column and the row order, and
     # accepts groups with a single row.
@@ -161,10 +161,9 @@ def _cmd_apply(args) -> int:
             raise DatasetError(f"{args.input}:{line}: group '{group}' not in plan")
     repaired = plan._repaired(names, index, table.scores)
     _atomic_write(args.output, lambda fh: table.write(fh, repaired))
-    return EXIT_OK
 
 
-def _cmd_lambda_sweep(args) -> int:
+def _cmd_lambda_sweep(args) -> None:
     combo = parse_combo(args.metric)
     ds = load_csv(args.input, args.domain)
     lams, vals, best = _sweep(fit_plan(ds), ds, LambdaObjective(combo, args.p), args.steps)
@@ -172,10 +171,9 @@ def _cmd_lambda_sweep(args) -> int:
     for i, (lam, v) in enumerate(zip(lams, vals)):
         lines.append(f"{float(lam)!r},{float(v)!r},{int(i == best)}")
     _atomic_write(args.output, lambda fh: fh.write("\n".join(lines) + "\n"))
-    return EXIT_OK
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     spec = JointSpec.from_json(args.spec) if args.spec else bundled_spec()
     ds = sample(spec, args.n, args.seed)
     labeled, holdout = split(ds, args.fraction, args.seed)
@@ -190,7 +188,6 @@ def _cmd_generate(args) -> int:
         "spec": spec.to_dict(),
     }
     _write_json(prefix + "_meta.json", meta)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +220,12 @@ _OPTIONS = {
         help="pr|tpr|fpr|nr|tnr|fnr or weighted combo like 'tpr:1,fpr:1' (default %(default)s)",
     )),
     "grid": (("evaluate", "fit"), dict(
-        type=_count,
+        type=_steps,
         default=101,
         help="threshold-grid size (default %(default)s); 'fit --solver grid' also takes its "
         "lambda step count from it",
     )),
-    "p": (_SCORED, dict(type=float, default=1.0, help="disparity order p >= 1 (default %(default)s)")),
+    "p": (_SCORED, dict(type=_order, default=1.0, help="disparity order p >= 1 (default %(default)s)")),
     "solver": (("fit",), dict(
         default="auto",
         choices=["auto", "grid", "exact", "probabilistic", "maxmin", "lex", "none"],
@@ -236,8 +233,8 @@ _OPTIONS = {
         "(label-free, lambda=1)",
     )),
     "domain": (_SCORED, dict(type=_parse_domain, default="0:1", help="score domain as lo:hi (default %(default)s)")),
-    "tol": (("fit",), dict(type=float, default=1e-6, help="solver tolerance (default %(default)s)")),
-    "steps": (("lambda-sweep",), dict(type=_count, default=101, help="lambda grid size (default %(default)s)")),
+    "tol": (("fit",), dict(type=_tol, default=1e-6, help="solver tolerance (default %(default)s)")),
+    "steps": (("lambda-sweep",), dict(type=_steps, default=101, help="lambda grid size (default %(default)s)")),
     "seed": (("generate",), dict(type=_seed, default=0, help="PRNG seed (default %(default)s)")),
     "n": (("generate",), dict(type=_count, default=8000, help="total rows (default %(default)s)")),
     "fraction": (("generate",), dict(type=float, default=0.5, help="labeled fraction (default %(default)s)")),
@@ -250,7 +247,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would print usage and exit; a bad flag or config value is
         # a validation error like any other, so --json-errors covers it.
-        raise _CliError(f"{message} (see '{self.prog} --help')", EXIT_VALIDATION)
+        raise _CliError(f"{message} (see '{self.prog} --help')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,11 +290,10 @@ def main(argv=None) -> int:
             try:
                 args = parser.parse_args(argv[:at] + flags + argv[at:])
             except _CliError as exc:  # the command line alone parsed, so a config value is bad
-                raise _CliError(f"{args.config}: {exc}", EXIT_VALIDATION) from None
-        return args.func(args)
-    except _CliError as exc:
-        return _fail(str(exc), exc.code, json_errors, type(exc).__name__)
-    except (DatasetError, SpecError) as exc:
+                raise _CliError(f"{args.config}: {exc}") from None
+        args.func(args)
+        return EXIT_OK
+    except (_CliError, DatasetError, SpecError) as exc:
         return _fail(str(exc), EXIT_VALIDATION, json_errors, type(exc).__name__)
     except SolverError as exc:
         return _fail(str(exc), EXIT_SOLVER, json_errors, type(exc).__name__)

@@ -59,6 +59,9 @@ class ScoreDomain:
             raise DatasetError("score domain bounds must be finite")
         if not self.hi > self.lo:
             raise DatasetError(f"score domain needs hi > lo, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise DatasetError(f"score domain [{self.lo}, {self.hi}] has width {self.hi - self.lo}; "
+                               "hi - lo must be finite")
 
     @property
     def width(self) -> float:
@@ -253,9 +256,13 @@ class MetricCombo:
     def __post_init__(self):
         if not self.terms:
             raise DatasetError("metric combination needs at least one term")
+        total = 0.0
         for kind, w in self.terms:
             if not (math.isfinite(w) and w >= 0):
                 raise DatasetError(f"weight for {kind} must be finite and >= 0")
+            total += w
+        if not math.isfinite(total):
+            raise DatasetError(f"metric weights must have a finite sum, got {total} for '{self}'")
 
     @property
     def kinds(self) -> list[MetricKind]:

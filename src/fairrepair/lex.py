@@ -17,12 +17,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import MetricKind, ScoredDataset
+from .dataset import MetricKind, ScoredDataset, _conditional_means
 from .errors import DatasetError, SolverError
 from .lp import linprog
 from .metrics import _mean_gap_losses
 from .repair import RepairPlan
-from .solver import conditional_means_and_shifts
 
 __all__ = ["LexProblem", "LexSolution", "build_problem", "solve_maxmin", "solve_lexicographic"]
 
@@ -63,8 +62,7 @@ def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexP
         raise DatasetError("need at least 2 groups")
     if len(ds.groups) > MAX_GROUPS:
         raise DatasetError(f"at most {MAX_GROUPS} groups supported, got {len(ds.groups)}")
-    a, b = conditional_means_and_shifts(plan, ds, kind)
-    return LexProblem(ds.groups, a, b)
+    return LexProblem(ds.groups, *_conditional_means(ds, kind, plan.shift))
 
 
 @dataclass(frozen=True)
@@ -135,29 +133,17 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
 def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
     if prob.n > MAX_GROUPS:
         raise SolverError(f"at most {MAX_GROUPS} groups supported")
-    lambdas = losses = np.zeros(prob.n)
     epsilons: list[float] = []
     trace: list[dict] = []
     for k in range(1, n_rounds + 1):
-        lambdas = _round_lp(prob, k, epsilons)
-        losses = prob.losses(lambdas)
-        eps_k = float(np.sort(losses)[::-1][:k].sum())  # sum of k largest
+        lam = _round_lp(prob, k, epsilons)
+        loss = prob.losses(lam)
+        eps_k = float(np.sort(loss)[::-1][:k].sum())  # sum of k largest
         epsilons.append(eps_k)
-        trace.append(
-            {
-                "round": k,
-                "epsilon": eps_k,
-                "lambdas": {g: float(l) for g, l in zip(prob.groups, lambdas)},
-                "losses": {g: float(l) for g, l in zip(prob.groups, losses)},
-            }
-        )
-    return LexSolution(
-        lambdas={g: float(l) for g, l in zip(prob.groups, lambdas)},
-        epsilons=epsilons,
-        losses={g: float(l) for g, l in zip(prob.groups, losses)},
-        rounds=trace,
-        method=method,
-    )
+        lambdas = {g: float(v) for g, v in zip(prob.groups, lam)}
+        losses = {g: float(v) for g, v in zip(prob.groups, loss)}
+        trace.append({"round": k, "epsilon": eps_k, "lambdas": lambdas, "losses": losses})
+    return LexSolution(lambdas, epsilons, losses, trace, method)
 
 
 def solve_maxmin(prob: LexProblem) -> LexSolution:

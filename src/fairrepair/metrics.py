@@ -114,7 +114,8 @@ class DisparityReport:
 
     For two groups the headline numbers are that pair's; for more, the
     headline expected/exact gaps average over pairs and max_gap is the worst
-    pair's.
+    pair's.  ``curve`` holds the rate curves the gaps were computed from; it
+    is not part of the summary (``to_dict``, ``repr``, comparison).
     """
 
     metric: MetricKind
@@ -124,6 +125,7 @@ class DisparityReport:
     exact_gap: float
     max_gap: float
     pairs: tuple[PairGap, ...] = field(default_factory=tuple)
+    curve: DisparityCurve | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +184,7 @@ def distributional_disparity(
     expected_gap = float(np.mean([pg.expected_gap for pg in pairs]))
     exact_gap = float(np.mean([pg.exact_gap for pg in pairs]))
     max_gap = float(max(pg.max_gap for pg in pairs))
-    return DisparityReport(kind, p, grid.count, expected_gap, exact_gap, max_gap, tuple(pairs))
+    return DisparityReport(kind, p, grid.count, expected_gap, exact_gap, max_gap, tuple(pairs), curve)
 
 
 def probabilistic_parity_gap(ds: ScoredDataset, kind: MetricKind) -> dict[tuple[str, str], float]:

@@ -28,10 +28,12 @@ class EmpiricalDistribution:
     The weights are kept as given, so a distribution rebuilt from its own atoms
     and weights is bit for bit the same.  Duplicate atom values are merged
     (weights summed) so the CDF and quantile functions are well defined.
+    ``breakpoints`` holds the cumulative weights, the last pinned to 1.0;
+    quantile() is constant on (breakpoints[i-1], breakpoints[i]].
     Instances are immutable.
     """
 
-    __slots__ = ("atoms", "weights", "_cumw")
+    __slots__ = ("atoms", "weights", "breakpoints")
 
     def __init__(self, atoms, weights):
         atoms = np.asarray(atoms, dtype=float)
@@ -68,8 +70,8 @@ class EmpiricalDistribution:
 
         self.atoms = merged_atoms
         self.weights = merged_weights
-        self._cumw = cumw
-        for a in (self.atoms, self.weights, self._cumw):
+        self.breakpoints = cumw
+        for a in (self.atoms, self.weights, self.breakpoints):
             a.flags.writeable = False
 
     @classmethod
@@ -95,7 +97,7 @@ class EmpiricalDistribution:
         """
         out = object.__new__(EmpiricalDistribution)
         out.atoms = np.clip((1.0 - lam) * self.atoms + lam * targets, 0.0, 1.0)
-        out.weights, out._cumw = self.weights, self._cumw
+        out.weights, out.breakpoints = self.weights, self.breakpoints
         out.atoms.flags.writeable = False
         return out
 
@@ -103,16 +105,11 @@ class EmpiricalDistribution:
     def n_atoms(self) -> int:
         return self.atoms.size
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Cumulative weights; quantile() is constant on (cumw[i-1], cumw[i]]."""
-        return self._cumw
-
     def cdf(self, x):
         """P(X <= x); right-continuous step function."""
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.atoms, x, side="right")
-        padded = np.concatenate(([0.0], self._cumw))
+        padded = np.concatenate(([0.0], self.breakpoints))
         out = padded[idx]
         return float(out) if out.ndim == 0 else out
 
@@ -122,10 +119,10 @@ class EmpiricalDistribution:
         a = 0 returns the smallest atom (infimum over the support).
         """
         a = np.asarray(a, dtype=float)
-        if np.any(a < -_WEIGHT_TOL) or np.any(a > 1 + _WEIGHT_TOL):
+        if not np.all((a >= -_WEIGHT_TOL) & (a <= 1 + _WEIGHT_TOL)):  # also rejects NaN
             raise DatasetError("quantile level must lie in [0, 1]")
-        idx = np.searchsorted(self._cumw, np.clip(a, 0.0, 1.0), side="left")
-        idx = np.minimum(idx, self.atoms.size - 1)
+        # Levels are at most 1.0, the last breakpoint, so idx < n_atoms.
+        idx = np.searchsorted(self.breakpoints, np.clip(a, 0.0, 1.0), side="left")
         out = self.atoms[idx]
         return float(out) if out.ndim == 0 else out
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_means, _conditional_scores
+from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_scores
 from .errors import DatasetError, SolverError
+from .lex import build_problem
 from .ot import EmpiricalDistribution, wasserstein
 from .repair import RepairPlan
 
@@ -167,17 +168,6 @@ def solve_exact(
     return LambdaSolution(lam, f(lam), "exact", evals)
 
 
-def conditional_means_and_shifts(
-    plan: RepairPlan, ds: ScoredDataset, kind: MetricKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per group of ``ds``, in order: E[score | cond, g] and E[t(score) | cond, g].
-
-    Original units.  These are the coefficients of the affine repaired mean
-    m_g(lam) = a_g + lam * b_g that the closed-form and lexicographic solvers use.
-    """
-    return _conditional_means(ds, kind, plan.shift)
-
-
 def solve_probabilistic(
     plan: RepairPlan, ds: ScoredDataset, kind: MetricKind
 ) -> LambdaSolution:
@@ -189,7 +179,8 @@ def solve_probabilistic(
     reported objective is the disparity of the clamped solution.
     """
     _binary_groups(ds)
-    a, b = conditional_means_and_shifts(plan, ds, kind)
+    prob = build_problem(plan, ds, kind)
+    a, b = prob.base_means, prob.mean_shifts
     denom = float(b[0] - b[1])
     if abs(denom) <= 1e-12 * plan.domain.width:  # 1e-12 in normalized units
         raise SolverError(

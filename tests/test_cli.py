@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -525,8 +527,41 @@ def test_exact_terminates_for_tiny_tol(tmp_path, tol, groups):
     assert 0.0 <= json.loads((tmp_path / "plan.json.solution.json").read_text())["lambda"] <= 1.0
 
 
+WIDE = "-1e308:1e308"  # both bounds finite, but hi - lo overflows to inf
+HUGE_WEIGHTS = "pr:1e308,tpr:1e308,fpr:1e308,nr:1e308,tnr:1e308"  # each valid, the sum is inf
+
+
+def _valid(flag, value) -> bool:
+    """Whether the CLI may accept ``value`` for ``flag`` (--n and --seed: not judged here)."""
+    try:
+        if flag == "--p":
+            return 1.0 <= float(value) < math.inf
+        if flag == "--tol":
+            return 0.0 < float(value) < math.inf
+        if flag in ("--grid", "--steps"):
+            return 2 <= int(value) <= MAX_COUNT
+        if flag == "--domain":
+            lo, hi = map(float, value.split(":"))
+            return lo < hi and math.isfinite(hi - lo)
+        if flag == "--metric":
+            total = 0.0
+            for term in value.split(","):
+                w = float(term.partition(":")[2])
+                if not 0.0 <= w < math.inf:
+                    return False
+                total += w  # in term order, as the combination adds them
+            return math.isfinite(total)
+    except ValueError:
+        return False
+    return True
+
+
 def test_numeric_flags_keep_exit_code_contract(tmp_path):
-    """Fuzzed --p/--tol/--grid/--steps/--n/--seed: exit 0/2/3/4, no traceback, no NaN in JSON."""
+    """Fuzzed numeric flags, --domain bounds and metric weights.
+
+    Exit 0/2/3/4, no traceback, no NaN or infinity in any output, and exit 0
+    only if every value given is valid, whichever solver is chosen.
+    """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     data = write_dataset(tmp_path, groups={"A": [0.1, 0.3, 0.6], "B": [0.2, 0.5, 0.9]},
@@ -536,48 +571,78 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     # Drawn counts stay at most 1e4 so no example allocates much; the pinned
     # examples above the count ceiling are rejected before any allocation.
     counts = st.one_of(st.sampled_from(special), st.integers(-3, 10**4).map(str))
+    bounds = st.one_of(st.sampled_from(["0", "1", "-1", "2", "-1e308", "1e308"]), floats)
+    weights = st.one_of(st.sampled_from(["0", "0.5", "1", "1e308"]), floats)
+    terms = st.tuples(st.sampled_from(["pr", "tpr", "fpr", "nr", "tnr", "fnr"]), weights)
     commands = st.sampled_from([
         ("evaluate",),
-        ("fit", "--solver", "exact"),
-        ("fit", "--solver", "grid"),
+        *(("fit", "--solver", s) for s in ("exact", "grid", "probabilistic", "maxmin", "lex", "none")),
         ("lambda-sweep",),
         ("generate",),
     ])
-    # Each command is fuzzed only with the numeric flags it declares.
-    declared = {"evaluate": ("--p", "--grid"), "fit": ("--p", "--tol", "--grid"),
-                "lambda-sweep": ("--p", "--steps"), "generate": ("--n", "--seed")}
+    # Each command is fuzzed only with the flags it declares.
+    declared = {"evaluate": ("--p", "--grid", "--domain", "--metric"),
+                "fit": ("--p", "--tol", "--grid", "--domain", "--metric"),
+                "lambda-sweep": ("--p", "--steps", "--domain", "--metric"),
+                "generate": ("--n", "--seed")}
+    flag_values = st.fixed_dictionaries({}, optional={
+        "--p": floats, "--tol": floats, "--grid": counts, "--steps": counts, "--n": counts,
+        "--seed": counts, "--domain": st.tuples(bounds, bounds).map(":".join),
+        "--metric": st.lists(terms, min_size=1, max_size=5).map(
+            lambda ts: ",".join(f"{k}:{w}" for k, w in ts)),
+    })
     over = str(MAX_COUNT + 1)
 
     def no_nan(token):
         raise AssertionError(f"{token} in JSON output")
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
-    @hypothesis.given(commands, st.none() | floats, st.none() | floats,
-                      st.none() | counts, st.none() | counts, st.none() | counts, st.none() | counts)
-    @hypothesis.example(("evaluate",), "nan", None, None, None, None, None)
-    @hypothesis.example(("fit", "--solver", "exact"), None, "1e-17", None, None, None, None)
-    @hypothesis.example(("evaluate",), None, None, str(10**20), None, None, None)
-    @hypothesis.example(("fit", "--solver", "grid"), None, None, over, None, None, None)
-    @hypothesis.example(("lambda-sweep",), None, None, None, str(10**17), None, None)
-    @hypothesis.example(("generate",), None, None, None, None, str(10**17), None)
-    @hypothesis.example(("generate",), None, None, None, None, str(10**20), "-1")
-    def check(command, p, tol, grid, steps, n, seed):
+    @hypothesis.given(commands, flag_values)
+    @hypothesis.example(("evaluate",), {"--p": "nan"})
+    @hypothesis.example(("fit", "--solver", "exact"), {"--tol": "1e-17"})
+    @hypothesis.example(("evaluate",), {"--grid": str(10**20)})
+    @hypothesis.example(("fit", "--solver", "grid"), {"--grid": over})
+    @hypothesis.example(("lambda-sweep",), {"--steps": str(10**17)})
+    @hypothesis.example(("generate",), {"--n": str(10**17)})
+    @hypothesis.example(("generate",), {"--n": str(10**20), "--seed": "-1"})
+    # Before the domain width, the weight sum and every fit flag were checked, each of
+    # these exited 0 with a value the solver never read, wrote NaN, or failed on a NaN.
+    @hypothesis.example(("fit", "--solver", "none"), {"--domain": WIDE})
+    @hypothesis.example(("fit", "--solver", "lex"), {"--domain": WIDE})
+    @hypothesis.example(("fit", "--solver", "maxmin"), {"--domain": WIDE})
+    @hypothesis.example(("fit", "--solver", "exact"), {"--domain": WIDE})
+    @hypothesis.example(("lambda-sweep",), {"--domain": WIDE})
+    @hypothesis.example(("evaluate",), {"--domain": WIDE})
+    @hypothesis.example(("evaluate",), {"--metric": HUGE_WEIGHTS})
+    @hypothesis.example(("lambda-sweep",), {"--metric": "pr:1e308,nr:1e308,tpr:1e308"})
+    @hypothesis.example(("fit", "--solver", "lex"), {"--tol": "nan", "--grid": "1"})
+    @hypothesis.example(("fit", "--solver", "probabilistic"), {"--p": "nan"})
+    @hypothesis.example(("fit", "--solver", "none"), {"--p": "0", "--tol": "-1"})
+    @hypothesis.example(("fit", "--solver", "maxmin"), {"--p": "inf"})
+    @hypothesis.example(("fit", "--solver", "exact"), {"--grid": "1"})
+    def check(command, values):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
         argv = [*command, "--output", str(out / "out")]
         if command[0] != "generate":
             argv += ["--input", str(data), "--metric", "tpr"]
-        flags = {"--p": p, "--tol": tol, "--grid": grid, "--steps": steps, "--n": n, "--seed": seed}
-        for flag in declared[command[0]]:
-            value = flags[flag]
-            if value is not None:
-                argv.append(f"{flag}={value}")  # '=' keeps a leading '-' a value
+        given = {flag: values[flag] for flag in declared[command[0]] if flag in values}
+        argv += [f"{flag}={value}" for flag, value in given.items()]  # '=' keeps a leading '-' a value
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert all(_valid(flag, value) for flag, value in given.items()), argv
         for path in out.glob("*.json"):
             json.loads(path.read_text(), parse_constant=no_nan)
+        for path in out.glob("*.csv"):
+            for row in csv.reader(path.read_text().splitlines()):
+                for cell in row:
+                    try:
+                        assert math.isfinite(float(cell)), (path.name, row)
+                    except ValueError:  # a header, group or metric name
+                        pass
 
     check()
 
@@ -603,6 +668,102 @@ def test_count_ceiling_and_seed_sign_exit_two(tmp_path, capsys, command, flag, v
     argv = [*command, "--output", tmp_path / "out"]
     if command[0] != "generate":
         argv += ["--input", write_dataset(tmp_path, "in.csv")]
+    if via == "flag":
+        argv.append(f"--{flag}={value}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: value}))
+        argv += ["--config", config]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument --{flag}: " in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+SIX_ROWS = dict(groups={"a": [0.1, 0.5, 0.9], "b": [0.2, 0.4, 0.8]},
+                labels={"a": [0, 1, 1], "b": [1, 0, 1]})
+
+
+def _wide_plan(tmp_path, data):
+    plan = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan, "--solver", "none") == 0
+    payload = json.loads(plan.read_text())
+    payload["domain"] = {"lo": -1e308, "hi": 1e308}
+    plan.write_text(json.dumps(payload))
+    return ("apply", "--plan", plan, "--input", data)
+
+
+def _wide_spec(tmp_path, data):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(CUSTOM_SPEC, domain={"lo": -1e308, "hi": 1e308})))
+    return ("generate", "--spec", spec, "--n", "200")
+
+
+def _wide_config(tmp_path, data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain": WIDE}))
+    return ("fit", "--input", data, "--solver", "lex", "--config", config)
+
+
+# Before the width was checked, fit --solver none|lex|maxmin exited 0 (the
+# sidecars held bare NaN tokens), apply mapped every score to nan or 1e+308,
+# generate exited 0, and exact, lambda-sweep and evaluate failed on a NaN.
+WIDE_DOMAIN_CASES = {
+    **{f"fit-{s}": ("fit", "--solver", s) for s in ("none", "lex", "maxmin", "exact")},
+    "lambda-sweep": ("lambda-sweep",),
+    "evaluate": ("evaluate",),
+    "config": _wide_config,
+    "plan": _wide_plan,
+    "spec": _wide_spec,
+}
+
+
+@pytest.mark.parametrize("case", list(WIDE_DOMAIN_CASES))
+def test_domain_width_must_be_finite(tmp_path, capsys, case):
+    data = write_dataset(tmp_path, "in.csv", **SIX_ROWS)
+    argv = WIDE_DOMAIN_CASES[case]
+    if callable(argv):
+        argv = argv(tmp_path, data)
+    else:
+        argv = (*argv, "--input", data, "--metric", "tpr", f"--domain={WIDE}")
+    capsys.readouterr()
+    before = set(tmp_path.iterdir())
+    assert run(*argv, "--output", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "score domain [-1e+308, 1e+308] has width inf; hi - lo must be finite" in err, err
+    assert "Traceback" not in err
+    assert set(tmp_path.iterdir()) == before
+
+
+# Before the sum was checked, evaluate exited 0 with "weighted_expected_gap":
+# Infinity, and fit --solver exact and lambda-sweep exited 3 ("objective is not
+# finite").
+@pytest.mark.parametrize("command", [("evaluate",), ("fit", "--solver", "exact"), ("lambda-sweep",)],
+                         ids=lambda c: c[-1])
+def test_metric_weights_must_have_a_finite_sum(tmp_path, capsys, command):
+    data = write_dataset(tmp_path, "in.csv", groups={"a": [0.1, 0.5, 0.9, 0.3], "b": [0.2, 0.4, 0.8, 0.6]},
+                         labels={"a": [0, 1, 1, 0], "b": [1, 0, 1, 0]})
+    out = tmp_path / "out"
+    assert run(*command, "--input", data, "--output", out, "--metric", HUGE_WEIGHTS) == 2
+    err = capsys.readouterr().err
+    assert "metric weights must have a finite sum, got inf" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+    # One huge weight is still a valid weight.
+    assert run(*command, "--input", data, "--output", out, "--metric", "pr:1e308,tpr:0") == 0
+
+
+BAD_FIT_VALUES = [("p", "nan"), ("p", "inf"), ("p", "0"), ("tol", "nan"), ("tol", "-1"),
+                  ("tol", "0"), ("grid", "1")]
+
+
+# A solver that does not read --p, --tol or --grid used to accept any value
+# for it, so each of these wrote a plan with exit 0 for some solver.
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", BAD_FIT_VALUES, ids=[f"{f}-{v}" for f, v in BAD_FIT_VALUES])
+@pytest.mark.parametrize("solver", ["auto", "grid", "exact", "probabilistic", "maxmin", "lex", "none"])
+def test_fit_checks_numeric_flags_whatever_the_solver(tmp_path, capsys, solver, flag, value, via):
+    argv = ["fit", "--input", labeled_binary(tmp_path), "--output", tmp_path / "out",
+            "--solver", solver, "--metric", "tpr"]
     if via == "flag":
         argv.append(f"--{flag}={value}")
     else:

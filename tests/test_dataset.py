@@ -67,6 +67,9 @@ def test_groups_ordered_lexicographically():
 def test_domain_requires_hi_above_lo():
     with pytest.raises(DatasetError):
         ScoreDomain(1.0, 1.0)
+    with pytest.raises(DatasetError, match="has width inf"):  # finite bounds, infinite width
+        ScoreDomain(-1e308, 1e308)
+    assert ScoreDomain(0.0, 1e308).width == 1e308
 
 
 def test_domain_normalization_roundtrip():
@@ -178,6 +181,9 @@ def test_combo_rejects_negative_weight_and_empty():
         MetricCombo(())
     with pytest.raises(DatasetError):
         parse_metric("accuracy")
+    with pytest.raises(DatasetError, match="finite sum, got inf"):
+        parse_combo("tpr:1e308,fpr:1e308")
+    assert parse_combo("tpr:1e308,fpr:0").terms[0][1] == 1e308
 
 
 # -- CSV ---------------------------------------------------------------------

@@ -224,6 +224,7 @@ def test_lex_trace_structure():
     assert len(sol.epsilons) == 3
     payload = sol.to_dict()
     assert set(payload) == {"method", "lambdas", "epsilons", "losses", "rounds"}
+    assert (sol.lambdas, sol.losses) == (sol.rounds[-1]["lambdas"], sol.rounds[-1]["losses"])
 
 
 def test_table_pattern_on_bundled_spec():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -149,6 +150,12 @@ def test_report_json_shape():
     payload = json.loads(rep.to_json())
     assert payload["metric"] == "pr"
     assert set(payload["pairs"][0]) == {"groups", "expected_gap", "exact_gap", "max_gap"}
+    # The report keeps the rate curve its gaps came from, outside the summary.
+    assert "curve" not in payload and "curve" not in repr(rep)
+    assert dataclasses.replace(rep, curve=None) == rep
+    want = rate_curve(ds, PR, GRID)
+    assert rep.curve.grid is GRID and rep.curve.values.keys() == want.values.keys()
+    assert all(np.array_equal(rep.curve.values[g], want.values[g]) for g in want.values)
 
 
 def test_curve_csv_format(tmp_path):

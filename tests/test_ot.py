@@ -61,6 +61,12 @@ def test_quantile_rejects_out_of_range():
         dist(D_LOW).quantile(1.5)
     with pytest.raises(DatasetError):
         dist(D_LOW).quantile(-0.1)
+    # A NaN level is not in [0, 1] either; it used to return the largest atom.
+    for level in (np.nan, [0.25, np.nan, 0.75]):
+        with pytest.raises(DatasetError, match="must lie in"):
+            dist(D_LOW).quantile(level)
+        with pytest.raises(DatasetError, match="must lie in"):
+            barycenter_quantile([dist(D_LOW), dist(D_HIGH)], [0.5, 0.5], level)
 
 
 def test_quantile_nondecreasing(rng):
