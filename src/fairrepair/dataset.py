@@ -495,6 +495,14 @@ def _numbers(what: str, value, error: type[Exception] = DatasetError, many: bool
     return np.array(value, dtype=float) if many else float(value)
 
 
+def _domain(what: str, lo: float, hi: float, error: type[Exception] = DatasetError) -> ScoreDomain:
+    """``ScoreDomain(lo, hi)``, its error naming ``what`` and raised as ``error``."""
+    try:
+        return ScoreDomain(lo, hi)
+    except DatasetError as exc:
+        raise error(f"{what}: {exc}") from None
+
+
 def _write_json(path, payload) -> None:
     def write(fh):
         json.dump(payload, fh, indent=2, sort_keys=True)  # streamed: no whole-text copy

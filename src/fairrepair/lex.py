@@ -4,28 +4,28 @@ The group loss is the sum of absolute gaps between label-conditioned mean
 scores, and each group's mean is exactly affine in its own repair amount:
 m_g(lam_g) = a_g + lam_g * b_g.  Every loss and constraint is therefore
 piecewise linear, which lets each optimization round be posed as an exact LP:
-round k minimizes the sum of the k largest group losses (epigraph encoding)
-subject to the bounds inherited from earlier rounds, enumerated explicitly
-over subsets.  Round 1 alone is max-min fairness.
+round k minimizes the sum of the k largest group losses subject to the bounds
+inherited from earlier rounds.  Every such top-j sum takes the epigraph form
+of Ogryczak & Tamir (Inf. Proc. Letters 85, 2003): the sum of the j largest
+L_g is at most eps exactly when j*t + sum_g v_g <= eps for some t, v >= 0 with
+v_g >= L_g - t, so a round LP has polynomially many rows for any number of
+groups.  Round 1 alone is max-min fairness.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .dataset import MetricKind, ScoredDataset, _conditional_means
-from .errors import DatasetError, SolverError
+from .errors import DatasetError
 from .lp import linprog
 from .metrics import _mean_gap_losses
 from .repair import RepairPlan
 
 __all__ = ["LexProblem", "LexSolution", "build_problem", "solve_maxmin", "solve_lexicographic"]
-
-MAX_GROUPS = 12  # subset constraints are enumerated explicitly
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexP
     """The ``kind``-conditioned means and mean shifts of ``ds``'s groups under ``plan``."""
     if len(ds.groups) < 2:
         raise DatasetError("need at least 2 groups")
-    if len(ds.groups) > MAX_GROUPS:
-        raise DatasetError(f"at most {MAX_GROUPS} groups supported, got {len(ds.groups)}")
     return LexProblem(ds.groups, *_conditional_means(ds, kind, plan.shift))
 
 
@@ -90,49 +88,54 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     """One optimization round: minimize the sum of the k largest losses.
 
     Variables: lambdas (n, in [0,1]), u_pair >= |m_i - m_j| per unordered
-    pair, epigraph scalar t (free), per-group excesses v_g >= L_g - t.
-    Inherited bounds: for each earlier round j, every subset of j groups has
-    summed loss at most eps_j + alpha.
+    pair, and for each round j = 1..k a top-j epigraph block: t_j >= 0 and
+    excesses v_jg >= L_g - t_j.  Block k's sum k*t_k + sum_g v_kg is the
+    objective; block j < k's sum j*t_j + sum_g v_jg is bounded by
+    eps_j + alpha.  t_j >= 0 loses nothing because losses are nonnegative.
     """
     n = prob.n
-    first, second = np.triu_indices(n, 1)  # pairs in itertools.combinations order
+    first, second = np.triu_indices(n, 1)  # pairs (i, j) with i < j
     npairs = first.size
     signed = np.zeros((npairs, n))  # pair-group incidence, +1 on i and -1 on j
     signed[np.arange(npairs), first] = 1.0
     signed[np.arange(npairs), second] = -1.0
     a, b = prob.base_means, prob.mean_shifts
+    nv = k * n
 
-    # Columns: [lambdas (n) | u (npairs) | t | v (n)].
+    # Columns: [lambdas (n) | t (k) | u (npairs) | v (k*n, block j's v_j in order)].
+    # Bland's rule enters the smallest column index first.  With the t_j ahead
+    # of u and v, a 9-group solve takes 1258 pivots; with each t_j next to its
+    # v_j it took 9326.
     # u_ij >= +-(m_i - m_j):  +-(b_i lam_i - b_j lam_j) - u_ij <= -+(a_i - a_j)
-    u_cols = np.hstack([-np.eye(npairs), np.zeros((npairs, 1 + n))])
+    u_cols = np.hstack([np.zeros((npairs, k)), -np.eye(npairs), np.zeros((npairs, nv))])
     u_rows = np.stack([np.hstack([signed * b, u_cols]), np.hstack([-signed * b, u_cols])], axis=1)
     gap = a[first] - a[second]
 
-    # L_g = sum of u over the pairs that contain g;  v_g >= L_g - t
-    loss = np.hstack([np.zeros((n, n)), np.abs(signed).T, np.zeros((n, 1 + n))])
-    excess = loss - np.hstack([np.zeros((n, n + npairs)), np.ones((n, 1)), np.eye(n)])
+    # L_g = sum of u over the pairs that contain g;  v_jg >= L_g - t_j
+    excess = np.hstack([
+        np.zeros((nv, n)),
+        -np.kron(np.eye(k), np.ones((n, 1))),
+        np.tile(np.abs(signed).T, (k, 1)),
+        -np.eye(nv),
+    ])
+    # Row j - 1 is block j's sum j*t_j + sum_g v_jg, over the columns after the lambdas.
+    top = np.hstack([
+        np.diag(np.arange(1.0, k + 1)), np.zeros((k, npairs)), np.kron(np.eye(k), np.ones(n)),
+    ])
 
-    # Inherited subset bounds from earlier rounds (with alpha slack).
-    members = [
-        np.eye(n)[list(itertools.combinations(range(n), j))].sum(axis=1)
-        for j in range(1, len(inherited) + 1)
-    ]
-
-    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, *(s @ loss for s in members)])
+    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.hstack([np.zeros((k - 1, n)), top[:-1]])])
     rhs = np.concatenate([
         np.stack([-gap, gap], axis=1).ravel(),
-        np.zeros(n),
-        *(np.full(len(s), eps + prob.alpha) for s, eps in zip(members, inherited)),
+        np.zeros(nv),
+        np.add(inherited, prob.alpha),
     ])
-    cost = np.concatenate([np.full(n, prob.eps_stab), np.zeros(npairs), [float(k)], np.ones(n)])
-    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * npairs + [(None, None)] + [(0.0, None)] * n
+    cost = np.concatenate([np.full(n, prob.eps_stab), top[-1]])
+    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * (k + npairs + nv)
     x = linprog(cost, A, rhs, bounds)
     return np.clip(x[:n], 0.0, 1.0)
 
 
 def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
-    if prob.n > MAX_GROUPS:
-        raise SolverError(f"at most {MAX_GROUPS} groups supported")
     epsilons: list[float] = []
     trace: list[dict] = []
     for k in range(1, n_rounds + 1):
@@ -155,8 +158,8 @@ def solve_lexicographic(prob: LexProblem) -> LexSolution:
     """n rounds of constrained minimization; round 1 equals max-min.
 
     Each round k minimizes the total loss of the k worst-off groups subject
-    to every smaller subset respecting the bounds set by earlier rounds
-    (within the alpha stabilization slack), then records eps_k as the
-    realized sum of the k largest losses.
+    to the j worst-off groups' total respecting eps_j, for every earlier
+    round j (within the alpha stabilization slack), then records eps_k as
+    the realized sum of the k largest losses.
     """
     return _solve_rounds(prob, prob.n, "lexicographic")

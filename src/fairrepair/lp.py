@@ -1,10 +1,11 @@
 """Small dense linear-programming core: two-phase simplex with Bland's rule.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub  and per-variable bounds, at the desk
-scale this package needs (tens of variables, hundreds of constraints).
-Bland's pivoting rule makes the method immune to cycling on the degenerate
-piecewise-linear problems the lexicographic solver produces, at the cost of
-speed nobody will notice here.  Deterministic by construction.
+Solves  min c.x  s.t.  A_ub x <= b_ub  and  0 <= x <= hi,  at the scale the
+lexicographic solver needs (hundreds of variables and constraints).  Each
+pivot is one outer-product update of the dense tableau.  Bland's rule (the
+smallest entering column, then the least ratio with ties going to the smallest
+basis index) makes the method immune to cycling on the degenerate
+piecewise-linear round LPs.  Deterministic by construction.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ _FEAS_TOL = 1e-7
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    pivot_row = T[row] / T[row, col]
+    T -= np.outer(T[:, col], pivot_row)
+    T[row] = pivot_row
     basis[row] = col
 
 
@@ -36,29 +36,23 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> Non
         if not entering.size:
             return
         col = entering[0]
-        # Leaving: min ratio; ties broken by smallest basis variable index.
-        best_ratio, best_row = np.inf, -1
-        for i in np.flatnonzero(T[:m, col] > _PIVOT_TOL):
-            ratio = T[i, -1] / T[i, col]
-            if (
-                best_row < 0
-                or ratio < best_ratio - _PIVOT_TOL
-                or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[best_row])
-            ):
-                best_ratio, best_row = ratio, i
-        if best_row < 0:
+        # Leaving: least ratio (within _PIVOT_TOL), then smallest basis index.
+        rows = np.flatnonzero(T[:m, col] > _PIVOT_TOL)
+        if not rows.size:
             raise LPError("LP is unbounded")
-        _pivot(T, basis, best_row, col)
+        ratios = T[rows, -1] / T[rows, col]
+        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], col)
     raise LPError("simplex iteration limit reached")
 
 
 def linprog(c, A_ub=None, b_ub=None, bounds=None) -> np.ndarray:
     """Exact minimizer of c.x subject to A_ub x <= b_ub and bounds.
 
-    bounds is a sequence of (lo, hi) per variable; lo may be 0.0 or None
-    (free), hi may be a float or None.  Returns the optimal x; raises
-    :class:`LPError` on infeasible or unbounded problems, and when a phase
-    takes more than 2000 + 200 * (rows + columns) pivots.
+    bounds is a sequence of (lo, hi) per variable; lo must be 0.0 and hi is a
+    float or None.  Returns the optimal x; raises :class:`LPError` on
+    infeasible or unbounded problems, and when a phase takes more than
+    2000 + 200 * (rows + columns) pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -73,27 +67,12 @@ def linprog(c, A_ub=None, b_ub=None, bounds=None) -> np.ndarray:
         bounds = [(0.0, None)] * n
     if len(bounds) != n:
         raise LPError("one (lo, hi) bound pair per variable required")
-
-    # Map every variable onto nonnegative columns: tableau column k carries
-    # sign[k] * x[src[k]], so a free variable takes a +1 and a -1 column.  A
-    # finite upper bound becomes an extra row on the variable's one column.
-    src, sign, capped, caps = [], [], [], []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None:
-            if hi is not None:
-                raise LPError("upper bound on a free variable is not supported")
-            src += [j, j]
-            sign += [1.0, -1.0]
-        elif lo == 0.0:
-            if hi is not None:
-                capped.append(len(src))
-                caps.append(float(hi))
-            src.append(j)
-            sign.append(1.0)
-        else:
-            raise LPError("lower bounds other than 0 or None are not supported")
-    src, sign = np.array(src, dtype=int), np.array(sign)
-    nx, mu = src.size, A_ub.shape[0]
+    if any(lo != 0.0 for lo, _ in bounds):
+        raise LPError("lower bounds other than 0 are not supported")
+    # A finite upper bound becomes an extra row on the variable's column.
+    capped = [j for j, (_, hi) in enumerate(bounds) if hi is not None]
+    caps = [float(bounds[j][1]) for j in capped]
+    mu = A_ub.shape[0]
     m = mu + len(caps)
 
     # Orient every row to b >= 0.  "<=" rows take a slack column (initially
@@ -105,14 +84,14 @@ def linprog(c, A_ub=None, b_ub=None, bounds=None) -> np.ndarray:
     n_art = ge_rows.size
 
     # Column layout: [x | slacks | surpluses | artificials | rhs]
-    ncols = nx + le_rows.size + 2 * n_art
+    ncols = n + le_rows.size + 2 * n_art
     T = np.zeros((m + 1, ncols + 1))
-    T[:mu, :nx] = A_ub[:, src] * sign
+    T[:mu, :n] = A_ub
     T[mu + np.arange(len(caps)), capped] = 1.0
     T[:m, -1] = b
     T[ge_rows] *= -1.0
     basis = np.empty(m, dtype=int)
-    basis[le_rows] = nx + np.arange(le_rows.size)  # slacks
+    basis[le_rows] = n + np.arange(le_rows.size)  # slacks
     basis[ge_rows] = ncols - n_art + np.arange(n_art)  # artificials
     T[np.arange(m), basis] = 1.0
     T[ge_rows, basis[ge_rows] - n_art] = -1.0  # surplus
@@ -144,13 +123,13 @@ def linprog(c, A_ub=None, b_ub=None, bounds=None) -> np.ndarray:
 
     # Phase 2: install the real objective row and optimize.
     T[m, :] = 0.0
-    T[m, :nx] = sign * c[src]
+    T[m, :n] = c
     for i in range(m):
         bj = basis[i]
         if T[m, bj] != 0.0:
             T[m] -= T[m, bj] * T[i]
     _simplex(T, basis, ncols, max_iter)
 
-    xfull = np.zeros(ncols)
-    xfull[basis] = T[:m, -1]
-    return np.bincount(src, weights=sign * xfull[:nx], minlength=n)
+    x = np.zeros(ncols)
+    x[basis] = T[:m, -1]
+    return x[:n]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _check_keys, _numbers, _read_json, _write_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _domain, _numbers, _read_json, _write_json
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, barycenter_quantile
 
@@ -151,7 +151,8 @@ class RepairPlan:
         if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
             raise DatasetError("plan groups must be a JSON array of strings")
         try:
-            domain = ScoreDomain(*(_numbers(f"plan domain {k}", data["domain"][k]) for k in ("lo", "hi")))
+            lo, hi = (_numbers(f"plan domain {k}", data["domain"][k]) for k in ("lo", "hi"))
+            domain = _domain("plan domain", lo, hi)
             fitted = {}
             for g, spec in data["fitted"].items():
                 _check_keys(f"plan fitted entry '{g}'", spec, {"atoms", "weights"})

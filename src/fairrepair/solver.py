@@ -182,7 +182,7 @@ def solve_probabilistic(
     prob = build_problem(plan, ds, kind)
     a, b = prob.base_means, prob.mean_shifts
     denom = float(b[0] - b[1])
-    if abs(denom) <= 1e-12 * plan.domain.width:  # 1e-12 in normalized units
+    if abs(denom) <= 1e-12 * np.ptp(ds.scores):  # 1e-12 of the scores' spread
         raise SolverError(
             "groups are equally shifted on average; the closed-form lambda is undefined"
         )

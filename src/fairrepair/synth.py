@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _check_keys, _numbers, _read_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _domain, _numbers, _read_json
 from .errors import DatasetError, SpecError
 
 __all__ = ["JointSpec", "sample", "split", "bundled_spec", "GENERATOR_ID"]
@@ -101,7 +101,7 @@ class JointSpec:
             lab = {g: numbers(f"label1_prob of '{g}'", data["label1_prob"][g], many=True) for g in groups}
         except OverflowError as exc:  # an integer too large for a float
             raise SpecError(f"malformed joint spec ({type(exc).__name__}: {exc})") from None
-        return cls(ScoreDomain(lo, hi), tuple(groups), props, support, pmf, lab)
+        return cls(_domain("spec domain", lo, hi, SpecError), tuple(groups), props, support, pmf, lab)
 
     @classmethod
     def from_json(cls, path) -> "JointSpec":

@@ -157,6 +157,18 @@ def test_fit_solver_error_exits_three(tmp_path, capsys):
     assert "equally shifted" in capsys.readouterr().err
 
 
+# On the wider domains the degeneracy test once scaled with the domain's width
+# and refused this lambda (exit 3), although the denominator is -0.2 on all three.
+@pytest.mark.parametrize("domain", ["0:1", "0:1e308", "-1e308:1"])
+def test_probabilistic_lambda_does_not_depend_on_the_domain(tmp_path, domain):
+    data = write_dataset(tmp_path, groups={"a": [0.1, 0.5, 0.9], "b": [0.2, 0.3, 0.4]},
+                         labels={"a": [1, 1, 1], "b": [1, 1, 1]})
+    plan_path = tmp_path / "p.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "probabilistic",
+               "--metric", "tpr", f"--domain={domain}") == 0
+    assert json.loads((tmp_path / "p.json.solution.json").read_text())["lambda"] == 1.0
+
+
 # Group 'a' has a single row under Y=1: too few for its TPR score distribution.
 ONE_POSITIVE = ({"a": [0.2, 0.4, 0.6], "b": [0.1, 0.5, 0.9]}, {"a": [1, 0, 0], "b": [1, 1, 0]})
 
@@ -839,6 +851,13 @@ def custom_spec_with(path, value):
 
 
 NAN = float("nan")
+# A domain that ScoreDomain rejects; plans and specs once reported these with
+# the bare message, and a spec's as a DatasetError.
+BAD_DOMAINS = {
+    "reversed": ({"lo": 1, "hi": 0}, "score domain needs hi > lo, got [1.0, 0.0]"),
+    "infinite-width": ({"lo": -1e308, "hi": 1e308},
+                       "score domain [-1e+308, 1e+308] has width inf; hi - lo must be finite"),
+}
 # Each case ended in a traceback or exit 0 before the spec got the plan's checks.
 BAD_SPECS = {
     "lo-not-a-number": (custom_spec_with(("domain", "lo"), "x"), "malformed joint spec"),
@@ -854,6 +873,8 @@ BAD_SPECS = {
                           "joint spec proportion of 'a': '0.5' is not a JSON number"),
     "hi-string": (custom_spec_with(("domain", "hi"), "100"),
                   "joint spec domain hi: '100' is not a JSON number"),
+    **{f"domain-{case}": (custom_spec_with(("domain",), domain), f"spec domain: {message}")
+       for case, (domain, message) in BAD_DOMAINS.items()},
 }
 
 
@@ -862,10 +883,26 @@ def test_bad_spec_is_validation_error(tmp_path, capsys, case):
     content, message = BAD_SPECS[case]
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(content)
-    assert run("generate", "--spec", spec_path, "--output", tmp_path / "out", "--n", "200") == 2
+    assert run("generate", "--spec", spec_path, "--output", tmp_path / "out", "--n", "200",
+               "--json-errors") == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert json.loads(err)["error"] == "SpecError"
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOMAINS))
+def test_plan_domain_error_names_the_plan(tmp_path, capsys, case):
+    domain, message = BAD_DOMAINS[case]
+    data = write_dataset(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    plan_path.write_text(json.dumps(dict(json.loads(plan_path.read_text()), domain=domain)))
+    capsys.readouterr()
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv",
+               "--json-errors") == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DatasetError", "message": f"plan domain: {message}", "exit_code": 2}
 
 
 def test_spec_bytes_keep_exit_code_contract(tmp_path):

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from fairrepair import (
     TPR,
-    DatasetError,
     bundled_spec,
     build_problem,
     fit_plan,
@@ -77,8 +78,9 @@ def test_frozen_shifts_give_constant_loss():
 
 
 def test_lp_size_per_round(monkeypatch):
-    """Round k of a 4-group solve has 12 u rows, 4 loss rows and one row per
-    nonempty subset of fewer than k groups, over 4 + 6 + 1 + 4 columns."""
+    """Round k of an n-group solve has 2*C(n,2) + k*n + (k-1) rows (the u
+    rows, k blocks of n excess rows, one bound per earlier round) over
+    n + C(n,2) + k*(n+1) columns (lambdas, u, k blocks of t_j and v_j)."""
     import fairrepair.lex as lex
 
     shapes = []
@@ -89,14 +91,60 @@ def test_lp_size_per_round(monkeypatch):
 
     monkeypatch.setattr(lex, "linprog", recording_linprog)
     solve_lexicographic(synthetic_problem([0.3, 0.5, 0.6, 0.9], [0.2, 0.0, -0.1, -0.3]))
-    assert shapes == [(16, 15), (20, 15), (26, 15), (30, 15)]
+    assert shapes == [(16, 15), (21, 20), (26, 25), (31, 30)]
 
 
-def test_too_many_groups_rejected(rng):
-    ds = make_dataset({f"g{i:02d}": [0.1 + 0.01 * i, 0.2 + 0.01 * i] for i in range(13)})
-    plan = fit_plan(ds)
-    with pytest.raises(DatasetError, match="at most"):
-        build_problem(plan, ds, TPR)
+def test_thirteen_groups_accepted():
+    groups = {f"g{i:02d}": [0.1 + 0.01 * i, 0.2 + 0.01 * i] for i in range(13)}
+    ds = make_dataset(groups, dict.fromkeys(groups, [1, 1]))
+    prob = build_problem(fit_plan(ds), ds, TPR)
+    assert prob.n == 13
+
+
+def subset_round_optimum(prob, k, inherited):
+    """Round k's optimum through the subset encoding, solved by HiGHS.
+
+    Variables: lambdas, u per pair, a free t and v_g >= L_g - t; each earlier
+    round j bounds the summed loss of every subset of j groups by eps_j + alpha.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    n = prob.n
+    pairs = list(itertools.combinations(range(n), 2))
+    ncols = n + len(pairs) + 1 + n
+    rows, rhs = [], []
+    loss = np.zeros((n, ncols))
+    for p, (i, j) in enumerate(pairs):
+        for sign in (1.0, -1.0):  # sign * (m_i - m_j) <= u_ij
+            row = np.zeros(ncols)
+            row[i], row[j], row[n + p] = sign * prob.mean_shifts[i], -sign * prob.mean_shifts[j], -1.0
+            rows.append(row)
+            rhs.append(-sign * (prob.base_means[i] - prob.base_means[j]))
+        loss[[i, j], n + p] = 1.0
+    for g in range(n):  # L_g - t - v_g <= 0
+        rows.append(loss[g] - np.eye(ncols)[n + len(pairs)] - np.eye(ncols)[ncols - n + g])
+        rhs.append(0.0)
+    for j, eps in enumerate(inherited, start=1):
+        for subset in itertools.combinations(range(n), j):
+            rows.append(loss[list(subset)].sum(axis=0))
+            rhs.append(eps + prob.alpha)
+    cost = np.concatenate([np.full(n, prob.eps_stab), np.zeros(len(pairs)), [float(k)], np.ones(n)])
+    bounds = [(0, 1)] * n + [(0, None)] * len(pairs) + [(None, None)] + [(0, None)] * n
+    # HiGHS's default 1e-7 feasibility tolerances can stop it 3e-8 short of the optimum.
+    res = optimize.linprog(cost, np.array(rows), rhs, bounds=bounds, method="highs",
+                           options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_round_optima_match_subset_encoding(rng):
+    """Each round's optimum (its epsilon plus the stabilization pull) equals
+    the HiGHS optimum of the same round in the explicit subset encoding."""
+    for n in range(3, 8):
+        prob = synthetic_problem(rng.random(n), rng.normal(scale=0.3, size=n))
+        sol = solve_lexicographic(prob)
+        for k, rnd in enumerate(sol.rounds, start=1):
+            ours = rnd["epsilon"] + prob.eps_stab * sum(rnd["lambdas"].values())
+            assert ours == pytest.approx(subset_round_optimum(prob, k, sol.epsilons[:k - 1]), abs=1e-9)
 
 
 # -- max-min ---------------------------------------------------------------------

@@ -34,15 +34,6 @@ def test_classic_two_variable():
     assert np.allclose(x, [2.0, 6.0], atol=1e-9)
 
 
-def test_free_variable_split():
-    # min t st t >= 3 (written as -t <= -3)
-    x = linprog([1.0], [[-1.0]], [-3.0], bounds=[(None, None)])
-    assert x[0] == pytest.approx(3.0, abs=1e-9)
-    # min -t st t <= -2 (optimum at a negative value)
-    x = linprog([-1.0], [[1.0]], [-2.0], bounds=[(None, None)])
-    assert x[0] == pytest.approx(-2.0, abs=1e-9)
-
-
 def test_negative_rhs_needs_phase_one():
     # x + y >= 2, x, y in [0, 3], min x + 2y -> (2, 0)
     c = [1.0, 2.0]
@@ -86,14 +77,16 @@ def test_epigraph_max_reduction(rng):
     for _ in range(20):
         a = rng.normal(size=4)
         bb = rng.normal(size=4)
-        # variables: z, t; minimize t st t >= a_i + b_i z
+        # variables: z, t >= 0; minimize t st t >= a_i + b_i z + shift, where
+        # the shift keeps the max positive
+        shift = 1.0 + np.abs(a).max() + np.abs(bb).max()
         c = [0.0, 1.0]
         A = [[bi, -1.0] for bi in bb]
-        rhs = [-ai for ai in a]
-        x = linprog(c, A, rhs, bounds=[(0.0, 1.0), (None, None)])
+        rhs = [-ai - shift for ai in a]
+        x = linprog(c, A, rhs, bounds=[(0.0, 1.0), (0.0, None)])
         zs = np.linspace(0, 1, 20001)
         oracle = np.min(np.max(a[:, None] + bb[:, None] * zs[None, :], axis=0))
-        assert x[1] == pytest.approx(oracle, abs=1e-4)
+        assert x[1] - shift == pytest.approx(oracle, abs=1e-4)
 
 
 def test_random_lps_against_vertex_enumeration(rng):
@@ -134,9 +127,10 @@ def test_phase_one_pivots_leftover_artificial_out():
 @pytest.mark.parametrize("A, b, bounds, message", [
     ([[1.0]], [1.0, 2.0], [(0.0, None)], "one b_ub entry per A_ub row"),
     ([[1.0]], [1.0], [(0.0, None), (0.0, None)], "one .* bound pair per variable"),
-    ([[1.0]], [1.0], [(0.5, None)], "lower bounds other than 0"),
-    ([[1.0]], [1.0], [(None, 2.0)], "upper bound on a free variable"),
-], ids=["b_ub_length", "bounds_length", "lower_bound", "free_upper_bound"])
+    ([[1.0]], [1.0], [(0.5, None)], "lower bounds other than 0 are not supported"),
+    ([[1.0]], [1.0], [(None, None)], "lower bounds other than 0 are not supported"),
+    ([[1.0]], [1.0], [(None, 2.0)], "lower bounds other than 0 are not supported"),
+], ids=["b_ub_length", "bounds_length", "lower_bound", "free", "free_upper_bound"])
 def test_malformed_problem_rejected(A, b, bounds, message):
     with pytest.raises(LPError, match=message):
         linprog([1.0], A, b, bounds)
