@@ -57,12 +57,16 @@ for q in (0.25, 0.5, 1.0):
     print(f"barycenter quantile at {q:.2f}: {barycenter_quantile([high, low], w, q):.3f}")
 
 ##############################################################################
-# A repair plan holds the groups' fitted distributions and their weights.  It
-# tabulates each group's transport map T(x) = Q_bary(F_group(x)) once: a step
-# function that only changes value at the group's atoms.
+# A repair plan holds the groups' fitted distributions: atoms with integer
+# counts, here one per sample.  Each group weighs its share of the total count
+# (4 of 8 rows each, so 50/50).  The plan tabulates each group's transport map
+# T(x) = Q_bary(F_group(x)) once: a step function that only changes value at
+# the group's atoms.
 
-plan = RepairPlan(ScoreDomain(0.0, 1.0), ("high", "low"), np.array(w),
+print("\ncounts (high):", high.counts, " levels:", high.breakpoints)
+plan = RepairPlan(ScoreDomain(0.0, 1.0), ("high", "low"),
                   {"high": high, "low": low}, {"high": 1.0, "low": 1.0})
+print("group weights:", plan.group_weights)
 x = 0.2
 moved = plan.total_repair_score("high", x)
 print(f"\nscore {x} from 'high' lands at {moved:.3f} on the 50/50 barycenter")

@@ -249,7 +249,7 @@ def parse_metric(name: str) -> MetricKind:
 
 @dataclass(frozen=True)
 class MetricCombo:
-    """Nonnegatively weighted combination of metric kinds."""
+    """Nonnegatively weighted combination of metric kinds; the weights have a positive sum."""
 
     terms: tuple[tuple[MetricKind, float], ...]
 
@@ -261,8 +261,8 @@ class MetricCombo:
             if not (math.isfinite(w) and w >= 0):
                 raise DatasetError(f"weight for {kind} must be finite and >= 0")
             total += w
-        if not math.isfinite(total):
-            raise DatasetError(f"metric weights must have a finite sum, got {total} for '{self}'")
+        if not 0.0 < total < math.inf:
+            raise DatasetError(f"metric weights must have a positive, finite sum, got {total} for '{self}'")
 
     @property
     def kinds(self) -> list[MetricKind]:
@@ -495,10 +495,10 @@ def _numbers(what: str, value, error: type[Exception] = DatasetError, many: bool
     return np.array(value, dtype=float) if many else float(value)
 
 
-def _domain(what: str, lo: float, hi: float, error: type[Exception] = DatasetError) -> ScoreDomain:
-    """``ScoreDomain(lo, hi)``, its error naming ``what`` and raised as ``error``."""
+def _named(what: str, make, *args, error: type[Exception] = DatasetError):
+    """``make(*args)``, a ``DatasetError`` from it naming ``what`` and raised as ``error``."""
     try:
-        return ScoreDomain(lo, hi)
+        return make(*args)
     except DatasetError as exc:
         raise error(f"{what}: {exc}") from None
 

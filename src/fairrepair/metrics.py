@@ -4,9 +4,10 @@ A rate curve evaluates, per group, the probability that the thresholded
 prediction 1{score >= tau} equals a chosen class, optionally conditioned on
 the true label, across a grid of thresholds.  Disparity between two groups is
 both estimated on the grid (trapezoid rule against a uniform threshold) and
-computed exactly as a Wasserstein distance between the groups' conditional
-score distributions; for order p = 1 the two agree up to grid resolution, and
-the Wasserstein number is the authoritative one.
+computed exactly as W_p^p between the groups' conditional score
+distributions.  For order p = 1 the two agree up to grid resolution, and the
+Wasserstein number is the authoritative one; for p != 1 they are different
+quantities.
 """
 
 from __future__ import annotations
@@ -158,11 +159,11 @@ def distributional_disparity(
 ) -> DisparityReport:
     """Threshold-averaged rate disparity per group pair, both routes.
 
-    The grid estimate integrates |gamma_a(tau) - gamma_b(tau)|^p against a
-    uniform threshold on the domain (trapezoid rule).  The exact route is the
-    p-th-power Wasserstein distance between the pair's conditional score
-    distributions on the normalized domain, which the grid estimate converges
-    to as the grid refines (exact identity at p = 1).
+    ``expected_gap`` estimates the integral of |gamma_a(tau) - gamma_b(tau)|^p
+    d tau / width on the grid (trapezoid rule).  ``exact_gap`` is W_p^p between
+    the pair's conditional score distributions on the normalized domain.  At
+    p = 1 the two are the same integral, so the estimate converges to W_1 as the
+    grid refines; at p != 1 it converges to a different quantity.
     """
     if len(ds.groups) < 2:
         raise DatasetError("disparity needs at least 2 groups")

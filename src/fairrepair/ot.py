@@ -1,9 +1,9 @@
 """Closed-form univariate optimal transport on empirical distributions.
 
 All distributions here live on normalized scores in [0, 1].  An empirical
-distribution is a weighted set of atoms; its CDF is a right-continuous step
-function and its quantile function is the generalized inverse
-F^-1(a) = inf{t : F(t) >= a}.  In one dimension that is enough for exact
+distribution is a set of atoms with integer counts; its CDF is a
+right-continuous step function and its quantile function is the generalized
+inverse F^-1(a) = inf{t : F(t) >= a}.  In one dimension that is enough for exact
 Wasserstein distances, barycenters, and monotone transport maps: the distance
 is an integral of the quantile difference, the barycenter's quantile function
 is the weighted average of the inputs' quantile functions, and the transport
@@ -19,64 +19,55 @@ from .errors import DatasetError
 
 __all__ = ["EmpiricalDistribution", "wasserstein", "barycenter_quantile"]
 
-_WEIGHT_TOL = 1e-12
+_TOL = 1e-12
+_MAX_TOTAL = 2**53  # every integer up to here is a float, so each level k/n rounds once
 
 
 class EmpiricalDistribution:
-    """Sorted atoms in [0, 1] with positive weights summing to 1.
+    """Sorted atoms in [0, 1], each with a positive integer count.
 
-    The weights are kept as given, so a distribution rebuilt from its own atoms
-    and weights is bit for bit the same.  Duplicate atom values are merged
-    (weights summed) so the CDF and quantile functions are well defined.
-    ``breakpoints`` holds the cumulative weights, the last pinned to 1.0;
-    quantile() is constant on (breakpoints[i-1], breakpoints[i]].
+    Duplicate atom values are merged (counts summed) so the CDF and quantile
+    functions are well defined.  With n the total count, ``breakpoints`` holds
+    the levels cumsum(counts) / n: each is the exact rational k/n rounded once,
+    so equal levels of different distributions are equal floats, and the last
+    is 1.0.  quantile() is constant on (breakpoints[i-1], breakpoints[i]].
     Instances are immutable.
     """
 
-    __slots__ = ("atoms", "weights", "breakpoints")
+    __slots__ = ("atoms", "counts", "breakpoints")
 
-    def __init__(self, atoms, weights):
+    def __init__(self, atoms, counts):
         atoms = np.asarray(atoms, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if atoms.ndim != 1 or atoms.shape != weights.shape:
-            raise DatasetError("atoms and weights must be equal-length 1-d arrays")
+        counts = np.asarray(counts)
+        if atoms.ndim != 1 or atoms.shape != counts.shape:
+            raise DatasetError("atoms and counts must be equal-length 1-d arrays")
         if atoms.size == 0:
             raise DatasetError("empirical distribution needs at least one atom")
         if not np.all(np.isfinite(atoms)):
             raise DatasetError("atoms must be finite")
-        if atoms.min() < -_WEIGHT_TOL or atoms.max() > 1 + _WEIGHT_TOL:
+        if atoms.min() < -_TOL or atoms.max() > 1 + _TOL:
             raise DatasetError("atoms must lie in [0, 1] (normalized scores)")
-        if not np.all(weights > 0):  # also rejects NaN
-            raise DatasetError("weights must be positive")
-        total = weights.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise DatasetError(f"weights must sum to 1, got {total}")
+        if counts.dtype.kind not in "iu" or not np.all(counts > 0):
+            raise DatasetError("counts must be positive integers")
+        total = counts.sum(dtype=float)  # exact up to 2**53, and it cannot overflow
+        if total <= _MAX_TOTAL:
+            total = counts.sum()  # exact: the float sum rounds 2**53 + 1 down
+        if total > _MAX_TOTAL:
+            raise DatasetError(f"counts must total at most 2**53, got {total}")
 
         order = np.argsort(atoms, kind="stable")
         atoms = np.clip(atoms[order], 0.0, 1.0)
-        weights = weights[order]
-
-        # Merge exact ties.
-        keep = np.empty(atoms.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(atoms[1:], atoms[:-1], out=keep[1:])
-        idx = np.cumsum(keep) - 1
-        merged_atoms = atoms[keep]
-        merged_weights = np.zeros(merged_atoms.size)
-        np.add.at(merged_weights, idx, weights)
-
-        cumw = np.cumsum(merged_weights)
-        cumw[-1] = 1.0  # kill cumulative rounding at the top
-
-        self.atoms = merged_atoms
-        self.weights = merged_weights
-        self.breakpoints = cumw
-        for a in (self.atoms, self.weights, self.breakpoints):
+        first = np.flatnonzero(np.concatenate(([True], atoms[1:] != atoms[:-1])))  # exact ties merge
+        self.atoms = atoms[first]
+        self.counts = np.add.reduceat(counts.astype(np.int64)[order], first)
+        cumulative = np.cumsum(self.counts)
+        self.breakpoints = cumulative / cumulative[-1]  # integers up to 2**53: one rounding each
+        for a in (self.atoms, self.counts, self.breakpoints):
             a.flags.writeable = False
 
     @classmethod
     def from_samples(cls, values) -> "EmpiricalDistribution":
-        """Distribution of a sample, each point weighted equally.
+        """Distribution of a sample, each point counted once.
 
         Requires at least two sample points; ties may still merge to a single
         atom (a legitimate point mass).
@@ -84,20 +75,19 @@ class EmpiricalDistribution:
         values = np.asarray(values, dtype=float)
         if values.size < 2:
             raise DatasetError("need at least 2 sample points")
-        weights = np.full(values.size, 1.0 / values.size)
-        return cls(values, weights / weights.sum())
+        return cls(values, np.ones(values.size, dtype=np.int64))
 
     def _toward(self, targets: np.ndarray, lam: float) -> "EmpiricalDistribution":
-        """The same weights on atoms moved a fraction lam of the way to targets.
+        """The same counts on atoms moved a fraction lam of the way to targets.
 
         Targets are nondecreasing in [0, 1], one per atom, so the moved atoms
         stay sorted.  Unlike the constructor this does not merge ties: the
-        cumulative weights stay bit-identical, and atoms that meet stay
-        separate, which leaves the CDF and quantile function unchanged.
+        levels stay bit-identical, and atoms that meet stay separate, which
+        leaves the CDF and quantile function unchanged.
         """
         out = object.__new__(EmpiricalDistribution)
         out.atoms = np.clip((1.0 - lam) * self.atoms + lam * targets, 0.0, 1.0)
-        out.weights, out.breakpoints = self.weights, self.breakpoints
+        out.counts, out.breakpoints = self.counts, self.breakpoints
         out.atoms.flags.writeable = False
         return out
 
@@ -108,6 +98,8 @@ class EmpiricalDistribution:
     def cdf(self, x):
         """P(X <= x); right-continuous step function."""
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise DatasetError("cdf argument must not be NaN")
         idx = np.searchsorted(self.atoms, x, side="right")
         padded = np.concatenate(([0.0], self.breakpoints))
         out = padded[idx]
@@ -119,7 +111,7 @@ class EmpiricalDistribution:
         a = 0 returns the smallest atom (infimum over the support).
         """
         a = np.asarray(a, dtype=float)
-        if not np.all((a >= -_WEIGHT_TOL) & (a <= 1 + _WEIGHT_TOL)):  # also rejects NaN
+        if not np.all((a >= -_TOL) & (a <= 1 + _TOL)):  # also rejects NaN
             raise DatasetError("quantile level must lie in [0, 1]")
         # Levels are at most 1.0, the last breakpoint, so idx < n_atoms.
         idx = np.searchsorted(self.breakpoints, np.clip(a, 0.0, 1.0), side="left")
@@ -130,7 +122,7 @@ class EmpiricalDistribution:
         return (
             isinstance(other, EmpiricalDistribution)
             and np.array_equal(self.atoms, other.atoms)
-            and np.array_equal(self.weights, other.weights)
+            and np.array_equal(self.counts, other.counts)
         )
 
     def __repr__(self) -> str:
@@ -141,8 +133,8 @@ def wasserstein(d1: EmpiricalDistribution, d2: EmpiricalDistribution, p: float =
     """p-th power of the p-Wasserstein distance, W_p^p.
 
     Computed exactly as the integral over [0, 1] of |F1^-1 - F2^-1|^p: both
-    quantile functions are constant between consecutive merged cumulative
-    weights, so the integral is a finite sum over that partition.
+    quantile functions are constant between consecutive merged levels, so the
+    integral is a finite sum over that partition.
     """
     if not 1.0 <= p < np.inf:  # also rejects NaN
         raise DatasetError(f"order p must be finite and >= 1, got {p}")

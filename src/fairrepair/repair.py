@@ -1,8 +1,9 @@
 """Barycenter repair plans: fit, shift, partial application, serialization.
 
-A plan stores each group's fitted (unconditional) score distribution and the
-group proportions.  Full repair transports a score onto the proportion-
-weighted barycenter of all group distributions; partial repair moves it a
+A plan stores each group's fitted (unconditional) score distribution as atoms
+with integer counts; the group proportions are the groups' shares of the
+total count.  Full repair transports a score onto the proportion-weighted
+barycenter of all group distributions; partial repair moves it a
 fraction lambda of the way along that straight-line path.  Fitting needs no
 labels; labels only ever enter through the choice of lambda.
 """
@@ -13,44 +14,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _check_keys, _domain, _numbers, _read_json, _write_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _named, _numbers, _read_json, _write_json
 from .errors import DatasetError
-from .ot import EmpiricalDistribution, barycenter_quantile
+from .ot import _MAX_TOTAL, EmpiricalDistribution, barycenter_quantile
 
 __all__ = ["RepairPlan", "fit_plan", "load_plan", "save_plan"]
 
-PLAN_FORMAT_VERSION = 1
-_PLAN_KEYS = {"format_version", "domain", "groups", "group_weights", "fitted", "lambdas"}
+PLAN_FORMAT_VERSION = 2
+_PLAN_KEYS = {"format_version", "domain", "groups", "fitted", "lambdas"}
 
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """Fitted per-group quantile tables, proportions, and a lambda per group."""
+    """Fitted per-group quantile tables and a lambda per group.
+
+    ``group_weights`` are the proportions p_g: each group's total count over
+    the grand total, in ``groups`` order.
+    """
 
     domain: ScoreDomain
     groups: tuple[str, ...]
-    group_weights: np.ndarray
     fitted: dict[str, EmpiricalDistribution]
     lambdas: dict[str, float]
+    group_weights: np.ndarray = field(init=False, repr=False, compare=False)
     _targets: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.group_weights, dtype=float)
         if len(self.groups) < 2 or len(set(self.groups)) != len(self.groups):
             raise DatasetError("repair needs at least 2 distinct groups")
-        # np.all(w >= 0) is False for a NaN weight, unlike np.any(w < 0).
-        if w.shape != (len(self.groups),) or not np.all(w >= 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise DatasetError("group weights must be nonnegative and sum to 1")
         for name, table in (("fitted distributions", self.fitted), ("lambdas", self.lambdas)):
             if set(table) != set(self.groups):
                 raise DatasetError(f"plan {name} must cover exactly the groups {sorted(self.groups)}")
         for g in self.groups:
             if not 0.0 <= self.lambdas[g] <= 1.0:
                 raise DatasetError(f"lambda for group '{g}' must lie in [0, 1]")
+        dists = [self.fitted[g] for g in self.groups]
+        totals = np.array([d.counts.sum() for d in dists], dtype=float)  # each exact, at most 2**53
+        w = totals / totals.sum()
         object.__setattr__(self, "group_weights", w)
         # Full repair T_g = Q_bary o F_g is a step function that changes value
-        # only at g's atoms: tabulate Q_bary at 0 and at each cumulative weight.
-        dists = [self.fitted[g] for g in self.groups]
+        # only at g's atoms: tabulate Q_bary at 0 and at each of g's levels.
         object.__setattr__(self, "_targets", {
             g: barycenter_quantile(dists, w, np.concatenate(([0.0], self.fitted[g].breakpoints)))
             for g in self.groups
@@ -68,7 +71,7 @@ class RepairPlan:
         """Fully repaired score: transport of x onto the group barycenter."""
         targets = self._targets_of(group)
         z = self.domain.normalize(x)
-        if np.any(z < 0) or np.any(z > 1):
+        if not np.all((z >= 0) & (z <= 1)):  # also rejects NaN
             raise DatasetError("score outside plan domain")
         idx = np.searchsorted(self.fitted[group].atoms, z, side="right")
         return self.domain.denormalize(targets[idx])
@@ -117,7 +120,7 @@ class RepairPlan:
     def with_lambdas(self, lambdas: dict[str, float]) -> "RepairPlan":
         merged = dict(self.lambdas)
         merged.update(lambdas)
-        return RepairPlan(self.domain, self.groups, self.group_weights, self.fitted, merged)
+        return RepairPlan(self.domain, self.groups, self.fitted, merged)
 
     # -- serialization -------------------------------------------------------
 
@@ -126,14 +129,8 @@ class RepairPlan:
             "format_version": PLAN_FORMAT_VERSION,
             "domain": {"lo": float(self.domain.lo), "hi": float(self.domain.hi)},
             "groups": list(self.groups),
-            "group_weights": [float(w) for w in self.group_weights],
-            "fitted": {
-                g: {
-                    "atoms": [float(a) for a in d.atoms],
-                    "weights": [float(w) for w in d.weights],
-                }
-                for g, d in self.fitted.items()
-            },
+            "fitted": {g: {"atoms": d.atoms.tolist(), "counts": d.counts.tolist()}
+                       for g, d in self.fitted.items()},
             "lambdas": {g: float(self.lambdas[g]) for g in self.groups},
         }
 
@@ -143,8 +140,9 @@ class RepairPlan:
         if not isinstance(data, dict):
             raise DatasetError("plan must be a JSON object")
         version = data.get("format_version")
-        if version != PLAN_FORMAT_VERSION:
-            raise DatasetError(f"unsupported plan format_version {version!r}")
+        if version != PLAN_FORMAT_VERSION:  # 1 stored float weights: re-fitting writes the counts
+            raise DatasetError(f"unsupported plan format_version {version!r}; this release reads "
+                               f"format_version {PLAN_FORMAT_VERSION}: re-run `fairrepair fit` to write one")
         _check_keys("plan", data, _PLAN_KEYS)
         _check_keys("plan domain", data["domain"], {"lo", "hi"})
         groups = data["groups"]
@@ -152,19 +150,15 @@ class RepairPlan:
             raise DatasetError("plan groups must be a JSON array of strings")
         try:
             lo, hi = (_numbers(f"plan domain {k}", data["domain"][k]) for k in ("lo", "hi"))
-            domain = _domain("plan domain", lo, hi)
+            domain = _named("plan domain", ScoreDomain, lo, hi)
             fitted = {}
             for g, spec in data["fitted"].items():
-                _check_keys(f"plan fitted entry '{g}'", spec, {"atoms", "weights"})
-                fitted[g] = EmpiricalDistribution(
-                    *(_numbers(f"plan {k} of '{g}'", spec[k], many=True) for k in ("atoms", "weights")))
-            return cls(
-                domain,
-                tuple(groups),
-                _numbers("plan group_weights", data["group_weights"], many=True),
-                fitted,
-                {g: _numbers(f"plan lambda of '{g}'", v) for g, v in data["lambdas"].items()},
-            )
+                _check_keys(f"plan fitted entry '{g}'", spec, {"atoms", "counts"})
+                atoms = _numbers(f"plan atoms of '{g}'", spec["atoms"], many=True)
+                counts = _counts(f"plan counts of '{g}'", spec["counts"])
+                fitted[g] = _named(f"plan fitted entry '{g}'", EmpiricalDistribution, atoms, counts)
+            lambdas = {g: _numbers(f"plan lambda of '{g}'", v) for g, v in data["lambdas"].items()}
+            return cls(domain, tuple(groups), fitted, lambdas)
         except DatasetError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
@@ -172,7 +166,7 @@ class RepairPlan:
 
 
 def fit_plan(ds: ScoredDataset) -> RepairPlan:
-    """Fit per-group unconditional distributions; proportions become weights.
+    """Fit per-group unconditional distributions, one count per row.
 
     Label-free.  Every lambda is 1 (full repair); solvers replace them
     afterwards via :meth:`RepairPlan.with_lambdas`.
@@ -183,7 +177,17 @@ def fit_plan(ds: ScoredDataset) -> RepairPlan:
         g: EmpiricalDistribution.from_samples(ds.domain.normalize(ds.group_scores(g)))
         for g in ds.groups
     }
-    return RepairPlan(ds.domain, ds.groups, ds.proportions, fitted, dict.fromkeys(ds.groups, 1.0))
+    return RepairPlan(ds.domain, ds.groups, fitted, dict.fromkeys(ds.groups, 1.0))
+
+
+def _counts(what: str, value) -> np.ndarray:
+    """A JSON array of integers in [1, 2**53] as an int64 array; a boolean or 1.0 names the field."""
+    if not isinstance(value, list):
+        raise DatasetError(f"malformed {what}: expected a JSON array, got {type(value).__name__}")
+    for v in value:
+        if type(v) is not int or not 0 < v <= _MAX_TOTAL:
+            raise DatasetError(f"malformed {what}: {v!r:.40} is not a JSON integer in [1, 2**53]")
+    return np.array(value, dtype=np.int64)
 
 
 def save_plan(plan: RepairPlan, path) -> None:

@@ -72,7 +72,7 @@ class _RepairPath:
     """The objective's conditional distributions along the repair path.
 
     Partial repair moves a conditional atom z to (1-lam)*z + lam*T(z) with T
-    monotone, so the atoms' order, ties and weights do not depend on lam.  Each
+    monotone, so the atoms' order, ties and counts do not depend on lam.  Each
     nonzero term keeps, per group, the lam = 0 distribution and T at its atoms;
     an evaluation only moves the atoms.
     """

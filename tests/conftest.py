@@ -29,11 +29,9 @@ def random_binary_dataset(rng, n_per_group=(300, 400), means=(0.45, 0.6), sd=0.1
 
 
 def random_distribution(rng, max_atoms=5):
-    """Small random empirical distribution on [0, 1]."""
+    """Atoms and integer counts of a small random empirical distribution on [0, 1]."""
     k = rng.integers(2, max_atoms + 1)
-    atoms = np.sort(rng.random(k))
-    w = rng.random(k) + 0.1
-    return atoms, w / w.sum()
+    return np.sort(rng.random(k)), rng.integers(1, 10, k)
 
 
 @pytest.fixture

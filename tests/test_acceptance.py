@@ -148,7 +148,7 @@ def test_criterion_5_reweighted_barycenter_identity():
                 plan.fitted[other].quantile(d.breakpoints)
             )
             got = plan.repaired_distribution(g, lam)
-            merged = EmpiricalDistribution(expected, d.weights)
+            merged = EmpiricalDistribution(expected, d.counts)
             worst = max(worst, float(np.max(np.abs(got.atoms - merged.atoms))))
     _report(5, worst <= 1e-12, f"max atom deviation = {worst:.2e} (tol 1e-12)")
 

@@ -415,8 +415,6 @@ BAD_PLAN_NUMBERS = {
     "hi-true": (lambda data: data["domain"].update(hi=True), "plan domain hi: True"),
     "lambda-true": (lambda data: data["lambdas"].update(A=True), "plan lambda of 'A': True"),
     "atom-string": (lambda data: _set_first_atom(data, "0.01"), "plan atoms of 'A': '0.01'"),
-    "weights-strings": (lambda data: data.update(group_weights=["0.5", "0.5"]),
-                        "plan group_weights: '0.5'"),
 }
 
 
@@ -432,6 +430,53 @@ def test_plan_numbers_must_be_json_numbers(tmp_path, capsys, case):
     assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
     assert f"{message} is not a JSON number" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+def _set_counts(data, *counts):
+    data["fitted"]["A"]["counts"][:len(counts)] = counts
+
+
+BAD_PLAN_COUNTS = {
+    "string": (lambda data: _set_counts(data, "1"), "plan counts of 'A': '1' is not a JSON integer"),
+    "true": (lambda data: _set_counts(data, True), "plan counts of 'A': True is not a JSON integer"),
+    "float": (lambda data: _set_counts(data, 1.0), "plan counts of 'A': 1.0 is not a JSON integer"),
+    "zero": (lambda data: _set_counts(data, 0), "plan counts of 'A': 0 is not a JSON integer"),
+    "negative": (lambda data: _set_counts(data, -2), "plan counts of 'A': -2 is not a JSON integer"),
+    "huge": (lambda data: _set_counts(data, 10**30), "plan counts of 'A': 1000000000000000000"),
+    "not-an-array": (lambda data: data["fitted"]["A"].update(counts=1),
+                     "malformed plan counts of 'A': expected a JSON array"),
+    "total": (lambda data: _set_counts(data, 2**53, 1),  # and two more atoms counted once
+              f"plan fitted entry 'A': counts must total at most 2**53, got {2**53 + 3}"),
+    "length": (lambda data: data["fitted"]["A"]["counts"].pop(),
+               "plan fitted entry 'A': atoms and counts must be equal-length 1-d arrays"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_COUNTS))
+def test_plan_counts_must_be_positive_json_integers(tmp_path, capsys, case):
+    edit, message = BAD_PLAN_COUNTS[case]
+    plan_path = tmp_path / "plan.json"
+    data = write_dataset(tmp_path)
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    payload = json.loads(plan_path.read_text())
+    edit(payload)
+    plan_path.write_text(json.dumps(payload))
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_format_version_1_plan_exits_two_naming_the_version(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    data = write_dataset(tmp_path)
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
+    payload = json.loads(plan_path.read_text())
+    assert payload["format_version"] == 2 and "group_weights" not in payload
+    payload["format_version"] = 1
+    plan_path.write_text(json.dumps(payload))
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+    err = capsys.readouterr().err
+    assert "unsupported plan format_version 1" in err and "re-run `fairrepair fit`" in err
 
 
 # -- lambda-sweep ------------------------------------------------------------------
@@ -562,7 +607,7 @@ def _valid(flag, value) -> bool:
                 if not 0.0 <= w < math.inf:
                     return False
                 total += w  # in term order, as the combination adds them
-            return math.isfinite(total)
+            return 0.0 < total < math.inf
     except ValueError:
         return False
     return True
@@ -758,10 +803,24 @@ def test_metric_weights_must_have_a_finite_sum(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run(*command, "--input", data, "--output", out, "--metric", HUGE_WEIGHTS) == 2
     err = capsys.readouterr().err
-    assert "metric weights must have a finite sum, got inf" in err and "Traceback" not in err
+    assert "metric weights must have a positive, finite sum, got inf" in err and "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
     # One huge weight is still a valid weight.
     assert run(*command, "--input", data, "--output", out, "--metric", "pr:1e308,tpr:0") == 0
+
+
+# Before the sum had to be positive, fit --metric tpr:0 wrote a plan with exit 0
+# whose objective was 0 at every lambda.
+@pytest.mark.parametrize("command", [("evaluate",), ("fit", "--solver", "exact"), ("lambda-sweep",)],
+                         ids=lambda c: c[-1])
+@pytest.mark.parametrize("metric", ["tpr:0", "tpr:0,fpr:0", "tpr:-0.0"])
+def test_metric_weights_must_have_a_positive_sum(tmp_path, capsys, command, metric):
+    data = write_dataset(tmp_path, "in.csv", groups={"a": [0.1, 0.5, 0.9, 0.3], "b": [0.2, 0.4, 0.8, 0.6]},
+                         labels={"a": [0, 1, 1, 0], "b": [1, 0, 1, 0]})
+    assert run(*command, "--input", data, "--output", tmp_path / "out", "--metric", metric) == 2
+    err = capsys.readouterr().err
+    assert "metric weights must have a positive, finite sum, got 0.0" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
 
 
 BAD_FIT_VALUES = [("p", "nan"), ("p", "inf"), ("p", "0"), ("tol", "nan"), ("tol", "-1"),

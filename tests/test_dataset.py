@@ -184,6 +184,9 @@ def test_combo_rejects_negative_weight_and_empty():
     with pytest.raises(DatasetError, match="finite sum, got inf"):
         parse_combo("tpr:1e308,fpr:1e308")
     assert parse_combo("tpr:1e308,fpr:0").terms[0][1] == 1e308
+    for text in ("tpr:0", "tpr:0,fpr:0"):  # every rate weighted 0 leaves nothing to minimize
+        with pytest.raises(DatasetError, match="positive, finite sum, got 0.0"):
+            parse_combo(text)
 
 
 # -- CSV ---------------------------------------------------------------------

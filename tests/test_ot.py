@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +24,18 @@ def dist(values):
 
 
 def to_barycenter(dists, w, source_index, x):
-    """Full repair of source group x through a plan: F_beta^-1(F_source(x))."""
+    """Full repair of source group x through a plan: F_beta^-1(F_source(x)).
+
+    A plan weighs each group by its total count, so each distribution's counts
+    are scaled to make the weights proportional to the positive integers ``w``;
+    scaling leaves every level k/n as it was.
+    """
+    totals = [int(d.counts.sum()) for d in dists]
+    scaled = [EmpiricalDistribution(d.atoms, d.counts * (wi * math.prod(totals) // t))
+              for d, wi, t in zip(dists, w, totals)]
     groups = tuple(f"g{i}" for i in range(len(dists)))
-    plan = RepairPlan(UNIT, groups, np.asarray(w, dtype=float), dict(zip(groups, dists)),
-                      {g: 1.0 for g in groups})
+    plan = RepairPlan(UNIT, groups, dict(zip(groups, scaled)), {g: 1.0 for g in groups})
+    assert np.array_equal(plan.group_weights, np.asarray(w) / sum(w))
     return plan.total_repair_score(groups[source_index], x)
 
 
@@ -41,8 +51,7 @@ def test_cdf_counts_mass_at_or_below():
 
 
 def test_cdf_monotone(rng):
-    atoms, w = random_distribution(rng, max_atoms=8)
-    d = EmpiricalDistribution(atoms, w)
+    d = EmpiricalDistribution(*random_distribution(rng, max_atoms=8))
     xs = np.sort(rng.random(50))
     vals = d.cdf(xs)
     assert np.all(np.diff(vals) >= 0)
@@ -70,37 +79,95 @@ def test_quantile_rejects_out_of_range():
 
 
 def test_quantile_nondecreasing(rng):
-    atoms, w = random_distribution(rng, max_atoms=7)
-    d = EmpiricalDistribution(atoms, w)
+    d = EmpiricalDistribution(*random_distribution(rng, max_atoms=7))
     a = np.sort(rng.random(40))
     assert np.all(np.diff(d.quantile(a)) >= -0.0)
 
 
 def test_quantile_cdf_identity_at_atoms(rng):
     for _ in range(30):
-        atoms, w = random_distribution(rng, max_atoms=6)
-        d = EmpiricalDistribution(atoms, w)
+        d = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
         for a in d.atoms:
             assert d.quantile(d.cdf(a)) == a
 
 
+def test_cdf_rejects_nan():
+    # A NaN argument used to return 1.0.
+    for x in (np.nan, [0.25, np.nan]):
+        with pytest.raises(DatasetError, match="NaN"):
+            dist(D_LOW).cdf(x)
+
+
 def test_ties_merge():
-    d = dist([0.3, 0.3, 0.3, 0.7])
+    d = dist([0.3, 0.7, 0.3, 0.3])
     assert d.n_atoms == 2
-    assert np.allclose(d.weights, [0.75, 0.25])
+    assert d.counts.tolist() == [3, 1]
+    assert d.breakpoints.tolist() == [0.75, 1.0]
+    assert EmpiricalDistribution([0.7, 0.3, 0.3], [2, 5, 4]).counts.tolist() == [9, 2]
 
 
 def test_constructor_contracts():
+    with pytest.raises(DatasetError, match="positive integers"):
+        EmpiricalDistribution([0.5], [0.9])      # counts are integers
+    with pytest.raises(DatasetError, match="positive integers"):
+        EmpiricalDistribution([0.2, 0.4], [1.0, 1.0])
+    with pytest.raises(DatasetError, match="positive integers"):
+        EmpiricalDistribution([0.2, 0.4], [True, True])
     with pytest.raises(DatasetError):
-        EmpiricalDistribution([0.5], [0.9])      # weights must sum to 1
-    with pytest.raises(DatasetError):
-        EmpiricalDistribution([0.2, 1.4], [0.5, 0.5])  # atom outside [0, 1]
-    with pytest.raises(DatasetError):
-        EmpiricalDistribution([0.2, 0.4], [0.5, -0.5])
-    with pytest.raises(DatasetError):
-        EmpiricalDistribution([0.2, 0.4], [1.0, float("nan")])
+        EmpiricalDistribution([0.2, 1.4], [1, 1])  # atom outside [0, 1]
+    for counts in ([1, -1], [1, 0], [1.0, float("nan")]):
+        with pytest.raises(DatasetError, match="positive integers"):
+            EmpiricalDistribution([0.2, 0.4], counts)
     with pytest.raises(DatasetError):
         EmpiricalDistribution.from_samples([0.5])
+
+
+def test_counts_total_at_most_two_to_the_53():
+    assert EmpiricalDistribution([0.2, 0.4], [2**53 - 1, 1]).breakpoints[-1] == 1.0
+    for counts in ([2**53, 1],                             # the float sum rounds this to 2**53
+                   np.full(4, 2**62, dtype=np.int64),     # an int64 sum would wrap negative
+                   np.array([2**64 - 1, 1], dtype=np.uint64)):
+        with pytest.raises(DatasetError, match=r"at most 2\*\*53"):
+            EmpiricalDistribution(np.linspace(0, 1, len(counts)), counts)
+
+
+@pytest.mark.parametrize("sizes", [(3, 6), (5, 10)])
+def test_levels_are_exact_rationals(sizes):
+    """Each level is float(Fraction(k, n)) bit for bit, and the plan's map reads the
+    barycenter at those exact levels: oracle in rational arithmetic."""
+    rng = np.random.default_rng(sum(sizes))
+    dists = [dist(rng.random(n)) for n in sizes]
+    for d, n in zip(dists, sizes):
+        assert d.breakpoints.tolist() == [float(Fraction(k, n)) for k in range(1, n + 1)]
+    groups = ("a", "b")
+    plan = RepairPlan(UNIT, groups, dict(zip(groups, dists)), {g: 1.0 for g in groups})
+    w = [n / sum(sizes) for n in sizes]
+
+    def quantile(d, n, level):  # inf{t : F(t) >= level}, compared as rationals
+        return d.atoms[min(k for k in range(n) if Fraction(k + 1, n) >= level)]
+
+    for g, d, n in zip(groups, dists, sizes):
+        for k in range(n):
+            level = Fraction(k + 1, n)
+            expected = 0.0
+            for wi, other, m in zip(w, dists, sizes):
+                expected = expected + wi * quantile(other, m, level)
+            assert plan.total_repair_score(g, d.atoms[k]) == expected
+
+
+def test_exact_levels_at_scale():
+    """Groups of 5e4 and 1e5 rows: level k/5e4 is level 2k/1e5, so the larger
+    group's quantile there is its atom 2k - 1 (1-based 2k).  With float weights
+    1/n and a float cumsum, 28,655 of the 50,000 lookups picked another atom."""
+    rng = np.random.default_rng(5)
+    small, large = dist(rng.random(50_000)), dist(rng.random(100_000))
+    picked = np.searchsorted(large.breakpoints, small.breakpoints, side="left")
+    assert np.count_nonzero(picked != 2 * np.arange(1, 50_001) - 1) == 0
+    groups = ("small", "large")
+    plan = RepairPlan(UNIT, groups, dict(zip(groups, (small, large))), {g: 1.0 for g in groups})
+    w = plan.group_weights
+    expected = (0.0 + w[0] * small.atoms) + w[1] * large.atoms[1::2]
+    assert np.array_equal(plan.total_repair_score("small", small.atoms), expected)
 
 
 # -- wasserstein -------------------------------------------------------------
@@ -139,9 +206,9 @@ def test_wasserstein_symmetry_and_nonnegativity(rng):
 
 def test_wasserstein_zero_iff_identical(rng):
     d1 = EmpiricalDistribution(*random_distribution(rng))
-    same = EmpiricalDistribution(d1.atoms, d1.weights)
+    same = EmpiricalDistribution(d1.atoms, d1.counts)
     assert wasserstein(d1, same, 1.0) == 0.0
-    other = EmpiricalDistribution(np.clip(d1.atoms + 0.01, 0, 1), d1.weights)
+    other = EmpiricalDistribution(np.clip(d1.atoms + 0.01, 0, 1), d1.counts)
     assert wasserstein(d1, other, 1.0) > 0
 
 
@@ -210,13 +277,15 @@ def test_barycenter_quantile_nondecreasing(rng):
 
 
 def _materialize_barycenter(dists, w):
-    """Barycenter as an explicit distribution on the merged quantile grid."""
-    grids = np.concatenate([d.breakpoints for d in dists])
-    q = np.union1d(grids, [1.0])
+    """Barycenter as an explicit distribution on the merged quantile grid.
+
+    Every merged level is a multiple of 1/L, L the least common multiple of the
+    inputs' totals, so the barycenter's counts are its segment lengths times L.
+    """
+    q = np.union1d(np.concatenate([d.breakpoints for d in dists]), [1.0])
     atoms = barycenter_quantile(dists, w, q)
-    weights = np.diff(q, prepend=0.0)
-    keep = weights > 0
-    return EmpiricalDistribution(np.asarray(atoms)[keep], weights[keep])
+    counts = np.rint(np.diff(q, prepend=0.0) * math.lcm(*(int(d.counts.sum()) for d in dists)))
+    return EmpiricalDistribution(atoms, counts.astype(np.int64))
 
 
 def _transport_cost(candidate, dists, w, p=2.0):
@@ -243,11 +312,9 @@ def test_barycenter_optimality_against_brute_force(rng):
         for combo in itertools.product(range(levels + 1), repeat=support.size):
             if sum(combo) != levels:
                 continue
-            weights = np.array(combo, dtype=float) / levels
-            keep = weights > 0
-            if keep.sum() == 0:
-                continue
-            cand = EmpiricalDistribution(support[keep], weights[keep])
+            counts = np.array(combo)
+            keep = counts > 0
+            cand = EmpiricalDistribution(support[keep], counts[keep])
             assert best <= _transport_cost(cand, [d1, d2], w) + 1e-9
 
 
@@ -256,11 +323,12 @@ def test_barycenter_optimality_against_brute_force(rng):
 
 def test_transport_examples():
     d1, d2 = dist(D_HIGH), dist(D_LOW)
-    w = [0.5, 0.5]
+    w = [1, 1]
     assert to_barycenter([d1, d2], w, 0, 0.2) == pytest.approx(0.15)
-    # all weight on the source: identity at atoms
+    # all weight on the source: identity at atoms.  Every plan group has a
+    # positive count, so this case is read off the definition Q_bary o F.
     for a in d1.atoms:
-        assert to_barycenter([d1, d2], [1.0, 0.0], 0, a) == a
+        assert barycenter_quantile([d1, d2], [1.0, 0.0], d1.cdf(a)) == a
     # identical distributions: nothing to move, at atoms
     for a in d1.atoms:
         assert to_barycenter([d1, d1], w, 0, a) == a
@@ -270,9 +338,9 @@ def test_transport_monotone(rng):
     for _ in range(10):
         d1 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
         d2 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
-        wv = rng.random()
+        w = rng.integers(1, 10, 2)
         xs = np.sort(rng.random(30))
-        out = to_barycenter([d1, d2], [wv, 1 - wv], 0, xs)
+        out = to_barycenter([d1, d2], w, 0, xs)
         assert np.all(np.diff(out) >= -1e-15)
 
 
@@ -280,26 +348,26 @@ def test_transport_map_stays_in_unit_interval(rng):
     for _ in range(10):
         d1 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
         d2 = EmpiricalDistribution(*random_distribution(rng, max_atoms=6))
-        wv = rng.random()
-        out = to_barycenter([d1, d2], [wv, 1 - wv], 0, rng.random(40))
+        w = rng.integers(1, 10, 2)
+        out = to_barycenter([d1, d2], w, 0, rng.random(40))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-    with pytest.raises(DatasetError):
-        to_barycenter([d1, d2], [wv, 1 - wv], 0, 1.5)
+    for bad in (1.5, np.nan):  # NaN used to map to a finite score
+        with pytest.raises(DatasetError, match="outside plan domain"):
+            to_barycenter([d1, d2], w, 0, bad)
 
 
 def test_transport_map_pushes_source_onto_target(rng):
     # equal-size samples share quantile levels, so pushing the source atoms
     # through T reproduces the barycenter exactly
     src, other = dist(rng.random(40)), dist(rng.random(40))
-    w = [0.3, 0.7]
-    pushed = EmpiricalDistribution(to_barycenter([src, other], w, 0, src.atoms), src.weights)
-    assert wasserstein(pushed, _materialize_barycenter([src, other], w), 1.0) <= 1e-12
+    pushed = EmpiricalDistribution(to_barycenter([src, other], [3, 7], 0, src.atoms), src.counts)
+    assert wasserstein(pushed, _materialize_barycenter([src, other], [0.3, 0.7]), 1.0) <= 1e-12
 
 
 def test_transport_out_of_sample_hits_barycenter_extremes():
     d1, d2 = dist(D_HIGH), dist(D_LOW)
     w = [0.5, 0.5]
-    lo = to_barycenter([d1, d2], w, 0, 0.0)   # below every atom
-    hi = to_barycenter([d1, d2], w, 0, 1.0)   # above every atom
+    lo = to_barycenter([d1, d2], [1, 1], 0, 0.0)   # below every atom
+    hi = to_barycenter([d1, d2], [1, 1], 0, 1.0)   # above every atom
     assert lo == pytest.approx(barycenter_quantile([d1, d2], w, 0.0))
     assert hi == pytest.approx(barycenter_quantile([d1, d2], w, 1.0))

@@ -14,6 +14,8 @@ import pytest
 from fairrepair import (
     PR,
     TPR,
+    EmpiricalDistribution,
+    RepairPlan,
     ScoreDomain,
     ThresholdGrid,
     distributional_disparity,
@@ -58,14 +60,30 @@ def fitted_plans(draw):
     return plan.with_lambdas(dict(zip(plan.groups, lambdas)))
 
 
+@st.composite
+def counted_plans(draw, max_atoms=20):
+    """A plan on drawn atoms and integer counts: tied atoms merge and sum their
+    counts, and a group's total may reach 2**53."""
+    domain = draw(st.sampled_from([UNIT, ScoreDomain(0, 100)]))
+    atom = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    fitted = {}
+    for k in range(draw(st.integers(2, 4))):
+        atoms = draw(st.lists(atom, min_size=1, max_size=max_atoms))
+        counts = st.integers(1, 2**53 // max_atoms)
+        fitted[f"g{k}"] = EmpiricalDistribution(atoms, draw(st.lists(counts, min_size=len(atoms),
+                                                                    max_size=len(atoms))))
+    lambdas = draw(st.lists(st.floats(0.0, 1.0), min_size=len(fitted), max_size=len(fitted)))
+    return RepairPlan(domain, tuple(fitted), fitted, dict(zip(fitted, lambdas)))
+
+
 # -- plan round trip ----------------------------------------------------------
 
 
 def test_plan_round_trip_is_exact(tmp_path):
     """save -> load -> save writes the same bytes, and the loaded plan maps the same."""
 
-    @hypothesis.settings(max_examples=60, **SETTINGS)
-    @hypothesis.given(fitted_plans())
+    @hypothesis.settings(max_examples=100, **SETTINGS)
+    @hypothesis.given(st.one_of(fitted_plans(), counted_plans()))
     @hypothesis.example(fit_plan(make_dataset({"a": [0, 40, 100], "b": [10, 20, 30]},
                                               domain=ScoreDomain(0, 100))))
     def check(plan):
@@ -74,8 +92,10 @@ def test_plan_round_trip_is_exact(tmp_path):
         loaded = load_plan(first)
         save_plan(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+        assert loaded.group_weights.tobytes() == plan.group_weights.tobytes()
         for g in plan.groups:
             assert loaded._targets[g].tobytes() == plan._targets[g].tobytes()
+            assert loaded.fitted[g].counts.tobytes() == plan.fitted[g].counts.tobytes()
             assert loaded.fitted[g].breakpoints.tobytes() == plan.fitted[g].breakpoints.tobytes()
 
     check()

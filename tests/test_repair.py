@@ -32,7 +32,7 @@ def binary_plan():
 
 def test_fit_equal_groups_half_weights():
     plan = binary_plan()
-    assert np.allclose(plan.group_weights, [0.5, 0.5])
+    assert plan.group_weights.tolist() == [0.5, 0.5]
     assert plan.groups == ("A", "B")
     assert all(plan.lambdas[g] == 1.0 for g in plan.groups)
 
@@ -48,6 +48,12 @@ def test_fit_four_groups():
     plan = fit_plan(ds)
     assert len(plan.fitted) == 4
     assert abs(plan.group_weights.sum() - 1.0) < 1e-12
+
+
+def test_group_weights_are_the_proportions(rng):
+    """Derived from the fitted counts, the group weights are ds.proportions bit for bit."""
+    ds = make_dataset({g: list(rng.random(n)) for g, n in zip("abc", (7, 300, 4001))})
+    assert fit_plan(ds).group_weights.tobytes() == ds.proportions.tobytes()
 
 
 def test_fit_is_label_free():
@@ -106,10 +112,10 @@ def test_compiled_map_matches_composition_oracle(rng):
         for _ in range(20):
             k = int(rng.integers(2, 6))
             dists = [EmpiricalDistribution(*random_distribution(rng, max_atoms=8)) for _ in range(k)]
-            w = rng.random(k) + 0.05
-            w /= w.sum()
+            totals = np.array([d.counts.sum() for d in dists])
+            w = totals / totals.sum()
             groups = tuple(f"g{i}" for i in range(k))
-            plan = RepairPlan(domain, groups, w, dict(zip(groups, dists)), {g: 1.0 for g in groups})
+            plan = RepairPlan(domain, groups, dict(zip(groups, dists)), {g: 1.0 for g in groups})
             for g, d in zip(groups, dists):
                 z = np.concatenate((
                     [0.0, d.atoms[0] / 2, (1.0 + d.atoms[-1]) / 2, 1.0],
@@ -219,7 +225,7 @@ def test_reweighted_barycenter_equivalence(rng):
                 + w[1] * np.asarray(plan.fitted[other].quantile(d.breakpoints))
             )
             got = plan.repaired_distribution(g, lam)
-            merged = EmpiricalDistribution(expected, d.weights)
+            merged = EmpiricalDistribution(expected, d.counts)
             assert np.max(np.abs(got.atoms - merged.atoms)) <= 1e-12
 
 
@@ -273,7 +279,7 @@ def test_plan_roundtrip(tmp_path):
     assert back.lambdas == plan.lambdas
     for g in plan.groups:
         assert np.array_equal(back.fitted[g].atoms, plan.fitted[g].atoms)
-        assert np.array_equal(back.fitted[g].weights, plan.fitted[g].weights)
+        assert np.array_equal(back.fitted[g].counts, plan.fitted[g].counts)
     # bit-reproducible application
     assert np.array_equal(back.apply(ds).scores, plan.apply(ds).scores)
 
@@ -292,10 +298,31 @@ def test_with_lambdas_validates_range():
 def test_plan_rejects_wrong_version(tmp_path):
     path = tmp_path / "plan.json"
     save_plan(binary_plan(), path)
-    data = path.read_text().replace('"format_version": 1', '"format_version": 99')
+    data = path.read_text().replace('"format_version": 2', '"format_version": 99')
     path.write_text(data)
     with pytest.raises(DatasetError, match="format_version"):
         load_plan(path)
+
+
+def test_format_version_1_plan_asks_for_a_refit(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "domain": {"lo": 0.0, "hi": 1.0}, "groups": ["A", "B"],
+        "group_weights": [0.5, 0.5], "lambdas": {"A": 1.0, "B": 1.0},
+        "fitted": {g: {"atoms": [0.2, 0.4], "weights": [0.5, 0.5]} for g in "AB"},
+    }))
+    with pytest.raises(DatasetError, match=r"format_version 1;.*re-run `fairrepair fit`"):
+        load_plan(path)
+
+
+def test_total_repair_rejects_nan():
+    # A NaN score used to come back as a finite repaired score.
+    plan = binary_plan()
+    for x in (np.nan, [0.2, np.nan]):
+        with pytest.raises(DatasetError, match="outside plan domain"):
+            plan.total_repair_score("A", x)
+        with pytest.raises(DatasetError, match="outside plan domain"):
+            plan.repaired_score("A", x)
 
 
 def test_out_of_sample_scores_map_to_barycenter_extremes():
@@ -308,12 +335,12 @@ def test_out_of_sample_scores_map_to_barycenter_extremes():
     assert plan.total_repair_score("A", 0.99) == pytest.approx(hi)
 
 
-def _nan_group_weight(data):
-    data["group_weights"][0] = float("nan")
+def _group_weights_key(data):
+    data["group_weights"] = [0.5, 0.5]  # format_version 1's key: derived from the counts now
 
 
-def _nan_atom_weight(data):
-    data["fitted"]["A"]["weights"][0] = float("nan")
+def _nan_count(data):
+    data["fitted"]["A"]["counts"][0] = float("nan")
 
 
 def _extra_fitted_group(data):
@@ -357,7 +384,7 @@ def _unknown_fitted_key(data):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _nan_group_weight, _nan_atom_weight, _extra_fitted_group, _extra_lambda_group,
+    _group_weights_key, _nan_count, _extra_fitted_group, _extra_lambda_group,
     _missing_domain, _missing_atoms, _fitted_not_an_object, _bad_number,
     _groups_as_string, _unknown_top_level_key, _unknown_domain_key, _unknown_fitted_key,
 ], ids=lambda f: f.__name__.strip("_"))
@@ -376,6 +403,6 @@ def test_load_plan_rejects_non_object_and_non_utf8(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(DatasetError, match="JSON object"):
         load_plan(path)
-    path.write_bytes(b'{"format_version": 1, "groups": ["\xff"]}')
+    path.write_bytes(b'{"format_version": 2, "groups": ["\xff"]}')
     with pytest.raises(DatasetError, match="not valid plan JSON"):
         load_plan(path)
