@@ -95,6 +95,9 @@ def _config_flags(path: str, command: str) -> list[str]:
 
 
 def _cmd_evaluate(args) -> None:
+    curves_path = args.curves or os.path.splitext(args.output)[0] + ".curves.csv"
+    if os.path.realpath(curves_path) == os.path.realpath(args.output):
+        raise _CliError(f"--curves and --output name the same file: {args.output}")
     combo = parse_combo(args.metric)
     grid = ThresholdGrid.linspace(args.domain, args.grid)
     ds = load_csv(args.input, args.domain)
@@ -106,7 +109,6 @@ def _cmd_evaluate(args) -> None:
             sum(w * r.expected_gap for (_, w), r in zip(combo.terms, reports))
         )
     _write_json(args.output, payload)
-    curves_path = args.curves or os.path.splitext(args.output)[0] + ".curves.csv"
     _atomic_write(curves_path, lambda fh: _write_curves(fh, [r.curve for r in reports]))
 
 

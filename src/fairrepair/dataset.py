@@ -97,7 +97,10 @@ class ScoredDataset:
 
     def _init(self, scores, groups, group_idx, labels, domain) -> None:
         scores = np.array(scores, dtype=float)
-        labels = np.array(labels, dtype=int)  # -1 encodes "no label"
+        try:  # as floats, not ints, so that 0.5 is not truncated to 0
+            labels = np.array(labels, dtype=float)
+        except (TypeError, ValueError) as exc:  # the string "x", say
+            raise DatasetError(f"non-binary label: {exc}") from None
         if scores.ndim != 1 or group_idx.size != scores.size or labels.size != scores.size:
             raise DatasetError("scores, groups and labels must be equal-length 1-d sequences")
         if scores.size == 0:
@@ -109,14 +112,14 @@ class ScoredDataset:
             raise DatasetError(
                 f"score out of domain: {bad} not in [{domain.lo}, {domain.hi}]"
             )
-        ok = (labels == -1) | (labels == 0) | (labels == 1)
+        ok = (labels == -1) | (labels == 0) | (labels == 1)  # -1 encodes "no label"
         if not np.all(ok):
             raise DatasetError(f"non-binary label: {labels[~ok][0]}")
 
         self.domain = domain
         self.groups, self._group_idx = groups, group_idx
         self._scores = scores
-        self._labels = labels
+        self._labels = labels.astype(int)
         self._scores.flags.writeable = False
         self._labels.flags.writeable = False
         self._group_idx.flags.writeable = False
@@ -197,7 +200,7 @@ def validate_dataset(rows, domain: ScoreDomain) -> ScoredDataset:
         label = row[2] if len(row) > 2 else None
         scores.append(float(score) if score is not None else np.nan)
         groups.append(str(group))
-        labels.append(-1 if label is None else int(label))
+        labels.append(-1 if label is None else label)
     return ScoredDataset(scores, groups, labels, domain)
 
 

@@ -85,6 +85,17 @@ def test_evaluate_unlabeled_tpr_is_validation_error(tmp_path, capsys):
     assert "unlabeled" in capsys.readouterr().err
 
 
+def test_evaluate_curves_onto_report_is_validation_error(tmp_path, capsys, monkeypatch):
+    """--curves naming the --output file (by any path) would overwrite the
+    report, so evaluate exits 2 before it reads the input or writes a file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for curves in ("report.json", tmp_path / "report.json", "sub/../report.json"):
+        assert run("evaluate", "--input", "nope.csv", "--output", "report.json", "--curves", curves) == 2
+        assert "--curves and --output name the same file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_evaluate_missing_input_is_io_error(tmp_path):
     assert run("evaluate", "--input", tmp_path / "nope.csv", "--output", tmp_path / "r.json") == 4
 

@@ -9,6 +9,7 @@ from fairrepair import (
     DatasetError,
     MetricCombo,
     ScoreDomain,
+    ScoredDataset,
     load_csv,
     parse_combo,
     parse_metric,
@@ -52,6 +53,17 @@ def test_single_row_group_rejected():
 def test_non_binary_label_rejected():
     with pytest.raises(DatasetError, match="non-binary label"):
         validate_dataset([(0.2, "A", 2), (0.4, "A", 0)], UNIT)
+
+
+@pytest.mark.parametrize("label, shown", [(0.5, "0.5"), (1.9, "1.9"), (float("nan"), "nan"), (-0.5, "-0.5"),
+                                          ("x", "could not convert string to float: 'x'")])
+def test_fractional_or_nan_label_rejected_not_truncated(label, shown):
+    rows = [(0.2, "A", 1), (0.4, "A", label), (0.1, "B", 0), (0.3, "B", 0)]
+    with pytest.raises(DatasetError, match=f"non-binary label: {shown}"):
+        validate_dataset(rows, UNIT)
+    scores, groups, labels = zip(*rows)
+    with pytest.raises(DatasetError, match=f"non-binary label: {shown}"):
+        ScoredDataset(scores, groups, labels, UNIT)
 
 
 def test_nan_score_rejected():

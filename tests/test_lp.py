@@ -16,26 +16,30 @@ def _feasible(x, A, b, bounds, tol=1e-7):
 
 
 def test_box_corner():
-    c = [-1.0, -1.0]
-    A = [[1.0, 1.0]]
-    b = [1.0]
+    # x + y >= 1, x <= 0.7, y <= 0.8, min x + 2y -> the corner (0.7, 0.3)
+    c = [1.0, 2.0]
+    A = [[-1.0, -1.0]]
+    b = [-1.0]
     bounds = [(0.0, 0.7), (0.0, 0.8)]
     x = linprog(c, A, b, bounds)
     _feasible(x, A, b, bounds)
-    assert x.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(x, [0.7, 0.3], atol=1e-9)
 
 
 def test_classic_two_variable():
-    # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), value 36
-    c = [-3.0, -5.0]
-    A = [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]]
-    b = [4.0, 12.0, 18.0]
-    x = linprog(c, A, b, [(0.0, None)] * 2)
-    assert np.allclose(x, [2.0, 6.0], atol=1e-9)
+    # The dual of max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 (optimum
+    # (2, 6), value 36): min 4a + 12b + 18c st a + 3c >= 3, 2b + 2c >= 5.
+    c = [4.0, 12.0, 18.0]
+    A = [[-1.0, 0.0, -3.0], [0.0, -2.0, -2.0]]
+    b = [-3.0, -5.0]
+    x = linprog(c, A, b, [(0.0, None)] * 3)
+    assert np.allclose(x, [0.0, 1.5, 1.0], atol=1e-9)
+    assert float(np.dot(c, x)) == pytest.approx(36.0, abs=1e-9)
 
 
-def test_negative_rhs_needs_phase_one():
-    # x + y >= 2, x, y in [0, 3], min x + 2y -> (2, 0)
+def test_negative_rhs_row_leaves_the_basis():
+    # x + y >= 2, x, y in [0, 3], min x + 2y -> (2, 0).  The slack basis is
+    # infeasible on the first row, and one dual pivot brings x in.
     c = [1.0, 2.0]
     A = [[-1.0, -1.0]]
     b = [-2.0]
@@ -53,13 +57,10 @@ def test_infeasible_detected():
         linprog([1.0], [[-1.0], [1.0]], [-2.0, 1.0], bounds=[(0.0, None)])
 
 
-def test_unbounded_detected():
-    with pytest.raises(LPError, match="unbounded"):
-        linprog([-1.0], None, None, bounds=[(0.0, None)])
-
-
 def test_degenerate_cycling_guard():
-    # Beale's classic cycling example; Bland's rule must terminate.
+    # The dual of Beale's cycling example (min c.x st A x <= b, x >= 0, value
+    # -0.05): min b.y st -A^T y <= c, y >= 0, value 0.05.  The most-negative-row
+    # rule alone cycles on it; the fallback to Bland's rule must terminate.
     c = [-0.75, 150.0, -0.02, 6.0]
     A = [
         [0.25, -60.0, -0.04, 9.0],
@@ -67,9 +68,11 @@ def test_degenerate_cycling_guard():
         [0.0, 0.0, 1.0, 0.0],
     ]
     b = [0.0, 0.0, 1.0]
-    x = linprog(c, A, b, [(0.0, None)] * 4)
-    _feasible(x, A, b, [(0.0, None)] * 4)
-    assert float(np.dot(c, x)) == pytest.approx(-0.05, abs=1e-9)
+    A_dual = -np.array(A).T
+    bounds = [(0.0, None)] * 3
+    y = linprog(b, A_dual, c, bounds)
+    _feasible(y, A_dual, c, bounds)
+    assert float(np.dot(b, y)) == pytest.approx(0.05, abs=1e-9)
 
 
 def test_epigraph_max_reduction(rng):
@@ -90,16 +93,19 @@ def test_epigraph_max_reduction(rng):
 
 
 def test_random_lps_against_vertex_enumeration(rng):
-    """Small random bounded LPs: simplex optimum matches brute-force over
-    basic feasible points assembled from constraint intersections."""
+    """Small random LPs in a box, with nonnegative costs and right-hand sides
+    of mixed sign: the optimum matches brute force over the basic feasible
+    points assembled from constraint intersections, and a draw with no
+    feasible point is reported infeasible."""
     import itertools
 
-    for _ in range(15):
+    outcomes = set()
+    for _ in range(40):
         n = 2
         m = 4
         A = rng.normal(size=(m, n))
-        b = rng.random(m) + 0.5
-        c = rng.normal(size=n)
+        b = rng.normal(size=m)
+        c = rng.random(n)
         bounds = [(0.0, 2.0)] * n
         # enumerate candidate vertices: intersections of all constraint pairs
         rows = [*A, *np.eye(n), *(-np.eye(n))]
@@ -112,25 +118,67 @@ def test_random_lps_against_vertex_enumeration(rng):
             v = np.linalg.solve(M, [rhs[i], rhs[j]])
             if np.all(A @ v <= b + 1e-9) and np.all(v >= -1e-9) and np.all(v <= 2.0 + 1e-9):
                 best = min(best, float(c @ v))
+        outcomes.add(np.isfinite(best))
+        if not np.isfinite(best):
+            with pytest.raises(LPError, match="infeasible"):
+                linprog(c, A, b, bounds)
+            continue
         x = linprog(c, A, b, bounds)
         _feasible(x, A, b, bounds)
         assert float(c @ x) == pytest.approx(best, abs=1e-7)
+    assert outcomes == {True, False}  # both kinds of draw occurred
 
 
-def test_phase_one_pivots_leftover_artificial_out():
-    # Two identical ">=" rows: phase 1 ends with an artificial basic at zero,
-    # which must be pivoted onto a real column before phase 2.
+def test_against_highs(rng):
+    """Seeded random LPs, continuous and integer-rounded (degenerate), with
+    nonnegative costs, right-hand sides of mixed sign and a mix of (0, 1) and
+    (0, None) bounds: the optimal value matches HiGHS to 1e-9, and both
+    solvers call the same problems infeasible."""
+    optimize = pytest.importorskip("scipy.optimize")
+    outcomes = []
+    for trial in range(200):
+        n, m = rng.integers(1, 9, size=2)
+        if trial % 2:
+            A = rng.integers(-3, 4, size=(m, n)).astype(float)
+            b = rng.integers(-3, 4, size=m).astype(float)
+            c = rng.integers(0, 4, size=n).astype(float)
+        else:
+            A = rng.normal(size=(m, n))
+            b = rng.normal(size=m)
+            c = rng.random(n) * (rng.random(n) < 0.8)
+        bounds = [(0.0, 1.0) if capped else (0.0, None) for capped in rng.random(n) < 0.5]
+        res = optimize.linprog(c, A, b, bounds=bounds, method="highs",
+                               options={"primal_feasibility_tolerance": 1e-10,
+                                        "dual_feasibility_tolerance": 1e-10})
+        assert res.status in (0, 2), res.message
+        outcomes.append(res.status)
+        if res.status == 2:
+            with pytest.raises(LPError, match="infeasible"):
+                linprog(c, A, b, bounds)
+            continue
+        x = linprog(c, A, b, bounds)
+        _feasible(x, A, b, bounds)
+        assert float(c @ x) == pytest.approx(res.fun, abs=1e-9)
+    assert 0 < outcomes.count(2) < len(outcomes)  # both kinds of problem occurred
+
+
+def test_duplicate_negative_rhs_rows():
+    # Two identical x >= 1 rows: once one leaves the basis, the other's
+    # slack is basic at zero, and no row needs to be dropped.
     x = linprog([1.0], [[-1.0], [-1.0], [1.0]], [-1.0, -1.0, 1.0], bounds=[(0.0, None)])
     assert x.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("A, b, bounds, message", [
-    ([[1.0]], [1.0, 2.0], [(0.0, None)], "one b_ub entry per A_ub row"),
-    ([[1.0]], [1.0], [(0.0, None), (0.0, None)], "one .* bound pair per variable"),
-    ([[1.0]], [1.0], [(0.5, None)], "lower bounds other than 0 are not supported"),
-    ([[1.0]], [1.0], [(None, None)], "lower bounds other than 0 are not supported"),
-    ([[1.0]], [1.0], [(None, 2.0)], "lower bounds other than 0 are not supported"),
-], ids=["b_ub_length", "bounds_length", "lower_bound", "free", "free_upper_bound"])
-def test_malformed_problem_rejected(A, b, bounds, message):
+@pytest.mark.parametrize("c, A, b, bounds, message", [
+    ([1.0], [[1.0]], [1.0, 2.0], [(0.0, None)], "one b_ub entry per A_ub row"),
+    ([1.0], [[1.0]], [1.0], [(0.0, None), (0.0, None)], "one .* bound pair per variable"),
+    ([1.0], [[1.0]], [1.0], [(0.5, None)], "lower bounds other than 0 are not supported"),
+    ([1.0], [[1.0]], [1.0], [(None, None)], "lower bounds other than 0 are not supported"),
+    ([1.0], [[1.0]], [1.0], [(None, 2.0)], "lower bounds other than 0 are not supported"),
+    ([-1.0], [[1.0]], [1.0], [(0.0, None)], "costs must be nonnegative"),
+    ([np.nan], [[1.0]], [1.0], [(0.0, None)], "costs must be nonnegative"),
+], ids=["b_ub_length", "bounds_length", "lower_bound", "free", "free_upper_bound", "negative_cost",
+        "nan_cost"])
+def test_malformed_problem_rejected(c, A, b, bounds, message):
     with pytest.raises(LPError, match=message):
-        linprog([1.0], A, b, bounds)
+        linprog(c, A, b, bounds)
