@@ -8,6 +8,8 @@ curves as data, and shows that the area between two groups' curves equals the
 Wasserstein distance between their score distributions.
 """
 
+import json
+
 import numpy as np
 
 from fairrepair import (
@@ -55,4 +57,4 @@ for count in (11, 101, 1001):
 # The same report serializes to JSON for downstream tooling.
 
 rep = distributional_disparity(ds, TPR, 1.0, ThresholdGrid.linspace(ds.domain, 1001))
-print("\nTPR report:", rep.to_json(indent=2))
+print("\nTPR report:", json.dumps(rep.to_dict(), indent=2))

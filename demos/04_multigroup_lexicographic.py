@@ -50,8 +50,8 @@ lex = solve_lexicographic(prob)
 rows = {
     "Unrepaired": prob.losses(np.zeros(prob.n)),
     "Full repair": prob.losses(np.ones(prob.n)),
-    "Max-min": prob.losses(maxmin.lambda_vector(prob.groups)),
-    "Lexicographic": prob.losses(lex.lambda_vector(prob.groups)),
+    "Max-min": prob.losses([maxmin.lambdas[g] for g in prob.groups]),
+    "Lexicographic": prob.losses([lex.lambdas[g] for g in prob.groups]),
 }
 print(f"\n{'method':<14}" + "".join(f"{g:>10}" for g in prob.groups))
 for name, losses in rows.items():

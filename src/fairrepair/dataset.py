@@ -84,8 +84,8 @@ class ScoredDataset:
     """Validated collection of scored rows with a fixed domain and group order.
 
     Immutable after construction; the numpy views exposed here are read-only.
-    Build instances through :func:`validate_dataset` (or :func:`load_csv`),
-    not the constructor.
+    The constructor takes the scores, group names and labels as sequences;
+    :func:`validate_dataset` takes rows and :func:`load_csv` a file, all checked alike.
     """
 
     def __init__(self, scores, groups, labels, domain):
@@ -96,7 +96,10 @@ class ScoredDataset:
                 raise DatasetError(f"group '{g}' has {c} row(s), needs at least {MIN_ROWS_PER_GROUP}")
 
     def _init(self, scores, groups, group_idx, labels, domain) -> None:
-        scores = np.array(scores, dtype=float)
+        try:
+            scores = np.array(scores, dtype=float)
+        except (TypeError, ValueError) as exc:  # the string "a", say
+            raise DatasetError(f"non-numeric score: {exc}") from None
         try:  # as floats, not ints, so that 0.5 is not truncated to 0
             labels = np.array(labels, dtype=float)
         except (TypeError, ValueError) as exc:  # the string "x", say
@@ -159,17 +162,10 @@ class ScoredDataset:
         """Group proportions p_g in :attr:`groups` order; sums to 1."""
         return self._counts / self._scores.size
 
-    def group_count(self, group: str) -> int:
-        return int(self._counts[self._group_index_of(group)])
-
     def group_scores(self, group: str) -> np.ndarray:
-        return self._scores[self._group_idx == self._group_index_of(group)]
-
-    def _group_index_of(self, group: str) -> int:
-        try:
-            return self.groups.index(group)
-        except ValueError:
-            raise DatasetError(f"unknown group '{group}'") from None
+        if group not in self.groups:
+            raise DatasetError(f"unknown group '{group}'")
+        return self._scores[self._group_idx == self.groups.index(group)]
 
     def replace_scores(self, new_scores) -> "ScoredDataset":
         """Same rows with new scores (used by repair application)."""
@@ -182,7 +178,11 @@ def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     Indexes Python strings: a numpy string array would drop trailing NULs and
     merge e.g. 'a' with 'a\\0'.
     """
-    names = tuple(sorted(set(groups)))
+    names = set(groups)
+    for g in names:
+        if not isinstance(g, str) or not g:
+            raise DatasetError(f"group names must be non-empty strings, got {g!r}")
+    names = tuple(sorted(names))
     index = {g: i for i, g in enumerate(names)}
     return names, np.fromiter((index[g] for g in groups), dtype=int, count=len(groups))
 
@@ -190,17 +190,17 @@ def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
 def validate_dataset(rows, domain: ScoreDomain) -> ScoredDataset:
     """Validate raw rows into a :class:`ScoredDataset`.
 
-    Rows are (score, group[, label]) tuples.  Groups are discovered from the
-    data and ordered lexicographically; every group must contribute at least
-    two rows.
+    Rows are (score, group[, label]) tuples, checked as the constructor checks
+    them.  Groups are discovered from the data and ordered lexicographically;
+    every group must contribute at least two rows.
     """
     scores, groups, labels = [], [], []
     for row in rows:
-        score, group = row[0], row[1]
-        label = row[2] if len(row) > 2 else None
-        scores.append(float(score) if score is not None else np.nan)
-        groups.append(str(group))
-        labels.append(-1 if label is None else label)
+        if len(row) < 2:
+            raise DatasetError(f"row {row!r:.40} needs a score and a group")
+        scores.append(row[0])
+        groups.append(row[1])
+        labels.append(row[2] if len(row) > 2 and row[2] is not None else -1)
     return ScoredDataset(scores, groups, labels, domain)
 
 
@@ -335,18 +335,6 @@ def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_P
     return scores
 
 
-def _conditional_means(ds: ScoredDataset, kind: MetricKind, shift=None):
-    """Each group's mean score under the metric's label condition, in ``ds.groups`` order.
-
-    Given ``shift(group, scores)``, returns the pair (means, mean shifts).
-    """
-    scores = _conditional_scores(ds, kind, min_rows=1)  # subset_by_label rejects an empty group
-    means = np.array([x.mean() for x in scores])
-    if shift is None:
-        return means
-    return means, np.array([shift(g, x).mean() for g, x in zip(ds.groups, scores)])
-
-
 # ---------------------------------------------------------------------------
 # CSV interface: header "score,group,label", label column optional
 # ---------------------------------------------------------------------------
@@ -408,6 +396,8 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
                     column.append(rec[j])
                 lines.append(reader.line_num)
                 groups.append(rec[gi].strip())
+                if not groups[-1]:
+                    raise fail("missing group")
     except UnicodeDecodeError:
         raise DatasetError(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:

@@ -19,10 +19,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import MetricKind, ScoredDataset, _conditional_means
+from .dataset import MetricKind, ScoredDataset, _conditional_scores
 from .errors import DatasetError
 from .lp import linprog
-from .metrics import _mean_gap_losses
 from .repair import RepairPlan
 
 __all__ = ["LexProblem", "LexSolution", "build_problem", "solve_maxmin", "solve_lexicographic"]
@@ -53,14 +52,17 @@ class LexProblem:
 
     def losses(self, lambdas: np.ndarray) -> np.ndarray:
         """L_g = sum over other groups of |m_g - m_j|."""
-        return _mean_gap_losses(self.means(lambdas))
+        m = self.means(lambdas)
+        return np.abs(m[:, None] - m[None, :]).sum(axis=1)
 
 
 def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexProblem:
     """The ``kind``-conditioned means and mean shifts of ``ds``'s groups under ``plan``."""
     if len(ds.groups) < 2:
         raise DatasetError("need at least 2 groups")
-    return LexProblem(ds.groups, *_conditional_means(ds, kind, plan.shift))
+    scores = _conditional_scores(ds, kind, min_rows=1)  # subset_by_label rejects an empty group
+    return LexProblem(ds.groups, np.array([x.mean() for x in scores]),
+                      np.array([plan.shift(g, x).mean() for g, x in zip(ds.groups, scores)]))
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,6 @@ class LexSolution:
     losses: dict[str, float]
     rounds: list[dict]
     method: str
-
-    def lambda_vector(self, groups) -> np.ndarray:
-        return np.array([self.lambdas[g] for g in groups])
 
     def to_dict(self) -> dict:
         return {

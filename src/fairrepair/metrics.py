@@ -13,12 +13,11 @@ quantities.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_means, _conditional_scores
+from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_scores
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, wasserstein
 
@@ -29,8 +28,6 @@ __all__ = [
     "DisparityReport",
     "rate_curve",
     "distributional_disparity",
-    "probabilistic_parity_gap",
-    "groupwise_lex_loss",
 ]
 
 DEFAULT_GRID_COUNT = 101
@@ -71,9 +68,6 @@ class DisparityCurve:
     metric: MetricKind
     grid: ThresholdGrid
     values: dict[str, np.ndarray]
-
-    def write_csv(self, fh) -> None:
-        _write_curves(fh, (self,))
 
 
 def _write_curves(fh, curves) -> None:
@@ -147,9 +141,6 @@ class DisparityReport:
             ],
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
 
 def distributional_disparity(
     ds: ScoredDataset,
@@ -186,24 +177,3 @@ def distributional_disparity(
     exact_gap = float(np.mean([pg.exact_gap for pg in pairs]))
     max_gap = float(max(pg.max_gap for pg in pairs))
     return DisparityReport(kind, p, grid.count, expected_gap, exact_gap, max_gap, tuple(pairs), curve)
-
-
-def probabilistic_parity_gap(ds: ScoredDataset, kind: MetricKind) -> dict[tuple[str, str], float]:
-    """Pairwise differences of label-conditioned mean scores, original units.
-
-    Returns every ordered pair (g, g') -> E[score | cond, g] - E[score | cond, g'].
-    """
-    means = dict(zip(ds.groups, _conditional_means(ds, kind).tolist()))
-    return {(a, b): means[a] - means[b] for a, b in itertools.permutations(sorted(means), 2)}
-
-
-def _mean_gap_losses(means: np.ndarray) -> np.ndarray:
-    """L_g = sum over other groups j of |m_g - m_j|."""
-    return np.abs(means[:, None] - means[None, :]).sum(axis=1)
-
-
-def groupwise_lex_loss(ds: ScoredDataset, kind: MetricKind) -> dict[str, float]:
-    """Per-group sum of absolute pairwise conditional-mean gaps."""
-    if len(ds.groups) < 2:
-        raise DatasetError("lex loss needs at least 2 groups")
-    return dict(zip(ds.groups, _mean_gap_losses(_conditional_means(ds, kind)).tolist()))

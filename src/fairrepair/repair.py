@@ -80,13 +80,10 @@ class RepairPlan:
         """Signed adjustment t(x) = fully-repaired(x) - x; may be negative."""
         return self.total_repair_score(group, x) - np.asarray(x, dtype=float)
 
-    def repaired_score(self, group: str, x, lam: float | None = None):
-        """Partial repair x + lambda * t(x); lambda defaults to the plan's."""
+    def repaired_score(self, group: str, x):
+        """Partial repair x + lambda * t(x) with the plan's lambda for ``group``."""
         t = self.shift(group, x)  # rejects an unknown group before the lambda lookup
-        lam = self.lambdas[group] if lam is None else float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise DatasetError("lambda must lie in [0, 1]")
-        out = np.asarray(x, dtype=float) + lam * t
+        out = np.asarray(x, dtype=float) + self.lambdas[group] * t
         return np.clip(out, self.domain.lo, self.domain.hi)
 
     def apply(self, ds: ScoredDataset) -> ScoredDataset:

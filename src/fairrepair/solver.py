@@ -50,7 +50,6 @@ class LambdaSolution:
     method: str
     evaluations: int
     clamped: bool = False
-    raw_lambda: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -190,4 +189,4 @@ def solve_probabilistic(
     lam = min(1.0, max(0.0, raw))
     obj = LambdaObjective(MetricCombo(((kind, 1.0),)))
     value = objective_eval(plan, ds, obj, lam)
-    return LambdaSolution(lam, value, "probabilistic", 1, clamped=lam != raw, raw_lambda=raw)
+    return LambdaSolution(lam, value, "probabilistic", 1, clamped=lam != raw)

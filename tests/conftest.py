@@ -28,6 +28,12 @@ def random_binary_dataset(rng, n_per_group=(300, 400), means=(0.45, 0.6), sd=0.1
     return validate_dataset(rows, domain)
 
 
+def conditional_means(ds, label):
+    """Each group's mean score over its rows with ``label``, read straight off the rows."""
+    rows = ds.labels == label
+    return np.array([ds.scores[rows & (ds.group_indices == k)].mean() for k in range(len(ds.groups))])
+
+
 def random_distribution(rng, max_atoms=5):
     """Atoms and integer counts of a small random empirical distribution on [0, 1]."""
     k = rng.integers(2, max_atoms + 1)

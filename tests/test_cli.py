@@ -286,7 +286,7 @@ def test_full_repair_then_evaluate_hits_sdp_bound(tmp_path):
     assert run("evaluate", "--input", out, "--output", report_path,
                "--metric", "pr", "--grid", "1001") == 0
     report = json.loads(report_path.read_text())["reports"][0]
-    assert report["max_gap"] <= 2.0 / min(ds.group_count(g) for g in ds.groups)
+    assert report["max_gap"] <= 2.0 / min(ds.group_scores(g).size for g in ds.groups)
 
 
 def test_apply_matches_per_row_reference(tmp_path):
@@ -353,6 +353,7 @@ MALFORMED_CSV = {
     "extra-cell": (b"score,group\n0.2,A\n0.3,B,x\n", ":3: 3 cells but the header has 2"),
     "duplicate-header": (b"score,group,score\n0.2,A,0.1\n", "header repeats a column"),
     "not-utf8": (b"score,group\n0.2,A\n0.3,\xff\n", "not UTF-8"),
+    "missing-group": (b"score,group,label\n0.2,A,1\n0.3\n", ":3: missing group"),
 }
 
 

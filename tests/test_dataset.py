@@ -71,6 +71,34 @@ def test_nan_score_rejected():
         validate_dataset([(float("nan"), "A"), (0.4, "A")], UNIT)
 
 
+def test_non_numeric_score_rejected():
+    rows = [("a", "A"), (0.1, "A"), (0.5, "B"), (0.6, "B")]
+    with pytest.raises(DatasetError, match="non-numeric score: could not convert string to float: 'a'"):
+        validate_dataset(rows, UNIT)
+    scores, groups = zip(*rows)
+    with pytest.raises(DatasetError, match="non-numeric score"):
+        ScoredDataset(scores, groups, [-1] * 4, UNIT)
+
+
+@pytest.mark.parametrize("groups, shown", [
+    ([1, 1, 2, 2], "1|2"),  # would save a plan that load_plan rejects
+    ([None, None, "b", "b"], "None"),
+    (["a", "a", 1, 1], "1"),
+    (["", "", "b", "b"], "''"),
+], ids=["integers", "none", "mixed", "empty"])
+def test_group_names_must_be_non_empty_strings(groups, shown):
+    scores = [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(DatasetError, match=f"group names must be non-empty strings, got ({shown})$"):
+        ScoredDataset(scores, groups, [-1] * 4, UNIT)
+    with pytest.raises(DatasetError, match="group names must be non-empty strings"):
+        validate_dataset(zip(scores, groups), UNIT)  # not coerced: None stays None, not 'None'
+
+
+def test_short_row_rejected():
+    with pytest.raises(DatasetError, match=r"row \(0.2,\) needs a score and a group"):
+        validate_dataset([(0.1, "A"), (0.2,), (0.5, "B"), (0.6, "B")], UNIT)
+
+
 def test_groups_ordered_lexicographically():
     ds = validate_dataset([(0.1, "z"), (0.2, "z"), (0.3, "m"), (0.4, "m"), (0.5, "a"), (0.6, "a")], UNIT)
     assert ds.groups == ("a", "m", "z")
@@ -233,7 +261,10 @@ def test_csv_missing_score_rejected(tmp_path):
     ("score,group\n0.1,A\n0.2,A\nnan,B\n0.4,B\n", ":4: score out of domain: nan"),
     ("score,group\n0.1,A\n0.2,A\n0.3,B,extra\n0.4,B\n", ":4: 3 cells but the header has 2"),
     ("score,group,group\n0.1,A,A\n", "header repeats a column"),
-], ids=["nan-score", "extra-cell", "duplicate-header"])
+    # A truncated row used to become a third group named ''.
+    ("score,group,label\n0.1,A,1\n0.2,A,0\n0.3\n0.4,B,1\n0.5,B,0\n", ":4: missing group"),
+    ("score,group\n0.1,A\n0.2, \n0.3,B\n0.4,B\n", ":3: missing group"),
+], ids=["nan-score", "extra-cell", "duplicate-header", "truncated-row", "blank-group"])
 def test_csv_malformed_rows_rejected_with_line(tmp_path, content, message):
     path = tmp_path / "data.csv"
     path.write_text(content)

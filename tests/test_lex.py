@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fairrepair import (
+    FPR,
+    PR,
     TPR,
+    ScoreDomain,
     bundled_spec,
     build_problem,
     fit_plan,
-    groupwise_lex_loss,
     sample,
     solve_lexicographic,
     solve_maxmin,
@@ -19,7 +21,7 @@ from fairrepair import (
 from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
 
-from conftest import make_dataset, random_binary_dataset
+from conftest import conditional_means, make_dataset, random_binary_dataset
 
 
 def synthetic_problem(a, b, groups=None):
@@ -47,12 +49,45 @@ def brute_force_losses(a, b, levels=41):
 def test_build_problem_matches_direct_means(rng):
     ds = random_binary_dataset(rng, n_per_group=(60, 80))
     plan = fit_plan(ds)
+    for kind in (PR, TPR, FPR):
+        prob = build_problem(plan, ds, kind)
+        sub = subset_by_label(ds, kind)
+        for i, g in enumerate(prob.groups):
+            x = sub.group_scores(g)
+            assert prob.base_means[i] == pytest.approx(x.mean())
+            assert prob.mean_shifts[i] == pytest.approx(plan.total_repair_score(g, x).mean() - x.mean())
+
+
+def test_build_problem_conditional_means():
+    ds = make_dataset({"A": [0.2, 0.4, 0.9], "B": [0.5, 0.7, 0.1]},
+                      {"A": [1, 1, 0], "B": [1, 1, 0]})
+    plan = fit_plan(ds)
     prob = build_problem(plan, ds, TPR)
-    sub = subset_by_label(ds, TPR)
-    for i, g in enumerate(prob.groups):
-        x = sub.group_scores(g)
-        assert prob.base_means[i] == pytest.approx(x.mean())
-        assert prob.mean_shifts[i] == pytest.approx(plan.total_repair_score(g, x).mean() - x.mean())
+    assert prob.base_means == pytest.approx([0.3, 0.6])  # the label-1 rows only
+    assert prob.mean_shifts == pytest.approx([plan.shift("A", [0.2, 0.4]).mean(),
+                                              plan.shift("B", [0.5, 0.7]).mean()])
+
+
+def test_build_problem_identical_groups_zero_loss():
+    ds = make_dataset({"A": [0.2, 0.4], "B": [0.2, 0.4]})
+    prob = build_problem(fit_plan(ds), ds, PR)
+    assert prob.base_means[0] == prob.base_means[1]
+    assert prob.losses(np.zeros(2)).tolist() == [0.0, 0.0]
+
+
+def test_build_problem_three_group_loss_sum():
+    # means 0.3, 0.6, 0.5 -> L_A = |0.3-0.6| + |0.3-0.5| = 0.5
+    ds = make_dataset({"A": [0.2, 0.4], "B": [0.5, 0.7], "C": [0.4, 0.6]})
+    losses = build_problem(fit_plan(ds), ds, PR).losses(np.zeros(3))
+    assert losses == pytest.approx([0.5, 0.3 + 0.1, 0.2 + 0.1])
+
+
+def test_build_problem_means_in_original_units():
+    ds = make_dataset({"A": [20.0, 40.0], "B": [50.0, 70.0]}, domain=ScoreDomain(0.0, 100.0))
+    prob = build_problem(fit_plan(ds), ds, PR)
+    assert prob.base_means == pytest.approx([30.0, 60.0])
+    assert prob.mean_shifts == pytest.approx([15.0, -15.0])  # onto the barycenter {35, 55}
+    assert prob.losses(np.zeros(2)) == pytest.approx([30.0, 30.0])
 
 
 def test_affine_mean_model_matches_applied_scores(rng):
@@ -167,7 +202,7 @@ def test_maxmin_three_group_grid_oracle():
     best = np.unravel_index(np.argmin(losses.max(axis=-1)), losses.shape[:-1])
     lam_star = np.array([grid[i] for i in best])
     # grid resolution is 1/40
-    assert np.max(np.abs(sol.lambda_vector(prob.groups) - lam_star)) <= 2.5e-2
+    assert np.max(np.abs(np.array([sol.lambdas[g] for g in prob.groups]) - lam_star)) <= 2.5e-2
 
 
 def test_maxmin_random_instances_beat_grid(rng):
@@ -285,13 +320,12 @@ def test_table_pattern_on_bundled_spec():
     prob = build_problem(plan, labeled, TPR)
     unrep = prob.losses(np.zeros(prob.n))
     full = prob.losses(np.ones(prob.n))
-    mm = prob.losses(solve_maxmin(prob).lambda_vector(prob.groups))
-    lx = prob.losses(solve_lexicographic(prob).lambda_vector(prob.groups))
+    mm = prob.losses([solve_maxmin(prob).lambdas[g] for g in prob.groups])
+    lex = solve_lexicographic(prob)
+    lx = prob.losses([lex.lambdas[g] for g in prob.groups])
     assert np.all(lx <= mm + 1e-3)
     assert np.all(mm <= unrep + 1e-3)
     assert np.all(full <= 2.0 * unrep) and np.all(full >= 0.5 * unrep)
-    # losses reported by the solver agree with the metrics module on applied data
-    plan_lex = plan.with_lambdas(solve_lexicographic(prob).lambdas)
-    reported = groupwise_lex_loss(plan_lex.apply(labeled), TPR)
-    for i, g in enumerate(prob.groups):
-        assert reported[g] == pytest.approx(lx[i], abs=1e-8)
+    # the model's losses agree with L_g recomputed from the repaired rows
+    m = conditional_means(plan.with_lambdas(lex.lambdas).apply(labeled), 1)
+    assert np.abs(m[:, None] - m[None, :]).sum(axis=1) == pytest.approx(lx, abs=1e-8)

@@ -14,10 +14,9 @@ from fairrepair import (
     DatasetError,
     ThresholdGrid,
     distributional_disparity,
-    groupwise_lex_loss,
-    probabilistic_parity_gap,
     rate_curve,
 )
+from fairrepair.metrics import _write_curves
 
 from conftest import UNIT, make_dataset, random_binary_dataset
 
@@ -147,7 +146,7 @@ def test_grid_estimate_tracks_exact_wasserstein(rng):
 def test_report_json_shape():
     ds = make_dataset({"A": [0.2, 0.4], "B": [0.1, 0.3]})
     rep = distributional_disparity(ds, PR, 1.0, GRID)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["metric"] == "pr"
     assert set(payload["pairs"][0]) == {"groups", "expected_gap", "exact_gap", "max_gap"}
     # The report keeps the rate curve its gaps came from, outside the summary.
@@ -163,60 +162,8 @@ def test_curve_csv_format(tmp_path):
     curve = rate_curve(ds, PR, ThresholdGrid(np.array([0.0, 0.5, 1.0])))
     path = tmp_path / "curve.csv"
     with open(path, "w") as fh:
-        curve.write_csv(fh)
+        _write_curves(fh, (curve,))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "threshold,group,metric,value"
     assert len(lines) == 1 + 3 * 2
     assert lines[1].split(",")[1:3] == ["A", "pr"]
-
-
-# -- probabilistic parity ------------------------------------------------------
-
-
-def test_probabilistic_gap_identical_groups():
-    ds = make_dataset({"A": [0.2, 0.4], "B": [0.2, 0.4]})
-    gaps = probabilistic_parity_gap(ds, PR)
-    assert gaps[("A", "B")] == 0.0
-
-
-def test_probabilistic_gap_conditional_means():
-    ds = make_dataset({"A": [0.2, 0.4, 0.9], "B": [0.5, 0.7, 0.1]},
-                      {"A": [1, 1, 0], "B": [1, 1, 0]})
-    gaps = probabilistic_parity_gap(ds, TPR)
-    assert gaps[("A", "B")] == pytest.approx(0.3 - 0.6)  # mean difference
-    assert gaps[("B", "A")] == pytest.approx(0.3)
-
-
-def test_probabilistic_gap_antisymmetry(rng):
-    ds = random_binary_dataset(rng)
-    for kind in (PR, TPR, FPR):
-        gaps = probabilistic_parity_gap(ds, kind)
-        for (a, b), v in gaps.items():
-            assert v == -gaps[(b, a)]
-
-
-def test_probabilistic_gap_in_original_units():
-    from fairrepair import ScoreDomain
-
-    dom = ScoreDomain(0.0, 100.0)
-    ds = make_dataset({"A": [20.0, 40.0], "B": [50.0, 70.0]}, domain=dom)
-    gaps = probabilistic_parity_gap(ds, PR)
-    assert gaps[("A", "B")] == pytest.approx(-30.0)
-
-
-# -- lex loss -------------------------------------------------------------------
-
-
-def test_lex_loss_identical_groups_zero():
-    ds = make_dataset({"A": [0.2, 0.4], "B": [0.2, 0.4]})
-    losses = groupwise_lex_loss(ds, PR)
-    assert losses == {"A": 0.0, "B": 0.0}
-
-
-def test_lex_loss_three_group_sum():
-    # means 0.3, 0.6, 0.5 -> L_A = |0.3-0.6| + |0.3-0.5| = 0.5
-    ds = make_dataset({"A": [0.2, 0.4], "B": [0.5, 0.7], "C": [0.4, 0.6]})
-    losses = groupwise_lex_loss(ds, PR)
-    assert losses["A"] == pytest.approx(0.5)
-    assert losses["B"] == pytest.approx(0.3 + 0.1)
-    assert losses["C"] == pytest.approx(0.2 + 0.1)

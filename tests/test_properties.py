@@ -119,7 +119,7 @@ def test_apply_identity_domain_and_monotone():
         domain = plan.domain
         g = data.draw(st.sampled_from(plan.groups))
         x = np.sort(data.draw(st.lists(st.floats(domain.lo, domain.hi), min_size=1, max_size=30)))
-        assert np.array_equal(plan.repaired_score(g, x, 0.0), x)
+        assert np.array_equal(plan.with_lambdas({g: 0.0}).repaired_score(g, x), x)
         out = plan.repaired_score(g, x)
         assert np.all((out >= domain.lo) & (out <= domain.hi))
         tol = 2 * 2.0**-53 * (2 * domain.width + max(abs(domain.lo), abs(domain.hi)))

@@ -262,7 +262,7 @@ def test_sdp_at_full_repair(rng):
     grid = ThresholdGrid.linspace(ds.domain, 1001)
     curve = rate_curve(repaired, PR, grid)
     gap = np.max(np.abs(curve.values["a"] - curve.values["b"]))
-    assert gap <= 2.0 / min(ds.group_count(g) for g in ds.groups)
+    assert gap <= 2.0 / min(ds.group_scores(g).size for g in ds.groups)
 
 
 # -- serialization ------------------------------------------------------------------

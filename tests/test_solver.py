@@ -10,6 +10,7 @@ from fairrepair import (
     ScoreDomain,
     SolverError,
     ThresholdGrid,
+    build_problem,
     fit_plan,
     objective_eval,
     parse_combo,
@@ -22,7 +23,7 @@ from fairrepair import (
     wasserstein,
 )
 
-from conftest import UNIT, make_dataset, random_binary_dataset
+from conftest import UNIT, conditional_means, make_dataset, random_binary_dataset
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 PR_OBJ = LambdaObjective(parse_combo("pr"))
@@ -128,7 +129,7 @@ def test_rates_move_monotonically_under_repair(rng):
     lams = np.linspace(0, 1, 11)
     taus = np.linspace(0.05, 0.95, 21)
     grid = ThresholdGrid(taus)
-    n_min = min(ds.group_count(g) for g in ds.groups)
+    n_min = min(ds.group_scores(g).size for g in ds.groups)
     curves = []
     for lam in lams:
         repaired = plan.with_lambdas({g: float(lam) for g in ds.groups}).apply(ds)
@@ -225,12 +226,11 @@ def test_probabilistic_matches_mean_ratio_oracle(rng):
     b2 = plan.total_repair_score("b", x2).mean() - x2.mean()
     expected = (x2.mean() - x1.mean()) / (b1 - b2)
     sol = solve_probabilistic(plan, ds, TPR)
-    assert sol.raw_lambda == pytest.approx(expected, abs=1e-12)
+    assert 0.0 < expected < 1.0 and not sol.clamped
+    assert sol.lambda_star == pytest.approx(expected, abs=1e-12)
 
 
 def test_probabilistic_zeroes_the_conditional_mean_gap(rng):
-    from fairrepair import probabilistic_parity_gap
-
     for _ in range(5):
         ds = random_binary_dataset(rng, n_per_group=(120, 150), label_offsets=(-0.1, 0.1))
         plan = fit_plan(ds)
@@ -238,8 +238,8 @@ def test_probabilistic_zeroes_the_conditional_mean_gap(rng):
         if sol.clamped:
             continue
         repaired = plan.with_lambdas({g: sol.lambda_star for g in plan.groups}).apply(ds)
-        gap = probabilistic_parity_gap(repaired, TPR)[("a", "b")]
-        assert abs(gap) <= 1e-10
+        m = conditional_means(repaired, 1)  # TPR conditions on label 1
+        assert abs(m[0] - m[1]) <= 1e-10
 
 
 def test_probabilistic_zero_denominator_errors():
@@ -260,7 +260,7 @@ def test_probabilistic_degeneracy_test_is_unit_free(rng):
     small = scaled(ds)
     want = solve_probabilistic(fit_plan(ds), ds, TPR)
     got = solve_probabilistic(fit_plan(small), small, TPR)
-    assert got.raw_lambda == pytest.approx(want.raw_lambda, abs=1e-9)
+    assert got.clamped == want.clamped
     assert got.lambda_star == pytest.approx(want.lambda_star, abs=1e-9)
     for same in (identical_groups(), scaled(identical_groups())):
         with pytest.raises(SolverError, match="equally shifted"):
@@ -280,7 +280,9 @@ def test_probabilistic_clamps_out_of_range_lambda():
     sol = solve_probabilistic(plan, ds, TPR)
     assert sol.clamped
     assert sol.lambda_star in (0.0, 1.0)
-    assert abs(sol.raw_lambda) > 1.0
+    prob = build_problem(plan, ds, TPR)
+    a, b = prob.base_means, prob.mean_shifts
+    assert abs((a[1] - a[0]) / (b[0] - b[1])) > 1.0  # the unclamped closed form
 
 
 def test_solver_agreement_across_splits(rng):

@@ -92,7 +92,7 @@ def test_conditional_means_converge_to_spec():
         expected = float(spec.support @ spec.pmf[g])
         got = ds.group_scores(g).mean()
         # 3-sigma binomial-style bound on the mean of a bounded variable
-        n_g = ds.group_count(g)
+        n_g = ds.group_scores(g).size
         assert abs(got - expected) <= 3.0 * 0.5 / np.sqrt(n_g)
 
 
