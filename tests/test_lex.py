@@ -68,11 +68,31 @@ def test_build_problem_conditional_means():
                                               plan.shift("B", [0.5, 0.7]).mean()])
 
 
-def test_build_problem_identical_groups_zero_loss():
+def test_build_problem_identical_groups_equal_means():
     ds = make_dataset({"A": [0.2, 0.4], "B": [0.2, 0.4]})
     prob = build_problem(fit_plan(ds), ds, PR)
     assert prob.base_means[0] == prob.base_means[1]
+    assert prob.mean_shifts[0] == prob.mean_shifts[1]
+
+
+def test_build_problem_identical_groups_zero_loss():
+    ds = make_dataset({"A": [0.2, 0.4], "B": [0.2, 0.4]})
+    prob = build_problem(fit_plan(ds), ds, PR)
     assert prob.losses(np.zeros(2)).tolist() == [0.0, 0.0]
+    assert prob.losses(np.ones(2)).tolist() == [0.0, 0.0]
+
+
+def test_build_problem_pairwise_gaps_antisymmetric(rng):
+    """m_a - m_b = -(m_b - m_a) for every ordered pair, so L_g sums a row or a column alike."""
+    ds = random_binary_dataset(rng)
+    plan = fit_plan(ds)
+    for kind in (PR, TPR, FPR):
+        prob = build_problem(plan, ds, kind)
+        for lam in (np.zeros(prob.n), rng.random(prob.n)):
+            m = prob.means(lam)
+            gaps = m[:, None] - m[None, :]
+            assert np.array_equal(gaps, -gaps.T)
+            assert prob.losses(lam) == pytest.approx(np.abs(gaps).sum(axis=0))
 
 
 def test_build_problem_three_group_loss_sum():
