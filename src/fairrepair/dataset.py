@@ -178,7 +178,10 @@ def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     Indexes Python strings: a numpy string array would drop trailing NULs and
     merge e.g. 'a' with 'a\\0'.
     """
-    names = set(groups)
+    try:
+        names = set(groups)
+    except TypeError:  # an unhashable name, which the check below reports
+        names = groups
     for g in names:
         if not isinstance(g, str) or not g:
             raise DatasetError(f"group names must be non-empty strings, got {g!r}")
@@ -196,11 +199,14 @@ def validate_dataset(rows, domain: ScoreDomain) -> ScoredDataset:
     """
     scores, groups, labels = [], [], []
     for row in rows:
-        if len(row) < 2:
-            raise DatasetError(f"row {row!r:.40} needs a score and a group")
-        scores.append(row[0])
-        groups.append(row[1])
-        labels.append(row[2] if len(row) > 2 and row[2] is not None else -1)
+        try:
+            score, group = row[0], row[1]
+            label = row[2] if len(row) > 2 and row[2] is not None else -1
+        except (TypeError, LookupError):  # not a sequence, or too short
+            raise DatasetError(f"row {row!r:.40} needs a score and a group") from None
+        scores.append(score)
+        groups.append(group)
+        labels.append(label)
     return ScoredDataset(scores, groups, labels, domain)
 
 
@@ -461,11 +467,12 @@ def _atomic_write(path, write) -> None:
 
 
 def _read_json(path, what: str, error: type[Exception]):
-    """Parse the JSON file at ``path``; bad JSON or non-UTF-8 bytes raise ``error``."""
+    """Parse the JSON file at ``path``; bad JSON, non-UTF-8 bytes or nesting too
+    deep for the parser raise ``error``."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError included
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
             raise error(f"{path}: not valid {what} JSON ({exc})") from None
 
 

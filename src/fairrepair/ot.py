@@ -13,6 +13,8 @@ tabulates it for each group's map onto the barycenter).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DatasetError
@@ -129,19 +131,51 @@ class EmpiricalDistribution:
         return f"EmpiricalDistribution({self.n_atoms} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 
 
-def wasserstein(d1: EmpiricalDistribution, d2: EmpiricalDistribution, p: float = 1.0) -> float:
+class _Levels(NamedTuple):
+    """The merged level partition of two distributions' quantile functions.
+
+    ``seg`` holds the widths of the pieces of (0, 1] cut at every level of
+    either distribution; on piece k the quantile functions take the values
+    ``atoms[i1[k]]`` and ``atoms[i2[k]]``.  The partition depends on the
+    levels only, so it serves any atoms with these ``breakpoints``.
+    """
+
+    b1: np.ndarray
+    b2: np.ndarray
+    seg: np.ndarray
+    i1: np.ndarray
+    i2: np.ndarray
+
+
+def _levels(d1: EmpiricalDistribution, d2: EmpiricalDistribution) -> _Levels:
+    q = np.union1d(d1.breakpoints, d2.breakpoints)
+    # Same lookup as quantile(): the last level is 1.0, so every index is in range.
+    i1 = np.searchsorted(d1.breakpoints, q, side="left")
+    i2 = np.searchsorted(d2.breakpoints, q, side="left")
+    return _Levels(d1.breakpoints, d2.breakpoints, np.diff(q, prepend=0.0), i1, i2)
+
+
+def wasserstein(
+    d1: EmpiricalDistribution, d2: EmpiricalDistribution, p: float = 1.0, levels: _Levels | None = None
+) -> float:
     """p-th power of the p-Wasserstein distance, W_p^p.
 
     Computed exactly as the integral over [0, 1] of |F1^-1 - F2^-1|^p: both
     quantile functions are constant between consecutive merged levels, so the
-    integral is a finite sum over that partition.
+    integral is a finite sum over that partition.  ``levels`` is that
+    partition, built once by ``_levels`` for callers that evaluate many atom
+    sets on fixed levels; it must have been built from these two
+    ``breakpoints`` arrays.  The sum is numpy's pairwise sum, not a BLAS dot
+    product, so the result does not depend on the BLAS thread count.
     """
     if not 1.0 <= p < np.inf:  # also rejects NaN
         raise DatasetError(f"order p must be finite and >= 1, got {p}")
-    q = np.union1d(d1.breakpoints, d2.breakpoints)
-    seg = np.diff(q, prepend=0.0)
-    diff = np.abs(d1.quantile(q) - d2.quantile(q))
-    return float(seg @ diff**p)
+    if levels is None:
+        levels = _levels(d1, d2)
+    elif levels.b1 is not d1.breakpoints or levels.b2 is not d2.breakpoints:
+        raise DatasetError("levels were built for other distributions")
+    diff = np.abs(d1.atoms[levels.i1] - d2.atoms[levels.i2])
+    return float((levels.seg * diff**p).sum())
 
 
 def barycenter_quantile(dists, w, q):

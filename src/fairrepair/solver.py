@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ot
 from .dataset import MetricCombo, MetricKind, ScoredDataset, _conditional_scores
 from .errors import DatasetError, SolverError
 from .lex import build_problem
@@ -71,9 +72,12 @@ class _RepairPath:
     """The objective's conditional distributions along the repair path.
 
     Partial repair moves a conditional atom z to (1-lam)*z + lam*T(z) with T
-    monotone, so the atoms' order, ties and counts do not depend on lam.  Each
-    nonzero term keeps, per group, the lam = 0 distribution and T at its atoms;
-    an evaluation only moves the atoms.
+    monotone, so the atoms' order, ties and counts do not depend on lam, and
+    neither do their quantile levels.  Each nonzero term keeps, per group, the
+    lam = 0 distribution and T at its atoms, and the merged level partition of
+    the pair, built once here.  An evaluation only moves the atoms, gathers
+    their differences on that partition and sums them with numpy (no BLAS), so
+    its value does not depend on the BLAS thread count.
     """
 
     def __init__(self, plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective):
@@ -90,12 +94,13 @@ class _RepairPath:
                 z = plan.domain.normalize(x)
                 d = EmpiricalDistribution.from_samples(z)
                 pair.append((d, tz[np.searchsorted(z, d.atoms)]))  # T at each atom's first sample
-            self.terms.append((w, pair))
+            (d1, _), (d2, _) = pair
+            self.terms.append((w, pair, ot._levels(d1, d2)))
 
     def __call__(self, lam: float) -> float:
         total = 0.0
-        for w, ((d1, t1), (d2, t2)) in self.terms:
-            total += w * wasserstein(d1._toward(t1, lam), d2._toward(t2, lam), self.p)
+        for w, ((d1, t1), (d2, t2)), levels in self.terms:
+            total += w * wasserstein(d1._toward(t1, lam), d2._toward(t2, lam), self.p, levels)
         if not math.isfinite(total):
             raise SolverError(f"objective is not finite at lambda={lam}")
         return total

@@ -44,6 +44,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_subprocess(*argv, **env):
+    """Run the CLI from src/ in a fresh interpreter, with extra environment variables."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "fairrepair.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- evaluate ---------------------------------------------------------------
 
 
@@ -395,6 +405,27 @@ def test_non_utf8_plan_and_config_are_validation_errors(tmp_path):
     assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--config", bad) == 2
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize("command, error", [
+    ("apply", "DatasetError"), ("generate", "SpecError"), ("evaluate", "DatasetError"),
+])
+def test_deeply_nested_json_is_validation_error(tmp_path, capsys, command, error):
+    data = write_dataset(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = {
+        "apply": ("--input", data, "--plan", deep, "--output", tmp_path / "o.csv"),
+        "generate": ("--spec", deep, "--output", tmp_path / "out", "--n", "200"),
+        "evaluate": ("--input", data, "--config", deep, "--output", tmp_path / "r.json"),
+    }[command]
+    assert run(command, *argv, "--json-errors") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == error
+
+
 def test_plan_missing_key_is_validation_error(tmp_path):
     plan_path = tmp_path / "plan.json"
     data = write_dataset(tmp_path)
@@ -584,15 +615,8 @@ def test_exact_terminates_for_tiny_tol(tmp_path, tol, groups):
         data = write_dataset(tmp_path, groups=groups, labels={g: [1, 1, 0] for g in groups})
     else:
         data = labeled_binary(tmp_path)
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairrepair.cli", "fit", "--input", str(data), "--output",
-         str(tmp_path / "plan.json"), "--solver", "exact", "--metric", "tpr", "--tol", tol],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_subprocess("fit", "--input", data, "--output", tmp_path / "plan.json", "--solver", "exact",
+                   "--metric", "tpr", "--tol", tol)
     assert 0.0 <= json.loads((tmp_path / "plan.json.solution.json").read_text())["lambda"] <= 1.0
 
 
@@ -1062,6 +1086,29 @@ def test_cli_outputs_deterministic(tmp_path):
         run("fit", "--input", data, "--output", plan_path, "--solver", "exact", "--metric", "tpr")
         outs.append(plan_path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """evaluate, fit --solver exact and lambda-sweep write the same bytes under
+    one and two BLAS threads.  At 4e4 rows a W_p sum has over 10,000 terms,
+    where a BLAS dot product would split it across threads."""
+    ds = random_binary_dataset(np.random.default_rng(11), n_per_group=(20_000, 20_000))
+    data = tmp_path / "data.csv"
+    write_csv(ds, data)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        for argv in (
+            ("evaluate", "--output", out / "report.json"),
+            ("fit", "--output", out / "plan.json", "--solver", "exact"),
+            ("lambda-sweep", "--output", out / "sweep.csv", "--steps", "11"),
+        ):
+            run_subprocess(*argv, "--input", data, "--metric", "tpr", OPENBLAS_NUM_THREADS=threads)
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["plan.json", "plan.json.solution.json", "report.curves.csv",
+                                  "report.json", "sweep.csv"]
+    assert outputs[0] == outputs[1]
 
 
 # Flags each subcommand used to accept without reading them, with a valid value.

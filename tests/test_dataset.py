@@ -85,7 +85,8 @@ def test_non_numeric_score_rejected():
     ([None, None, "b", "b"], "None"),
     (["a", "a", 1, 1], "1"),
     (["", "", "b", "b"], "''"),
-], ids=["integers", "none", "mixed", "empty"])
+    ([["a"], ["a"], "b", "b"], r"\['a'\]"),  # unhashable: set() raised a bare TypeError
+], ids=["integers", "none", "mixed", "empty", "unhashable"])
 def test_group_names_must_be_non_empty_strings(groups, shown):
     scores = [0.1, 0.2, 0.3, 0.4]
     with pytest.raises(DatasetError, match=f"group names must be non-empty strings, got ({shown})$"):
@@ -97,6 +98,12 @@ def test_group_names_must_be_non_empty_strings(groups, shown):
 def test_short_row_rejected():
     with pytest.raises(DatasetError, match=r"row \(0.2,\) needs a score and a group"):
         validate_dataset([(0.1, "A"), (0.2,), (0.5, "B"), (0.6, "B")], UNIT)
+
+
+@pytest.mark.parametrize("row, shown", [(0.1, "0.1"), ({0.1, "A"}, r"\{")], ids=["number", "set"])
+def test_row_that_is_not_a_sequence_rejected(row, shown):
+    with pytest.raises(DatasetError, match=f"row {shown}.* needs a score and a group"):
+        validate_dataset([row, (0.2, "A"), (0.5, "B"), (0.6, "B")], UNIT)  # was a bare TypeError
 
 
 def test_groups_ordered_lexicographically():

@@ -12,6 +12,7 @@ from fairrepair import (
     barycenter_quantile,
     wasserstein,
 )
+from fairrepair import ot
 
 from conftest import UNIT, random_distribution
 
@@ -192,6 +193,19 @@ def test_wasserstein_uniform_shift_example():
 
 def test_wasserstein_point_masses():
     assert wasserstein(dist([0.0, 0.0]), dist([1.0, 1.0]), 1.0) == 1.0
+
+
+def test_wasserstein_reuses_levels_only_for_their_breakpoints(rng):
+    d1 = EmpiricalDistribution(*random_distribution(rng))
+    d2 = EmpiricalDistribution(*random_distribution(rng))
+    levels = ot._levels(d1, d2)
+    moved = d1._toward(np.linspace(0.0, 1.0, d1.n_atoms), 0.4)  # same breakpoints array
+    for p in (1.0, 2.0):
+        assert wasserstein(moved, d2, p, levels) == wasserstein(moved, d2, p)
+    same_levels = EmpiricalDistribution(d1.atoms, d1.counts)  # equal, but a new array
+    for a, b in ((same_levels, d2), (d2, d1), (d1, d1)):
+        with pytest.raises(DatasetError, match="levels were built for other distributions"):
+            wasserstein(a, b, 1.0, levels)
 
 
 def test_wasserstein_symmetry_and_nonnegativity(rng):

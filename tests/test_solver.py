@@ -22,6 +22,8 @@ from fairrepair import (
     validate_dataset,
     wasserstein,
 )
+from fairrepair import ot
+from fairrepair.solver import _sweep
 
 from conftest import UNIT, conditional_means, make_dataset, random_binary_dataset
 
@@ -119,6 +121,21 @@ def test_objective_matches_rebuilt_distribution_oracle(rng, domain, tied):
             sol = solve_grid(plan, ds, obj, steps=3)
             assert sol.objective_value == min(ref)
             assert sol.lambda_star == 0.5 * ref.index(min(ref))
+
+
+def test_level_partition_built_once_per_term(rng, monkeypatch):
+    """Each solve builds one merged level partition per term, not one per evaluation."""
+    ds = random_binary_dataset(rng, n_per_group=(150, 190))
+    plan = fit_plan(ds)
+    obj = LambdaObjective(parse_combo("tpr:1,fpr:0.5"))
+    calls = []
+    build = ot._levels
+    monkeypatch.setattr(ot, "_levels", lambda d1, d2: calls.append(1) or build(d1, d2))
+    assert solve_exact(plan, ds, obj).evaluations > 2
+    assert len(calls) == 2
+    calls.clear()
+    assert len(_sweep(plan, ds, obj, 101)[1]) == 101
+    assert len(calls) == 2
 
 
 def test_rates_move_monotonically_under_repair(rng):
