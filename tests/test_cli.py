@@ -44,13 +44,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_subprocess(*argv, **env):
-    """Run the CLI from src/ in a fresh interpreter, with extra environment variables."""
+def run_subprocess(*argv, timeout=30, **env):
+    """Run the CLI from src/ in a fresh interpreter, with extra environment
+    variables; fail if it does not exit 0 within `timeout` seconds."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "fairrepair.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
 
 
