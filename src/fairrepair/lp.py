@@ -6,10 +6,10 @@ Nonnegative costs make the all-slack basis dual feasible whatever the signs of
 b_ub, so Lemke's dual simplex (1954) reaches the optimum from it with no
 phase 1, and the objective is bounded below by 0, so no LP is unbounded.  Each
 pivot takes the most negative row out of the basis and is one outer-product
-update of the dense tableau.  After as many pivots in a row that leave the
-objective unchanged as there are rows, the leaving row becomes the infeasible
-row with the smallest basic column (Bland's rule, 1977), which rules out
-cycling.  Deterministic by construction.
+update of the tableau rows with a nonzero in the entering column.  After as
+many pivots in a row that leave the objective unchanged as there are rows, the
+leaving row becomes the infeasible row with the smallest basic column (Bland's
+rule, 1977), which rules out cycling.  Deterministic by construction.
 """
 
 from __future__ import annotations
@@ -76,8 +76,19 @@ def linprog(c, A_ub, b_ub, bounds) -> np.ndarray:
         col = cols[np.flatnonzero(ratios <= ratios.min() + _TOL)[0]]
         # A zero reduced cost on the entering column leaves the objective unchanged.
         stalled = stalled + 1 if T[m, col] <= _TOL else 0
-        pivot_row = T[row] / T[row, col]
-        T -= np.outer(T[:, col], pivot_row)
-        T[row] = pivot_row
+        _pivot(T, row, col)
         basis[row] = col
     raise LPError("simplex iteration limit reached")
+
+
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Scale ``row`` to a 1 in ``col`` and eliminate ``col`` from the other rows.
+
+    Only rows with a nonzero in ``col`` change: the others would subtract a
+    zero multiple of the pivot row, which leaves every value equal (a -0.0
+    could turn into 0.0, and no comparison tells them apart).
+    """
+    pivot_row = T[row] / T[row, col]
+    rows = np.flatnonzero(T[:, col])
+    T[rows] -= np.outer(T[rows, col], pivot_row)
+    T[row] = pivot_row

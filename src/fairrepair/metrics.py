@@ -12,6 +12,7 @@ quantities.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -72,11 +73,12 @@ class DisparityCurve:
 
 def _write_curves(fh, curves) -> None:
     """Rows of every curve under one `threshold,group,metric,value` header."""
-    fh.write("threshold,group,metric,value\n")
+    writer = csv.writer(fh, lineterminator="\n")  # quotes a group name such as 'a,b'
+    writer.writerow(["threshold", "group", "metric", "value"])
     for curve in curves:
         for group in sorted(curve.values):
             for tau, v in zip(curve.grid.points.tolist(), curve.values[group].tolist()):
-                fh.write(f"{tau!r},{group},{curve.metric.name},{v!r}\n")
+                writer.writerow([repr(tau), group, curve.metric.name, repr(v)])
 
 
 def rate_curve(ds: ScoredDataset, kind: MetricKind, grid: ThresholdGrid) -> DisparityCurve:

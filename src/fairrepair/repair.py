@@ -10,6 +10,7 @@ labels; labels only ever enter through the choice of lambda.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .ot import _MAX_TOTAL, EmpiricalDistribution, barycenter_quantile
 
 __all__ = ["RepairPlan", "fit_plan", "load_plan", "save_plan"]
 
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 _PLAN_KEYS = {"format_version", "domain", "groups", "fitted", "lambdas"}
 
 
@@ -29,7 +30,9 @@ class RepairPlan:
     """Fitted per-group quantile tables and a lambda per group.
 
     ``group_weights`` are the proportions p_g: each group's total count over
-    the grand total, in ``groups`` order.
+    the grand total, in ``groups`` order.  The full-repair targets are
+    tabulated once per fitted set, on first use, and shared by
+    :meth:`with_lambdas`.
     """
 
     domain: ScoreDomain
@@ -48,24 +51,25 @@ class RepairPlan:
         for g in self.groups:
             if not 0.0 <= self.lambdas[g] <= 1.0:
                 raise DatasetError(f"lambda for group '{g}' must lie in [0, 1]")
-        dists = [self.fitted[g] for g in self.groups]
-        totals = np.array([d.counts.sum() for d in dists], dtype=float)  # each exact, at most 2**53
-        w = totals / totals.sum()
-        object.__setattr__(self, "group_weights", w)
-        # Full repair T_g = Q_bary o F_g is a step function that changes value
-        # only at g's atoms: tabulate Q_bary at 0 and at each of g's levels.
-        object.__setattr__(self, "_targets", {
-            g: barycenter_quantile(dists, w, np.concatenate(([0.0], self.fitted[g].breakpoints)))
-            for g in self.groups
-        })
+        # Each total is exact: at most 2**53.
+        totals = np.array([self.fitted[g].counts.sum() for g in self.groups], dtype=float)
+        object.__setattr__(self, "group_weights", totals / totals.sum())
+        object.__setattr__(self, "_targets", {})  # filled by _targets_of
 
     # -- core maps (x in original score units) ------------------------------
 
     def _targets_of(self, group: str) -> np.ndarray:
-        try:
-            return self._targets[group]
-        except KeyError:
-            raise DatasetError(f"group '{group}' not in plan") from None
+        if group not in self.fitted:
+            raise DatasetError(f"group '{group}' not in plan")
+        if not self._targets:
+            # Full repair T_g = Q_bary o F_g is a step function that changes value
+            # only at g's atoms: tabulate Q_bary at 0 and at each of g's levels.
+            dists = [self.fitted[g] for g in self.groups]
+            self._targets.update({
+                g: barycenter_quantile(dists, self.group_weights, np.concatenate(([0.0], d.breakpoints)))
+                for g, d in zip(self.groups, dists)
+            })
+        return self._targets[group]
 
     def total_repair_score(self, group: str, x):
         """Fully repaired score: transport of x onto the group barycenter."""
@@ -117,7 +121,9 @@ class RepairPlan:
     def with_lambdas(self, lambdas: dict[str, float]) -> "RepairPlan":
         merged = dict(self.lambdas)
         merged.update(lambdas)
-        return RepairPlan(self.domain, self.groups, self.fitted, merged)
+        plan = RepairPlan(self.domain, self.groups, self.fitted, merged)
+        object.__setattr__(plan, "_targets", self._targets)  # same fitted set, same table
+        return plan
 
     # -- serialization -------------------------------------------------------
 
@@ -126,7 +132,7 @@ class RepairPlan:
             "format_version": PLAN_FORMAT_VERSION,
             "domain": {"lo": float(self.domain.lo), "hi": float(self.domain.hi)},
             "groups": list(self.groups),
-            "fitted": {g: {"atoms": d.atoms.tolist(), "counts": d.counts.tolist()}
+            "fitted": {g: {"atoms": _pack(d.atoms, "<f8"), "counts": _pack(d.counts, "<i8")}
                        for g, d in self.fitted.items()},
             "lambdas": {g: float(self.lambdas[g]) for g in self.groups},
         }
@@ -137,7 +143,7 @@ class RepairPlan:
         if not isinstance(data, dict):
             raise DatasetError("plan must be a JSON object")
         version = data.get("format_version")
-        if version != PLAN_FORMAT_VERSION:  # 1 stored float weights: re-fitting writes the counts
+        if version != PLAN_FORMAT_VERSION:  # 1 and 2 stored JSON arrays: re-fitting packs them
             raise DatasetError(f"unsupported plan format_version {version!r}; this release reads "
                                f"format_version {PLAN_FORMAT_VERSION}: re-run `fairrepair fit` to write one")
         _check_keys("plan", data, _PLAN_KEYS)
@@ -151,8 +157,12 @@ class RepairPlan:
             fitted = {}
             for g, spec in data["fitted"].items():
                 _check_keys(f"plan fitted entry '{g}'", spec, {"atoms", "counts"})
-                atoms = _numbers(f"plan atoms of '{g}'", spec["atoms"], many=True)
-                counts = _counts(f"plan counts of '{g}'", spec["counts"])
+                atoms = _unpack(f"plan atoms of '{g}'", spec["atoms"], "<f8")
+                counts = _unpack(f"plan counts of '{g}'", spec["counts"], "<i8")
+                bad = (counts < 1) | (counts > _MAX_TOTAL)
+                if bad.any():
+                    raise DatasetError(f"malformed plan counts of '{g}': {counts[bad][0]} is not "
+                                       "an integer in [1, 2**53]")
                 fitted[g] = _named(f"plan fitted entry '{g}'", EmpiricalDistribution, atoms, counts)
             lambdas = {g: _numbers(f"plan lambda of '{g}'", v) for g, v in data["lambdas"].items()}
             return cls(domain, tuple(groups), fitted, lambdas)
@@ -177,14 +187,22 @@ def fit_plan(ds: ScoredDataset) -> RepairPlan:
     return RepairPlan(ds.domain, ds.groups, fitted, dict.fromkeys(ds.groups, 1.0))
 
 
-def _counts(what: str, value) -> np.ndarray:
-    """A JSON array of integers in [1, 2**53] as an int64 array; a boolean or 1.0 names the field."""
-    if not isinstance(value, list):
-        raise DatasetError(f"malformed {what}: expected a JSON array, got {type(value).__name__}")
-    for v in value:
-        if type(v) is not int or not 0 < v <= _MAX_TOTAL:
-            raise DatasetError(f"malformed {what}: {v!r:.40} is not a JSON integer in [1, 2**53]")
-    return np.array(value, dtype=np.int64)
+def _pack(values: np.ndarray, dtype: str) -> str:
+    """``values`` as base64 text of their ``dtype`` bytes."""
+    return base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
+
+
+def _unpack(what: str, value, dtype: str) -> np.ndarray:
+    """The inverse of :func:`_pack` for an 8-byte ``dtype``; bad input names ``what``."""
+    if not isinstance(value, str):
+        raise DatasetError(f"malformed {what}: expected a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DatasetError(f"malformed {what}: not base64 ({exc})") from None
+    if len(raw) % 8:
+        raise DatasetError(f"malformed {what}: {len(raw)} bytes is not a multiple of 8")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def save_plan(plan: RepairPlan, path) -> None:

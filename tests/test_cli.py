@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import csv
@@ -22,9 +23,10 @@ from fairrepair import (
     load_plan,
     objective_eval,
     parse_combo,
+    save_plan,
     write_csv,
 )
-from fairrepair import cli
+from fairrepair import cli, repair
 from fairrepair.cli import main
 
 from conftest import UNIT, make_dataset, random_binary_dataset
@@ -96,6 +98,19 @@ def test_evaluate_unlabeled_tpr_is_validation_error(tmp_path, capsys):
     assert "unlabeled" in capsys.readouterr().err
 
 
+def test_evaluate_curves_quote_group_names(tmp_path):
+    """A group name with a comma or a quote stays one cell of the curve CSV."""
+    groups = {"a,b": [0.2, 0.4, 0.6], 'q"r': [0.1, 0.3, 0.5]}
+    path = write_dataset(tmp_path, groups=groups)
+    assert run("evaluate", "--input", path, "--output", tmp_path / "report.json", "--grid", "5") == 0
+    with open(tmp_path / "report.curves.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["threshold", "group", "metric", "value"]
+    assert len(rows) == 1 + 2 * 5
+    assert all(len(row) == 4 for row in rows)
+    assert {row[1] for row in rows[1:]} == set(groups)
+
+
 def test_evaluate_curves_onto_report_is_validation_error(tmp_path, capsys, monkeypatch):
     """--curves naming the --output file (by any path) would overwrite the
     report, so evaluate exits 2 before it reads the input or writes a file."""
@@ -157,6 +172,53 @@ def test_fit_lex_writes_epsilon_sidecar(tmp_path):
     solution = json.loads((tmp_path / "plan.json.solution.json").read_text())
     assert solution["method"] == "lexicographic"
     assert len(solution["epsilons"]) == 4
+
+
+def test_fit_builds_the_target_table_once(tmp_path, monkeypatch):
+    """A plan tabulates one barycenter quantile per group, on first use, and
+    with_lambdas, save_plan and load_plan reuse or defer that table."""
+    calls = []
+    real = repair.barycenter_quantile
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "barycenter_quantile", counting)
+    groups = {"a": [0.1, 0.3, 0.5, 0.6], "b": [0.2, 0.4, 0.7, 0.8], "c": [0.35, 0.5, 0.9, 0.95]}
+    data = write_dataset(tmp_path, "three.csv", groups, {g: [0, 1, 0, 1] for g in groups})
+    plan_path = tmp_path / "plan.json"
+    assert run("fit", "--input", data, "--output", plan_path, "--solver", "lex", "--metric", "tpr") == 0
+    assert len(calls) == 3
+    plan = load_plan(plan_path)
+    shifted = plan.with_lambdas({"a": 0.5})
+    save_plan(shifted, tmp_path / "shifted.json")
+    load_plan(tmp_path / "shifted.json")
+    assert len(calls) == 3
+    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 0
+    assert len(calls) == 6
+    ds = load_csv(data, UNIT)
+    plan.apply(ds)
+    assert len(calls) == 9
+    shifted.apply(ds)  # shares plan's table
+    assert len(calls) == 9
+
+
+def test_fit_exact_objective_is_evaluate_exact_gap_after_apply(tmp_path):
+    """The objective fit reports is the disparity evaluate measures on the
+    repaired data: two routes to the same W_1."""
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        ds = random_binary_dataset(rng, n_per_group=(1800, 2200), label_offsets=(-0.15, 0.15))
+        data, plan_path, repaired = tmp_path / "data.csv", tmp_path / "plan.json", tmp_path / "repaired.csv"
+        write_csv(ds, data)
+        assert run("fit", "--input", data, "--output", plan_path, "--solver", "exact", "--metric", "tpr") == 0
+        assert run("apply", "--input", data, "--plan", plan_path, "--output", repaired) == 0
+        assert run("evaluate", "--input", repaired, "--output", tmp_path / "after.json", "--metric", "tpr") == 0
+        objective = json.loads((tmp_path / "plan.json.solution.json").read_text())["objective"]
+        gap = json.loads((tmp_path / "after.json").read_text())["reports"][0]["exact_gap"]
+        assert objective > 0.0
+        assert gap == pytest.approx(objective, rel=1e-12, abs=0.0)
 
 
 def test_fit_probabilistic_rejects_three_groups(tmp_path, capsys):
@@ -448,57 +510,17 @@ def test_plan_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys
     assert "malformed plan (OverflowError" in capsys.readouterr().err
 
 
-def _set_first_atom(data, value):
-    data["fitted"]["A"]["atoms"][0] = value
+def _packed(values, dtype):
+    """``values`` as a format_version 3 plan stores them: base64 of ``dtype`` bytes."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-# Each of these loaded and applied, with exit 0, while numeric fields took any
-# value float() accepts.
-BAD_PLAN_NUMBERS = {
-    "lo-string": (lambda data: data["domain"].update(lo="0"), "plan domain lo: '0'"),
-    "hi-true": (lambda data: data["domain"].update(hi=True), "plan domain hi: True"),
-    "lambda-true": (lambda data: data["lambdas"].update(A=True), "plan lambda of 'A': True"),
-    "atom-string": (lambda data: _set_first_atom(data, "0.01"), "plan atoms of 'A': '0.01'"),
-}
+def _unpacked(text, dtype):
+    return np.frombuffer(base64.b64decode(text), dtype=dtype).copy()
 
 
-@pytest.mark.parametrize("case", sorted(BAD_PLAN_NUMBERS))
-def test_plan_numbers_must_be_json_numbers(tmp_path, capsys, case):
-    edit, message = BAD_PLAN_NUMBERS[case]
-    plan_path = tmp_path / "plan.json"
-    data = write_dataset(tmp_path)
-    assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
-    payload = json.loads(plan_path.read_text())
-    edit(payload)
-    plan_path.write_text(json.dumps(payload))
-    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
-    assert f"{message} is not a JSON number" in capsys.readouterr().err
-    assert not (tmp_path / "o.csv").exists()
-
-
-def _set_counts(data, *counts):
-    data["fitted"]["A"]["counts"][:len(counts)] = counts
-
-
-BAD_PLAN_COUNTS = {
-    "string": (lambda data: _set_counts(data, "1"), "plan counts of 'A': '1' is not a JSON integer"),
-    "true": (lambda data: _set_counts(data, True), "plan counts of 'A': True is not a JSON integer"),
-    "float": (lambda data: _set_counts(data, 1.0), "plan counts of 'A': 1.0 is not a JSON integer"),
-    "zero": (lambda data: _set_counts(data, 0), "plan counts of 'A': 0 is not a JSON integer"),
-    "negative": (lambda data: _set_counts(data, -2), "plan counts of 'A': -2 is not a JSON integer"),
-    "huge": (lambda data: _set_counts(data, 10**30), "plan counts of 'A': 1000000000000000000"),
-    "not-an-array": (lambda data: data["fitted"]["A"].update(counts=1),
-                     "malformed plan counts of 'A': expected a JSON array"),
-    "total": (lambda data: _set_counts(data, 2**53, 1),  # and two more atoms counted once
-              f"plan fitted entry 'A': counts must total at most 2**53, got {2**53 + 3}"),
-    "length": (lambda data: data["fitted"]["A"]["counts"].pop(),
-               "plan fitted entry 'A': atoms and counts must be equal-length 1-d arrays"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_PLAN_COUNTS))
-def test_plan_counts_must_be_positive_json_integers(tmp_path, capsys, case):
-    edit, message = BAD_PLAN_COUNTS[case]
+def _assert_plan_rejected(tmp_path, capsys, edit, message):
+    """Fit a plan, ``edit`` its JSON, and check that apply exits 2 with ``message``."""
     plan_path = tmp_path / "plan.json"
     data = write_dataset(tmp_path)
     assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
@@ -510,17 +532,102 @@ def test_plan_counts_must_be_positive_json_integers(tmp_path, capsys, case):
     assert not (tmp_path / "o.csv").exists()
 
 
+def _set_field(key, value):
+    return lambda data: data["fitted"]["A"].update({key: value})
+
+
+def _edit_packed(key, dtype, edit, write_dtype=None):
+    """A plan edit: decode group A's ``key``, pass it through ``edit``, and
+    encode it again (as ``write_dtype`` if given)."""
+    def apply(data):
+        entry = data["fitted"]["A"]
+        entry[key] = _packed(edit(_unpacked(entry[key], dtype)), write_dtype or dtype)
+
+    return apply
+
+
+def _head(*values):
+    """An array edit that overwrites the first values."""
+    def edit(array):
+        array[:len(values)] = values
+        return array
+
+    return edit
+
+
+# Each of these loaded and applied, with exit 0, while numeric fields took any
+# value float() accepts.  Atoms are packed now: a numeric string is not base64.
+BAD_PLAN_NUMBERS = {
+    "lo-string": (lambda data: data["domain"].update(lo="0"), "plan domain lo: '0' is not a JSON number"),
+    "hi-true": (lambda data: data["domain"].update(hi=True), "plan domain hi: True is not a JSON number"),
+    "lambda-true": (lambda data: data["lambdas"].update(A=True),
+                    "plan lambda of 'A': True is not a JSON number"),
+    "atom-string": (_set_field("atoms", "0.01"), "malformed plan atoms of 'A': not base64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_NUMBERS))
+def test_plan_numbers_must_be_json_numbers(tmp_path, capsys, case):
+    _assert_plan_rejected(tmp_path, capsys, *BAD_PLAN_NUMBERS[case])
+
+
+_COUNT_RANGE = "is not an integer in [1, 2**53]"
+BAD_PLAN_COUNTS = {
+    "string": (_set_field("counts", "1"), "malformed plan counts of 'A': not base64"),
+    "true": (_set_field("counts", True), "malformed plan counts of 'A': expected a base64 string, got bool"),
+    # 1.0's float64 bytes read as int64 are 4607182418800017408.
+    "float": (_edit_packed("counts", "<i8", lambda a: a, write_dtype="<f8"),
+              f"plan counts of 'A': 4607182418800017408 {_COUNT_RANGE}"),
+    "zero": (_edit_packed("counts", "<i8", _head(0)), f"plan counts of 'A': 0 {_COUNT_RANGE}"),
+    "negative": (_edit_packed("counts", "<i8", _head(-2)), f"plan counts of 'A': -2 {_COUNT_RANGE}"),
+    "huge": (_edit_packed("counts", "<i8", _head(2**53 + 1)),
+             f"plan counts of 'A': {2**53 + 1} {_COUNT_RANGE}"),
+    "not-a-string": (_set_field("counts", [1, 1, 1, 1]),  # format_version 2's JSON array
+                     "malformed plan counts of 'A': expected a base64 string, got list"),
+    "total": (_edit_packed("counts", "<i8", _head(2**53, 1)),  # and two more atoms counted once
+              f"plan fitted entry 'A': counts must total at most 2**53, got {2**53 + 3}"),
+    "length": (_edit_packed("counts", "<i8", lambda a: a[:-1]),
+               "plan fitted entry 'A': atoms and counts must be equal-length 1-d arrays"),
+    "bad-base64": (_set_field("counts", "AQAAAAAAAAA*"), "malformed plan counts of 'A': not base64"),
+    "non-ascii": (_set_field("counts", "AQAAAAAAAAé="), "malformed plan counts of 'A': not base64"),
+    "odd-bytes": (_set_field("counts", base64.b64encode(bytes(11)).decode("ascii")),
+                  "malformed plan counts of 'A': 11 bytes is not a multiple of 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_COUNTS))
+def test_plan_counts_must_be_positive_json_integers(tmp_path, capsys, case):
+    _assert_plan_rejected(tmp_path, capsys, *BAD_PLAN_COUNTS[case])
+
+
+BAD_PLAN_ATOMS = {
+    "not-a-string": (_set_field("atoms", [0.2, 0.4, 0.6, 0.8]),
+                     "malformed plan atoms of 'A': expected a base64 string, got list"),
+    "odd-bytes": (_set_field("atoms", "AAAA"), "malformed plan atoms of 'A': 3 bytes is not a multiple of 8"),
+    "nan": (_edit_packed("atoms", "<f8", _head(np.nan)), "plan fitted entry 'A': atoms must be finite"),
+    "inf": (_edit_packed("atoms", "<f8", _head(np.inf)), "plan fitted entry 'A': atoms must be finite"),
+    "above-one": (_edit_packed("atoms", "<f8", _head(1.5)), "plan fitted entry 'A': atoms must lie in [0, 1]"),
+    "negative": (_edit_packed("atoms", "<f8", _head(-0.5)), "plan fitted entry 'A': atoms must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_ATOMS))
+def test_plan_atoms_must_be_finite_and_in_the_unit_interval(tmp_path, capsys, case):
+    _assert_plan_rejected(tmp_path, capsys, *BAD_PLAN_ATOMS[case])
+
+
 def test_format_version_1_plan_exits_two_naming_the_version(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     data = write_dataset(tmp_path)
     assert run("fit", "--input", data, "--output", plan_path, "--solver", "none") == 0
     payload = json.loads(plan_path.read_text())
-    assert payload["format_version"] == 2 and "group_weights" not in payload
-    payload["format_version"] = 1
-    plan_path.write_text(json.dumps(payload))
-    assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
-    err = capsys.readouterr().err
-    assert "unsupported plan format_version 1" in err and "re-run `fairrepair fit`" in err
+    assert payload["format_version"] == 3 and "group_weights" not in payload
+    for version in (1, 2):  # both stored JSON arrays of numbers
+        payload["format_version"] = version
+        plan_path.write_text(json.dumps(payload))
+        assert run("apply", "--input", data, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert f"unsupported plan format_version {version}" in err and "re-run `fairrepair fit`" in err
 
 
 # -- lambda-sweep ------------------------------------------------------------------

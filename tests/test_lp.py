@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from fairrepair import LPError
+from fairrepair import LPError, lex, lp, solve_lexicographic
+from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
+
+ROW_SPARSE_PIVOT = lp._pivot
 
 
 def _feasible(x, A, b, bounds, tol=1e-7):
@@ -182,3 +187,40 @@ def test_duplicate_negative_rhs_rows():
 def test_malformed_problem_rejected(c, A, b, bounds, message):
     with pytest.raises(LPError, match=message):
         linprog(c, A, b, bounds)
+
+
+def _dense_pivot(T, row, col):
+    """Oracle for ``lp._pivot``: every row, zero in the pivot column or not, is updated."""
+    pivot_row = T[row] / T[row, col]
+    T -= np.outer(T[:, col], pivot_row)
+    T[row] = pivot_row
+
+
+def _lex_under(pivot, prob, monkeypatch):
+    """The JSON of ``solve_lexicographic(prob)`` with ``pivot`` as the simplex
+    update, and the bytes of each round LP's solution."""
+    solutions = []
+
+    def recording_linprog(*args):
+        x = linprog(*args)
+        solutions.append(x.tobytes())  # tells -0.0 from 0.0
+        return x
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(lex, "linprog", recording_linprog)
+    return json.dumps(solve_lexicographic(prob).to_dict()), solutions
+
+
+def test_row_sparse_pivots_match_dense_ones_bit_for_bit(rng, monkeypatch):
+    """Updating only the rows with a nonzero in the pivot column takes the same
+    pivots and returns the same bytes as updating the whole tableau."""
+    for trial in range(24):
+        n = int(rng.integers(3, 8))
+        a, b = rng.random(n), rng.normal(scale=0.3, size=n)
+        if trial % 3 == 0:  # tied means and unshifted groups: degenerate rounds
+            a, b = np.round(a, 1), np.where(rng.random(n) < 0.3, 0.0, np.round(b, 1))
+        prob = LexProblem(tuple(f"g{i}" for i in range(n)), a, b)
+        sparse = _lex_under(ROW_SPARSE_PIVOT, prob, monkeypatch)
+        dense = _lex_under(_dense_pivot, prob, monkeypatch)
+        assert len(sparse[1]) == n
+        assert sparse == dense

@@ -94,7 +94,8 @@ def test_plan_round_trip_is_exact(tmp_path):
         assert first.read_bytes() == second.read_bytes()
         assert loaded.group_weights.tobytes() == plan.group_weights.tobytes()
         for g in plan.groups:
-            assert loaded._targets[g].tobytes() == plan._targets[g].tobytes()
+            assert loaded._targets_of(g).tobytes() == plan._targets_of(g).tobytes()
+            assert loaded.fitted[g].atoms.tobytes() == plan.fitted[g].atoms.tobytes()
             assert loaded.fitted[g].counts.tobytes() == plan.fitted[g].counts.tobytes()
             assert loaded.fitted[g].breakpoints.tobytes() == plan.fitted[g].breakpoints.tobytes()
 

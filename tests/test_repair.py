@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import base64
 import json
 
 from fairrepair import (
@@ -298,7 +299,7 @@ def test_with_lambdas_validates_range():
 def test_plan_rejects_wrong_version(tmp_path):
     path = tmp_path / "plan.json"
     save_plan(binary_plan(), path)
-    data = path.read_text().replace('"format_version": 2', '"format_version": 99')
+    data = path.read_text().replace('"format_version": 3', '"format_version": 99')
     path.write_text(data)
     with pytest.raises(DatasetError, match="format_version"):
         load_plan(path)
@@ -340,7 +341,9 @@ def _group_weights_key(data):
 
 
 def _nan_count(data):
-    data["fitted"]["A"]["counts"][0] = float("nan")
+    # A NaN's float64 bytes read as int64 are far above 2**53.
+    nan_first = np.r_[np.nan, np.ones(len(BINARY["A"]) - 1)]
+    data["fitted"]["A"]["counts"] = base64.b64encode(nan_first.astype("<f8").tobytes()).decode("ascii")
 
 
 def _extra_fitted_group(data):
