@@ -224,8 +224,8 @@ _OPTIONS = {
     "grid": (("evaluate", "fit"), dict(
         type=_steps,
         default=101,
-        help="threshold-grid size (default %(default)s); 'fit --solver grid' also takes its "
-        "lambda step count from it",
+        help="thresholds in evaluate's curves CSV (default %(default)s; the report's gaps are "
+        "exact and do not use it); 'fit --solver grid' takes its lambda step count from it",
     )),
     "p": (_SCORED, dict(type=_order, default=1.0, help="disparity order p >= 1 (default %(default)s)")),
     "solver": (("fit",), dict(

@@ -33,6 +33,13 @@ class RepairPlan:
     the grand total, in ``groups`` order.  The full-repair targets are
     tabulated once per fitted set, on first use, and shared by
     :meth:`with_lambdas`.
+
+    On tied scores T_g = Q_bary o F_g leaves a residual.  Atom i of g, upper
+    level b_i, maps to Q_bary(b_i), and Q_bary(u) <= t iff u <= G(t), G the
+    barycenter's CDF.  So F'_g(t), the repaired CDF, is g's largest level
+    <= G(t), and 0 <= G(t) - F'_g(t) < m_g, g's largest atom share: every PR
+    gap on the fit data is below max_g m_g (``apply``'s rounding of
+    x + (T(x) - x) can split a tie by an ulp and reach it).
     """
 
     domain: ScoreDomain

@@ -58,20 +58,19 @@ def _continuous_dataset(rng, counts, mean_span=(0.35, 0.65), sd=0.13, offsets=No
 
 
 def test_criterion_1_disparity_equals_wasserstein():
-    """Grid-estimated threshold-average gap vs exact W1, 50 random datasets."""
+    """Threshold-average gap over every threshold vs exact W1, 50 random datasets."""
     rng = np.random.default_rng(101)
-    grid = ThresholdGrid.linspace(UNIT, 1001)
     kinds = (PR, TPR, FPR)
     start = time.time()
     worst = 0.0
     for i in range(50):
         counts = rng.integers(200, 2001, size=2)
         ds = _continuous_dataset(rng, counts, offsets=[0.1, -0.1])
-        rep = distributional_disparity(ds, kinds[i % 3], 1.0, grid)
-        worst = max(worst, abs(rep.expected_gap - rep.exact_gap))
+        rep = distributional_disparity(ds, kinds[i % 3], 1.0)
+        worst = max(worst, abs(rep.expected_gap - rep.exact_gap) / rep.exact_gap)
     elapsed = time.time() - start
-    _report(1, worst <= 5e-3 and elapsed < 10,
-            f"max |grid - exact| = {worst:.2e} (tol 5e-3), {elapsed:.1f}s (< 10s)")
+    _report(1, worst <= 1e-12 and elapsed < 10,
+            f"max |gap - W1| / W1 = {worst:.2e} (tol 1e-12), {elapsed:.1f}s (< 10s)")
 
 
 def test_criterion_2_sdp_at_full_repair():

@@ -12,9 +12,11 @@ from fairrepair import (
     TNR,
     TPR,
     DatasetError,
+    ScoredDataset,
     ThresholdGrid,
     distributional_disparity,
     rate_curve,
+    subset_by_label,
 )
 from fairrepair.metrics import _write_curves
 
@@ -130,17 +132,42 @@ def test_expected_gap_bounded_by_max_gap_power(rng):
         assert rep.expected_gap <= rep.max_gap**p + 1e-12
 
 
-def test_grid_estimate_tracks_exact_wasserstein(rng):
-    """Trapezoid estimate vs the exact conditional-distribution distance.
+def tied_or_untied_dataset(rng, tied):
+    """Two groups of 200 and 300 rows on UNIT; tied scores sit on 21 levels."""
+    ds = random_binary_dataset(rng, n_per_group=(200, 300))
+    return ds.replace_scores(np.round(ds.scores * 20) / 20) if tied else ds
 
-    Error bound C / grid_count with C <= 2 on the normalized domain.
+
+def test_expected_gap_is_w1_at_p1(rng):
+    """At p = 1 the mean rate gap over every threshold is W_1: the same integral."""
+    for tied in (False, True):
+        for kind in (PR, TPR, FNR):
+            rep = distributional_disparity(tied_or_untied_dataset(rng, tied), kind, 1.0, GRID)
+            assert rep.expected_gap == pytest.approx(rep.exact_gap, rel=1e-12, abs=0)
+    g = rng.integers(2, size=100_000)  # continuous: every row is its own atom
+    s = np.clip(rng.normal(np.array([0.35, 0.65])[g], 0.13), 0.0, 1.0)
+    ds = ScoredDataset(s, np.array(["a", "b"])[g], (rng.random(g.size) < s).astype(int), UNIT)
+    rep = distributional_disparity(ds, TPR, 1.0, GRID)
+    assert rep.expected_gap == pytest.approx(rep.exact_gap, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("kind", [PR, TPR, FNR], ids=str)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_gaps_match_rate_curves_on_every_merged_score(rng, tied, kind, p):
+    """Oracle: rate curves read at every merged conditional score, summed by hand.
+
+    gamma_g is constant on (u_i, u_{i+1}], so the integral over the unit domain
+    is sum_i (u_{i+1} - u_i) |gamma_a(u_{i+1}) - gamma_b(u_{i+1})|^p, and the
+    supremum is the largest gap at a merged score.
     """
-    grid = ThresholdGrid.linspace(UNIT, 1001)
-    for _ in range(5):
-        ds = random_binary_dataset(rng, n_per_group=(250, 300))
-        for kind in (PR, TPR):
-            rep = distributional_disparity(ds, kind, 1.0, grid)
-            assert abs(rep.expected_gap - rep.exact_gap) <= 5e-3
+    ds = tied_or_untied_dataset(rng, tied)
+    u = np.unique(subset_by_label(ds, kind).scores)
+    curve = rate_curve(ds, kind, ThresholdGrid(u))
+    gap = np.abs(curve.values["a"] - curve.values["b"])
+    rep = distributional_disparity(ds, kind, p, GRID)
+    assert rep.expected_gap == pytest.approx(np.sum(np.diff(u) * gap[1:] ** p), rel=1e-12, abs=0)
+    assert rep.max_gap == pytest.approx(gap.max(), rel=1e-12, abs=0)
 
 
 def test_report_json_shape():
