@@ -7,6 +7,14 @@ dump the lambda-vs-objective curve.  Everything is emitted as CSV/JSON data
 files; plotting is left to the caller.
 
 Exit codes: 0 success, 2 validation error, 3 solver error, 4 I/O error.
+
+Importing this module first loads numpy with one OpenBLAS thread, unless
+``OPENBLAS_NUM_THREADS`` is set or numpy has already loaded.  The CLI makes no
+BLAS call (every sum is numpy's own), and its outputs do not depend on the
+thread count (``test_outputs_do_not_depend_on_blas_threads``), so OpenBLAS's
+workers would only busy-wait: about 0.1 s of CPU per worker per command.
+OpenBLAS reads the variable once, as it loads, so the import unsets it again
+and later code and child processes see the environment they had.
 """
 
 from __future__ import annotations
@@ -17,7 +25,15 @@ import math
 import os
 import sys
 
-import numpy as np
+# Load numpy with one OpenBLAS thread (see the module docstring).
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    import numpy as np
 
 from .dataset import (ScoreDomain, _atomic_write, _index_groups, _read_json, _read_scored_csv,
                       _write_json, load_csv, parse_combo, write_csv)

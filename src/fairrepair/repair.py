@@ -32,7 +32,8 @@ class RepairPlan:
     ``group_weights`` are the proportions p_g: each group's total count over
     the grand total, in ``groups`` order.  The full-repair targets are
     tabulated once per fitted set, on first use, and shared by
-    :meth:`with_lambdas`.
+    :meth:`with_lambdas`.  The table is clipped into [0, 1] (normalized
+    units).
 
     On tied scores T_g = Q_bary o F_g leaves a residual.  Atom i of g, upper
     level b_i, maps to Q_bary(b_i), and Q_bary(u) <= t iff u <= G(t), G the
@@ -71,9 +72,11 @@ class RepairPlan:
         if not self._targets:
             # Full repair T_g = Q_bary o F_g is a step function that changes value
             # only at g's atoms: tabulate Q_bary at 0 and at each of g's levels.
+            # The weights can sum to 1 + 2**-52, so Q_bary(1) can read an ulp above 1.
             dists = [self.fitted[g] for g in self.groups]
             self._targets.update({
-                g: barycenter_quantile(dists, self.group_weights, np.concatenate(([0.0], d.breakpoints)))
+                g: np.clip(barycenter_quantile(dists, self.group_weights,
+                                               np.concatenate(([0.0], d.breakpoints))), 0.0, 1.0)
                 for g, d in zip(self.groups, dists)
             })
         return self._targets[group]

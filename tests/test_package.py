@@ -1,11 +1,19 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fairrepair
 from fairrepair import dataset, errors, lex, metrics, ot, repair, solver, synth
 
 PUBLIC_MODULES = (dataset, errors, lex, metrics, ot, repair, solver, synth)
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# The variables OpenBLAS reads its thread count from.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_package_exports_every_public_module_name_once():
@@ -34,3 +42,61 @@ def test_readme_api_list_names_every_public_name():
         missing = [name for name in module.__all__
                    if not any(re.match(rf"{re.escape(name)}\b", t) for t in tokens)]
         assert not missing, f"README API bullet for {module.__name__} omits {missing}"
+
+
+# -- import cost ----------------------------------------------------------------
+
+
+def fresh_python(*args, **env) -> subprocess.CompletedProcess:
+    """``python *args`` on src/ in a fresh interpreter, with no BLAS thread
+    variable set but those in ``env``; fails unless it exits 0."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | env
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_loads_no_numpy():
+    fresh_python("-c", "import fairrepair, sys; assert 'numpy' not in sys.modules")
+
+
+def test_star_import_and_dir_list_every_public_name():
+    fresh_python("-c", "from fairrepair import *; import fairrepair\n"
+                       "assert [n for n in fairrepair.__all__ if n not in globals()] == []\n"
+                       "assert set(fairrepair.__all__) <= set(dir(fairrepair))")
+
+
+def test_cli_module_runs_without_runtime_warning():
+    """``python -m fairrepair.cli`` warns if the package imported the module first."""
+    proc = fresh_python("-W", "error::RuntimeWarning", "-m", "fairrepair.cli", "--help")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "set"])
+def test_cli_import_leaves_environment_unchanged(env):
+    fresh_python("-c", "import os; before = dict(os.environ); import fairrepair.cli\n"
+                       "assert dict(os.environ) == before", **env)
+
+
+THREADS = "import os; {}; print(len(os.listdir('/proc/self/task')))"
+
+
+@pytest.fixture(scope="module")
+def openblas_pool():
+    """Skip unless numpy's BLAS is an OpenBLAS that starts a worker on this host."""
+    if not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs Linux's /proc/self/task and at least 2 CPUs")
+    if fresh_python("-c", THREADS.format("import numpy"), OPENBLAS_NUM_THREADS="2").stdout.strip() != "2":
+        pytest.skip("numpy's BLAS starts no OpenBLAS worker thread here")
+
+
+@pytest.mark.parametrize("code, env, threads", [
+    ("import fairrepair.cli", {}, 1),
+    ("from fairrepair import cli", {}, 1),
+    ("import fairrepair.cli", {"OPENBLAS_NUM_THREADS": "2"}, 2),  # the caller's value wins
+    ("import numpy; import fairrepair.cli", {}, None),  # numpy loaded first: its pool is left alone
+], ids=["cli", "from-package", "caller-set", "numpy-first"])
+def test_cli_loads_numpy_with_one_blas_thread(openblas_pool, code, env, threads):
+    count = int(fresh_python("-c", THREADS.format(code), **env).stdout)
+    assert count > 1 if threads is None else count == threads

@@ -148,10 +148,27 @@ def test_full_repair_gap_is_below_the_largest_atom_share():
         ds = make_dataset(groups, domain=domain)
         plan = fit_plan(ds)
         bound = max(d.counts.max() / d.counts.sum() for d in plan.fitted.values())
-        # total_repair_score leaves the domain by an ulp at times; clipping keeps ties and order.
-        full = {g: np.clip(plan.total_repair_score(g, s), domain.lo, domain.hi) for g, s in groups.items()}
+        full = {g: plan.total_repair_score(g, s) for g, s in groups.items()}
         assert distributional_disparity(make_dataset(full, domain=domain), PR).max_gap < bound
         assert distributional_disparity(plan.apply(ds), PR).max_gap <= bound
+
+    check()
+
+
+def test_full_repair_scores_pass_the_domain_check():
+    """Every total_repair_score output, the domain's ends included, is a valid
+    score: the group weights can sum to 1 + 2**-52, and the map must not
+    carry that ulp past the domain's top."""
+
+    @hypothesis.settings(max_examples=200, **SETTINGS)
+    @hypothesis.given(st.sampled_from([UNIT, ScoreDomain(0, 100), ScoreDomain(-3, 7.5)]), st.data())
+    def check(domain, data):
+        # Every group reaches the top, where the barycenter's quantile is the sum of the weights.
+        groups = {g: [*s, domain.hi] for g, s in data.draw(scored_groups(
+            domain, max_groups=8, max_rows=20, tied=st.just(True), max_levels=3)).items()}
+        plan = fit_plan(make_dataset(groups, domain=domain))
+        full = {g: plan.total_repair_score(g, [domain.lo, *s]) for g, s in groups.items()}
+        make_dataset(full, domain=domain)  # raises DatasetError on a score out of domain
 
     check()
 

@@ -124,10 +124,23 @@ def test_compiled_map_matches_composition_oracle(rng):
                 ))
                 x = domain.denormalize(z)
                 reference = domain.denormalize(
-                    barycenter_quantile(dists, w, d.cdf(domain.normalize(x)))
+                    np.clip(barycenter_quantile(dists, w, d.cdf(domain.normalize(x))), 0.0, 1.0)
                 )
                 assert np.array_equal(plan.total_repair_score(g, x), reference)
                 assert plan.total_repair_score(g, float(x[1])) == reference[1]
+
+
+@pytest.mark.parametrize("domain", [UNIT, ScoreDomain(0, 100), ScoreDomain(-3, 7.5)],
+                         ids=["0:1", "0:100", "-3:7.5"])
+def test_full_repair_stays_in_domain_when_weights_sum_above_one(domain):
+    """Group sizes 2, 2, 3, 3, 3 give weights that sum to 1 + 2**-52, so the
+    barycenter's top quantile reads an ulp above 1 unless the table is clipped."""
+    groups = {f"g{k}": [domain.lo] + [domain.hi] * (n - 1) for k, n in enumerate((2, 2, 3, 3, 3))}
+    plan = fit_plan(make_dataset(groups, domain=domain))
+    assert plan.group_weights.sum() > 1
+    for g, scores in groups.items():
+        assert plan.total_repair_score(g, scores).max() == domain.hi
+        assert plan.shift(g, domain.hi) == 0.0
 
 
 # -- apply -----------------------------------------------------------------------
