@@ -76,8 +76,8 @@ class ScoreDomain:
         return (np.asarray(x, dtype=float) - self.lo) / self.width
 
     def denormalize(self, z):
-        """Inverse of :meth:`normalize`."""
-        return self.lo + np.asarray(z, dtype=float) * self.width
+        """Inverse of :meth:`normalize`, clipped into [lo, hi]: lo + 1 * width can round past hi."""
+        return np.clip(self.lo + np.asarray(z, dtype=float) * self.width, self.lo, self.hi)
 
 
 class ScoredDataset:

@@ -88,7 +88,7 @@ class EmpiricalDistribution:
         leaves the CDF and quantile function unchanged.
         """
         out = object.__new__(EmpiricalDistribution)
-        out.atoms = np.clip((1.0 - lam) * self.atoms + lam * targets, 0.0, 1.0)
+        out.atoms = _geodesic(self.atoms, targets, lam, 0.0, 1.0)
         out.counts, out.breakpoints = self.counts, self.breakpoints
         out.atoms.flags.writeable = False
         return out
@@ -129,6 +129,12 @@ class EmpiricalDistribution:
 
     def __repr__(self) -> str:
         return f"EmpiricalDistribution({self.n_atoms} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
+
+
+def _geodesic(x, t, lam: float, lo: float, hi: float) -> np.ndarray:
+    """(1 - lam) * x + lam * t, clipped into [lo, hi].  For x and t in [lo, hi]
+    that is x at lam = 0 and t at lam = 1, exactly."""
+    return np.clip((1.0 - lam) * np.asarray(x, dtype=float) + lam * t, lo, hi)
 
 
 class _Levels(NamedTuple):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import ScoreDomain, ScoredDataset, _check_keys, _named, _numbers, _read_json, _write_json
 from .errors import DatasetError
-from .ot import _MAX_TOTAL, EmpiricalDistribution, barycenter_quantile
+from .ot import _MAX_TOTAL, EmpiricalDistribution, _geodesic, barycenter_quantile
 
 __all__ = ["RepairPlan", "fit_plan", "load_plan", "save_plan"]
 
@@ -33,14 +33,14 @@ class RepairPlan:
     the grand total, in ``groups`` order.  The full-repair targets are
     tabulated once per fitted set, on first use, and shared by
     :meth:`with_lambdas`.  The table is clipped into [0, 1] (normalized
-    units).
+    units), and ``_full_repair`` is the one lookup into it.
 
     On tied scores T_g = Q_bary o F_g leaves a residual.  Atom i of g, upper
     level b_i, maps to Q_bary(b_i), and Q_bary(u) <= t iff u <= G(t), G the
     barycenter's CDF.  So F'_g(t), the repaired CDF, is g's largest level
     <= G(t), and 0 <= G(t) - F'_g(t) < m_g, g's largest atom share: every PR
-    gap on the fit data is below max_g m_g (``apply``'s rounding of
-    x + (T(x) - x) can split a tie by an ulp and reach it).
+    gap on the fit data is below max_g m_g, for ``apply`` at lambda = 1 too:
+    it returns T_g(x) exactly, so tied rows stay tied.
     """
 
     domain: ScoreDomain
@@ -81,24 +81,25 @@ class RepairPlan:
             })
         return self._targets[group]
 
-    def total_repair_score(self, group: str, x):
-        """Fully repaired score: transport of x onto the group barycenter."""
+    def _full_repair(self, group: str, z) -> np.ndarray:
+        """T_g at normalized scores z: the one lookup into the full-repair table."""
         targets = self._targets_of(group)
-        z = self.domain.normalize(x)
         if not np.all((z >= 0) & (z <= 1)):  # also rejects NaN
             raise DatasetError("score outside plan domain")
-        idx = np.searchsorted(self.fitted[group].atoms, z, side="right")
-        return self.domain.denormalize(targets[idx])
+        return targets[np.searchsorted(self.fitted[group].atoms, z, side="right")]
+
+    def total_repair_score(self, group: str, x):
+        """Fully repaired score: transport of x onto the group barycenter."""
+        return self.domain.denormalize(self._full_repair(group, self.domain.normalize(x)))
 
     def shift(self, group: str, x):
         """Signed adjustment t(x) = fully-repaired(x) - x; may be negative."""
         return self.total_repair_score(group, x) - np.asarray(x, dtype=float)
 
     def repaired_score(self, group: str, x):
-        """Partial repair x + lambda * t(x) with the plan's lambda for ``group``."""
-        t = self.shift(group, x)  # rejects an unknown group before the lambda lookup
-        out = np.asarray(x, dtype=float) + self.lambdas[group] * t
-        return np.clip(out, self.domain.lo, self.domain.hi)
+        """Partial repair (1 - lambda) * x + lambda * T_g(x) with the plan's lambda for ``group``."""
+        t = self.total_repair_score(group, x)  # rejects an unknown group before the lambda lookup
+        return _geodesic(x, t, self.lambdas[group], self.domain.lo, self.domain.hi)
 
     def apply(self, ds: ScoredDataset) -> ScoredDataset:
         """Repair every row's score with its group's lambda; labels untouched."""
@@ -125,8 +126,8 @@ class RepairPlan:
         """
         if not 0.0 <= lam <= 1.0:
             raise DatasetError("lambda must lie in [0, 1]")
-        targets = self._targets_of(group)[1:]
-        return self.fitted[group]._toward(targets, lam)
+        self._targets_of(group)  # rejects an unknown group before the fitted lookup
+        return self.fitted[group]._toward(self._full_repair(group, self.fitted[group].atoms), lam)
 
     def with_lambdas(self, lambdas: dict[str, float]) -> "RepairPlan":
         merged = dict(self.lambdas)

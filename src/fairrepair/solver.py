@@ -89,11 +89,8 @@ class _RepairPath:
                 continue
             pair = []
             for g, x in zip(groups, _conditional_scores(ds, kind)):
-                x = np.sort(x)
-                tz = plan.domain.normalize(plan.total_repair_score(g, x))
-                z = plan.domain.normalize(x)
-                d = EmpiricalDistribution.from_samples(z)
-                pair.append((d, tz[np.searchsorted(z, d.atoms)]))  # T at each atom's first sample
+                d = EmpiricalDistribution.from_samples(plan.domain.normalize(x))
+                pair.append((d, plan._full_repair(g, d.atoms)))
             (d1, _), (d2, _) = pair
             self.terms.append((w, pair, ot._levels(d1, d2)))
 

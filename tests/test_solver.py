@@ -10,6 +10,7 @@ from fairrepair import (
     ScoreDomain,
     SolverError,
     ThresholdGrid,
+    barycenter_quantile,
     build_problem,
     fit_plan,
     objective_eval,
@@ -77,15 +78,19 @@ def test_objective_discrete_convexity(rng):
 
 
 def _reference_objective(plan, ds, obj, lam):
-    """Per term, W_p^p between distributions rebuilt from the moved samples."""
+    """Per term, W_p^p between distributions rebuilt from the moved samples.
+
+    Each normalized sample z moves toward T(z) = Q_bary(F_g(z)), built here from
+    the plan's fitted distributions and group weights.
+    """
+    fitted = [plan.fitted[g] for g in plan.groups]
     total = 0.0
     for kind, w in obj.combo.terms:
         sub = subset_by_label(ds, kind)
         dists = []
         for g in ds.groups:
-            x = sub.group_scores(g)
-            z = plan.domain.normalize(x)
-            tz = plan.domain.normalize(plan.total_repair_score(g, x))
+            z = plan.domain.normalize(sub.group_scores(g))
+            tz = np.clip(barycenter_quantile(fitted, plan.group_weights, plan.fitted[g].cdf(z)), 0.0, 1.0)
             moved = np.clip((1.0 - lam) * z + lam * tz, 0.0, 1.0)
             dists.append(EmpiricalDistribution.from_samples(moved))
         total += w * wasserstein(*dists, obj.p)
