@@ -1,13 +1,14 @@
 """
-Repairing a binary-group model: how far to move, and three ways to decide
-==========================================================================
+Repairing a binary-group model: how far to move, and two ways to decide
+========================================================================
 
 Full repair pushes both groups' scores onto their weighted barycenter, which
 equalizes selection rates at every threshold but can overshoot label-aware
 metrics.  Partial repair interpolates along the shortest path between each
 group and the barycenter; one number lambda says how far to go.  Because the
-disparity objective is convex in lambda, the minimizer is easy to find: by
-grid, by golden-section search, or by a closed form on conditional means.
+disparity objective is convex in lambda, its slope is nondecreasing and the
+minimizer is easy to find: by bisection on the slope's sign, or by a closed
+form on conditional means.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ from fairrepair import (
     objective_eval,
     parse_combo,
     solve_exact,
-    solve_grid,
     solve_probabilistic,
     split,
     validate_dataset,
@@ -54,7 +54,7 @@ for x in (0.3, 0.5, 0.7):
           f"   t({x:.1f}, b) = {float(plan.shift('b', x)):+.4f}")
 
 ##############################################################################
-# The objective along lambda is convex: sweep it, then solve three ways.
+# The objective along lambda is convex: sweep it, then solve two ways.
 
 obj = LambdaObjective(parse_combo("tpr"))
 lams = np.linspace(0, 1, 11)
@@ -63,12 +63,11 @@ print("\nlambda sweep (TPR disparity):")
 for l, v in zip(lams, vals):
     print(f"  lambda={l:.1f}  objective={v:.5f}  {'#' * int(120 * v)}")
 
-g = solve_grid(plan, labeled, obj, steps=101)
 e = solve_exact(plan, labeled, obj)
 p = solve_probabilistic(plan, labeled, TPR)
-print(f"\ngrid-101       : lambda={g.lambda_star:.4f}  objective={g.objective_value:.6f}")
-print(f"golden-section : lambda={e.lambda_star:.4f}  objective={e.objective_value:.6f}")
-print(f"closed-form    : lambda={p.lambda_star:.4f}  objective={p.objective_value:.6f}"
+print(f"\nbisection   : lambda={e.lambda_star:.4f}  objective={e.objective_value:.6f}"
+      f"  ({e.evaluations} evaluations)")
+print(f"closed-form : lambda={p.lambda_star:.4f}  objective={p.objective_value:.6f}"
       f"  (clamped={p.clamped})")
 
 ##############################################################################

@@ -41,7 +41,7 @@ from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity
 from .repair import fit_plan, load_plan, save_plan
-from .solver import LambdaObjective, _sweep, solve_exact, solve_grid, solve_probabilistic
+from .solver import LambdaObjective, _sweep, solve_exact, solve_probabilistic
 from .synth import GENERATOR_ID, JointSpec, bundled_spec, sample, split
 
 EXIT_OK = 0
@@ -110,10 +110,26 @@ def _config_flags(path: str, command: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _outputs(args) -> dict:
+    """Each file the command writes, by the flag that names it, once checked
+    that none names an input or another output by any path."""
+    out = {"--output": args.output}
+    if args.command == "evaluate":
+        out["--curves"] = args.curves or os.path.splitext(args.output)[0] + ".curves.csv"
+    if args.command == "fit":
+        out["<output>.solution.json"] = args.output + ".solution.json"
+    if args.command == "generate":  # --output is a prefix
+        out = {f"<output>{end}": args.output + end for end in ("_labeled.csv", "_holdout.csv", "_meta.json")}
+    seen = {os.path.realpath(getattr(args, k)): f"--{k}"
+            for k in ("input", "plan", "spec", "config") if getattr(args, k, None)}
+    for flag, path in out.items():
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise _CliError(f"{flag} and {other} name the same file: {path}")
+    return out
+
+
 def _cmd_evaluate(args) -> None:
-    curves_path = args.curves or os.path.splitext(args.output)[0] + ".curves.csv"
-    if os.path.realpath(curves_path) == os.path.realpath(args.output):
-        raise _CliError(f"--curves and --output name the same file: {args.output}")
     combo = parse_combo(args.metric)
     grid = ThresholdGrid.linspace(args.domain, args.grid)
     ds = load_csv(args.input, args.domain)
@@ -125,13 +141,13 @@ def _cmd_evaluate(args) -> None:
             sum(w * r.expected_gap for (_, w), r in zip(combo.terms, reports))
         )
     _write_json(args.output, payload)
-    _atomic_write(curves_path, lambda fh: _write_curves(fh, [r.curve for r in reports]))
+    _atomic_write(_outputs(args)["--curves"], lambda fh: _write_curves(fh, [r.curve for r in reports]))
 
 
 def _pick_solver(name: str, n_groups: int) -> str:
     if name == "auto":
         return "exact" if n_groups == 2 else "lex"
-    if name in ("grid", "exact", "probabilistic") and n_groups != 2:
+    if name in ("exact", "probabilistic") and n_groups != 2:
         raise _CliError(f"solver '{name}' is binary-only but data has {n_groups} groups")
     return name
 
@@ -154,13 +170,9 @@ def _cmd_fit(args) -> None:
         plan = plan.with_lambdas(sol.lambdas)
         solution_dict = sol.to_dict()
     else:
-        if solver == "grid":
-            sol = solve_grid(plan, ds, LambdaObjective(combo, args.p), args.grid)
-        elif solver == "exact":
-            sol = solve_exact(plan, ds, LambdaObjective(combo, args.p), args.tol)
-        else:
-            sol = solve_probabilistic(plan, ds, combo.single_kind)
-        plan = plan.with_lambdas({g: sol.lambda_star for g in plan.groups})
+        sol = (solve_exact(plan, ds, LambdaObjective(combo, args.p), args.tol) if solver == "exact"
+               else solve_probabilistic(plan, ds, combo.single_kind))
+        plan = plan.with_lambdas(dict.fromkeys(plan.groups, sol.lambda_star))
         solution_dict = sol.to_dict()
 
     save_plan(plan, args.output)
@@ -185,10 +197,9 @@ def _cmd_lambda_sweep(args) -> None:
     combo = parse_combo(args.metric)
     ds = load_csv(args.input, args.domain)
     lams, vals, best = _sweep(fit_plan(ds), ds, LambdaObjective(combo, args.p), args.steps)
-    lines = ["lambda,objective,is_argmin"]
-    for i, (lam, v) in enumerate(zip(lams, vals)):
-        lines.append(f"{float(lam)!r},{float(v)!r},{int(i == best)}")
-    _atomic_write(args.output, lambda fh: fh.write("\n".join(lines) + "\n"))
+    rows = "".join(f"{float(lam)!r},{float(v)!r},{int(i == best)}\n"
+                   for i, (lam, v) in enumerate(zip(lams, vals)))
+    _atomic_write(args.output, lambda fh: fh.write("lambda,objective,is_argmin\n" + rows))
 
 
 def _cmd_generate(args) -> None:
@@ -237,21 +248,21 @@ _OPTIONS = {
         default="pr",
         help="pr|tpr|fpr|nr|tnr|fnr or weighted combo like 'tpr:1,fpr:1' (default %(default)s)",
     )),
-    "grid": (("evaluate", "fit"), dict(
+    "grid": (("evaluate",), dict(
         type=_steps,
         default=101,
-        help="thresholds in evaluate's curves CSV (default %(default)s; the report's gaps are "
-        "exact and do not use it); 'fit --solver grid' takes its lambda step count from it",
+        help="thresholds in the curves CSV (default %(default)s; the report's gaps are exact "
+        "and do not use it)",
     )),
     "p": (_SCORED, dict(type=_order, default=1.0, help="disparity order p >= 1 (default %(default)s)")),
     "solver": (("fit",), dict(
         default="auto",
-        choices=["auto", "grid", "exact", "probabilistic", "maxmin", "lex", "none"],
+        choices=["auto", "exact", "probabilistic", "maxmin", "lex", "none"],
         help="lambda solver (default %(default)s); 'none' fits the barycenter only "
         "(label-free, lambda=1)",
     )),
     "domain": (_SCORED, dict(type=_parse_domain, default="0:1", help="score domain as lo:hi (default %(default)s)")),
-    "tol": (("fit",), dict(type=_tol, default=1e-6, help="solver tolerance (default %(default)s)")),
+    "tol": (("fit",), dict(type=_tol, default=1e-6, help="exact solver's bracket width (default %(default)s)")),
     "steps": (("lambda-sweep",), dict(type=_steps, default=101, help="lambda grid size (default %(default)s)")),
     "seed": (("generate",), dict(type=_seed, default=0, help="PRNG seed (default %(default)s)")),
     "n": (("generate",), dict(type=_count, default=8000, help="total rows (default %(default)s)")),
@@ -300,6 +311,7 @@ def main(argv=None) -> int:
     json_errors = "--json-errors" in argv  # known before argparse can fail
     try:
         args = parser.parse_args(argv)
+        _outputs(args)  # checked before any file is read
         if getattr(args, "config", None):
             # Config values go in as flags ahead of the command line's: they
             # get each flag's type and choices checks, and the last flag wins.

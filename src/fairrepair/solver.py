@@ -1,8 +1,7 @@
 """Selecting the repair amount for a binary protected attribute.
 
-Three routes: exhaustive grid search, golden-section search (the disparity
-objective is convex in lambda, and derivative-free bracketing copes with the
-flat stretches empirical data produces), and a closed form that zeroes the
+Two routes: bisection on the sign of the objective's exact slope (the
+disparity objective is convex in lambda), and a closed form that zeroes the
 gap between label-conditioned mean scores.
 """
 
@@ -20,16 +19,7 @@ from .lex import build_problem
 from .ot import EmpiricalDistribution, wasserstein
 from .repair import RepairPlan
 
-__all__ = [
-    "LambdaObjective",
-    "LambdaSolution",
-    "objective_eval",
-    "solve_grid",
-    "solve_exact",
-    "solve_probabilistic",
-]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+__all__ = ["LambdaObjective", "LambdaSolution", "objective_eval", "solve_exact", "solve_probabilistic"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +64,11 @@ class _RepairPath:
     Partial repair moves a conditional atom z to (1-lam)*z + lam*T(z) with T
     monotone, so the atoms' order, ties and counts do not depend on lam, and
     neither do their quantile levels.  Each nonzero term keeps, per group, the
-    lam = 0 distribution and T at its atoms, and the merged level partition of
-    the pair, built once here.  An evaluation only moves the atoms, gathers
-    their differences on that partition and sums them with numpy (no BLAS), so
-    its value does not depend on the BLAS thread count.
+    lam = 0 distribution and T at its atoms, the merged level partition of the
+    pair, and the rate at which each piece's atom difference u moves,
+    (T1 - z1)[i1] - (T2 - z2)[i2], all built once here.  An evaluation only
+    moves the atoms, gathers their differences on that partition and sums them
+    with numpy (no BLAS), so its value does not depend on the BLAS thread count.
     """
 
     def __init__(self, plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective):
@@ -91,15 +82,28 @@ class _RepairPath:
             for g, x in zip(groups, _conditional_scores(ds, kind)):
                 d = EmpiricalDistribution.from_samples(plan.domain.normalize(x))
                 pair.append((d, plan._full_repair(g, d.atoms)))
-            (d1, _), (d2, _) = pair
-            self.terms.append((w, pair, ot._levels(d1, d2)))
+            (d1, t1), (d2, t2) = pair
+            levels = ot._levels(d1, d2)
+            rate = (t1 - d1.atoms)[levels.i1] - (t2 - d2.atoms)[levels.i2]
+            self.terms.append((w, pair, levels, rate))
 
     def __call__(self, lam: float) -> float:
         total = 0.0
-        for w, ((d1, t1), (d2, t2)), levels in self.terms:
+        for w, ((d1, t1), (d2, t2)), levels, _ in self.terms:
             total += w * wasserstein(d1._toward(t1, lam), d2._toward(t2, lam), self.p, levels)
         if not math.isfinite(total):
             raise SolverError(f"objective is not finite at lambda={lam}")
+        return total
+
+    def slope(self, lam: float) -> float:
+        """The derivative at lam over p: the objective sums seg * |u|^p, so this
+        sums seg * |u|^(p-1) * sign(u) * rate on the same moved atoms.  Each
+        term is w times a number in [-2, 2], never inf * 0, so it is never NaN;
+        at a kink of p = 1, sign(0) = 0 puts it between the one-sided slopes."""
+        total = 0.0
+        for w, ((d1, t1), (d2, t2)), levels, rate in self.terms:
+            u = d1._toward(t1, lam).atoms[levels.i1] - d2._toward(t2, lam).atoms[levels.i2]
+            total += w * float((levels.seg * np.abs(u) ** (self.p - 1.0) * np.sign(u) * rate).sum())
         return total
 
 
@@ -111,9 +115,8 @@ def objective_eval(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, la
     return _RepairPath(plan, ds, obj)(lam)
 
 
-def _sweep(
-    plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, steps: int
-) -> tuple[np.ndarray, list[float], int]:
+def _sweep(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective,
+           steps: int) -> tuple[np.ndarray, list[float], int]:
     """The objective on an even lambda grid, and the index of its first minimum."""
     if steps < 2:
         raise DatasetError("grid search needs at least 2 steps")
@@ -123,55 +126,29 @@ def _sweep(
     return lams, vals, int(np.argmin(vals))  # argmin returns the first (smallest lambda) tie
 
 
-def solve_grid(
-    plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, steps: int = 101
-) -> LambdaSolution:
-    """Evaluate the objective on an even lambda grid; ties go to smaller lambda."""
-    lams, vals, best = _sweep(plan, ds, obj, steps)
-    return LambdaSolution(float(lams[best]), float(vals[best]), "grid", steps)
+def solve_exact(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective,
+                tol: float = 1e-6) -> LambdaSolution:
+    """Bisection on the sign of the objective's slope over [0, 1].
 
-
-def solve_exact(
-    plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective, tol: float = 1e-6
-) -> LambdaSolution:
-    """Golden-section search over [0, 1].
-
-    Convexity of the objective along the repair path makes bracketing valid;
-    on flat stretches the <= comparison drags the bracket toward smaller
-    lambda.  Terminates when the bracket is narrower than tol, or when float
-    spacing stops it from shrinking.
+    The objective is convex in lambda, so the bracket moves right only where
+    the slope is negative, which keeps the smallest minimizer inside it.  It
+    stops when narrower than tol, or when float spacing stops it shrinking,
+    and returns the end with the lower objective (the smaller lambda on a
+    tie), so lambda = 0 and 1 come back exactly.  Evaluations count the
+    slopes plus the two ends.
     """
     if not 0.0 < tol < math.inf:  # also rejects NaN
         raise DatasetError(f"tol must be finite and positive, got {tol}")
     path = _RepairPath(plan, ds, obj)
-    evals = 0
-
-    def f(lam: float) -> float:
-        nonlocal evals
-        evals += 1
-        return path(lam)
-
-    a, b, width = 0.0, 1.0, math.inf
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    a, b, width, evals = 0.0, 1.0, math.inf, 2
     while tol < b - a < width:
-        width = b - a
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    lam = 0.5 * (a + b)
-    return LambdaSolution(lam, f(lam), "exact", evals)
+        width, mid, evals = b - a, 0.5 * (a + b), evals + 1
+        a, b = (mid, b) if path.slope(mid) < 0.0 else (a, mid)
+    value, lam = min((path(a), a), (path(b), b))  # the lower objective, then the smaller lambda
+    return LambdaSolution(lam, value, "exact", evals)
 
 
-def solve_probabilistic(
-    plan: RepairPlan, ds: ScoredDataset, kind: MetricKind
-) -> LambdaSolution:
+def solve_probabilistic(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LambdaSolution:
     """Closed-form lambda equalizing the label-conditioned mean scores.
 
     With means a_g and mean shifts b_g, the repaired mean gap is affine in a
@@ -184,9 +161,7 @@ def solve_probabilistic(
     a, b = prob.base_means, prob.mean_shifts
     denom = float(b[0] - b[1])
     if abs(denom) <= 1e-12 * np.ptp(ds.scores):  # 1e-12 of the scores' spread
-        raise SolverError(
-            "groups are equally shifted on average; the closed-form lambda is undefined"
-        )
+        raise SolverError("groups are equally shifted on average; the closed-form lambda is undefined")
     raw = float(a[1] - a[0]) / denom
     lam = min(1.0, max(0.0, raw))
     obj = LambdaObjective(MetricCombo(((kind, 1.0),)))

@@ -122,6 +122,47 @@ def test_evaluate_curves_onto_report_is_validation_error(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
+# Each names one file twice, as an input and an output, by another path where
+# it can; before outputs were checked against inputs, each overwrote its input
+# with exit 0.
+SAME_FILE = {
+    "fit-input": (("fit", "--input", "d.csv", "--output", "sub/../d.csv", "--solver", "none"),
+                  "--output and --input"),
+    "fit-sidecar": (("fit", "--input", "p.json.solution.json", "--output", "p.json"),
+                    "<output>.solution.json and --input"),
+    "fit-config": (("fit", "--input", "d.csv", "--output", "c.json", "--config", "c.json"),
+                   "--output and --config"),
+    "evaluate-input": (("evaluate", "--input", "d.csv", "--output", "link.csv"), "--output and --input"),
+    "evaluate-curves": (("evaluate", "--input", "d.csv", "--output", "r.json", "--curves", "d.csv"),
+                        "--curves and --input"),
+    "lambda-sweep": (("lambda-sweep", "--input", "d.csv", "--output", "./d.csv"), "--output and --input"),
+    "apply-input": (("apply", "--input", "d.csv", "--plan", "p.json", "--output", "d.csv"),
+                    "--output and --input"),
+    "apply-plan": (("apply", "--input", "d.csv", "--plan", "p.json", "--output", "p.json"),
+                   "--output and --plan"),
+    "generate-spec": (("generate", "--spec", "c_meta.json", "--output", "c"), "<output>_meta.json and --spec"),
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_FILE))
+def test_output_naming_an_input_is_validation_error(tmp_path, capsys, monkeypatch, case):
+    """No command writes over a file it reads: it exits 2 before it reads a
+    file, and every file keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    data = write_dataset(tmp_path, "d.csv")
+    assert run("fit", "--input", data, "--output", "p.json", "--solver", "none") == 0
+    (tmp_path / "p.json.solution.json").write_bytes(data.read_bytes())
+    (tmp_path / "c.json").write_text(json.dumps({"solver": "none"}))
+    (tmp_path / "c_meta.json").write_text(json.dumps(CUSTOM_SPEC))
+    (tmp_path / "link.csv").symlink_to(data)
+    (tmp_path / "sub").mkdir()
+    before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+    argv, flags = SAME_FILE[case]
+    assert run(*argv) == 2
+    assert f"{flags} name the same file" in capsys.readouterr().err
+    assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
+
+
 def test_evaluate_missing_input_is_io_error(tmp_path):
     assert run("evaluate", "--input", tmp_path / "nope.csv", "--output", tmp_path / "r.json") == 4
 
@@ -260,7 +301,6 @@ ONE_POSITIVE = ({"a": [0.2, 0.4, 0.6], "b": [0.1, 0.5, 0.9]}, {"a": [1, 0, 0], "
 @pytest.mark.parametrize("command", [
     ("evaluate",),
     ("fit", "--solver", "exact"),
-    ("fit", "--solver", "grid"),
     ("fit", "--solver", "probabilistic"),
     ("lambda-sweep",),
 ], ids=lambda c: "-".join(c).replace("--solver-", ""))
@@ -300,7 +340,7 @@ def test_fit_auto_picks_by_group_count(tmp_path):
 def test_apply_lambda_zero_preserves_scores(tmp_path):
     data = labeled_binary(tmp_path)
     plan_path = tmp_path / "plan.json"
-    run("fit", "--input", data, "--output", plan_path, "--solver", "grid", "--metric", "tpr")
+    run("fit", "--input", data, "--output", plan_path, "--solver", "exact", "--metric", "tpr")
     plan = load_plan(plan_path).with_lambdas({"a": 0.0, "b": 0.0})
     from fairrepair import save_plan
 
@@ -331,7 +371,7 @@ def test_apply_preserves_extra_columns_and_order(tmp_path):
     )
     plan_src = write_dataset(tmp_path, "fit.csv")
     plan_path = tmp_path / "plan.json"
-    run("fit", "--input", plan_src, "--output", plan_path, "--solver", "grid", "--metric", "pr")
+    run("fit", "--input", plan_src, "--output", plan_path, "--solver", "exact", "--metric", "pr")
     out = tmp_path / "out.csv"
     assert run("apply", "--input", src, "--plan", plan_path, "--output", out) == 0
     lines = out.read_text().strip().splitlines()
@@ -346,9 +386,8 @@ def test_full_repair_then_evaluate_hits_sdp_bound(tmp_path):
     data = tmp_path / "train.csv"
     write_csv(ds, data)
     plan_path = tmp_path / "plan.json"
-    # fit-only barycenter mode: grid solver at PR picks lambda ~ 1 here, but
-    # pin lambda = 1 explicitly to test the SDP bound
-    run("fit", "--input", data, "--output", plan_path, "--solver", "grid", "--metric", "pr")
+    # fit-only barycenter mode; pin lambda = 1 explicitly to test the SDP bound
+    run("fit", "--input", data, "--output", plan_path, "--solver", "none")
     from fairrepair import save_plan
 
     plan = load_plan(plan_path).with_lambdas({g: 1.0 for g in ("a", "b")})
@@ -662,7 +701,8 @@ def test_sweep_convex_and_argmin_matches_exact(tmp_path):
 @pytest.mark.parametrize("metric, p", [("tpr", "1"), ("tpr:1,fpr:0.5", "2")])
 def test_sweep_rows_match_objective_and_grid_solver(tmp_path, metric, p):
     """Every sweep row is objective_eval at its lambda, bit for bit, and the
-    marked row is the lambda fit --solver grid picks on the same grid."""
+    marked row is the first row holding the smallest value: the grid solver's
+    pick, with ties to the smaller lambda."""
     data = labeled_binary(tmp_path)
     out = tmp_path / "sweep.csv"
     flags = ("--metric", metric, "--p", p)
@@ -674,11 +714,9 @@ def test_sweep_rows_match_objective_and_grid_solver(tmp_path, metric, p):
     assert len(rows) == 23
     for lam, value, _ in rows:
         assert float(value) == objective_eval(plan, ds, obj, float(lam))
-    plan_path = tmp_path / "plan.json"
-    assert run("fit", "--input", data, "--output", plan_path, "--solver", "grid",
-               "--grid", "23", *flags) == 0
-    solution = json.loads((tmp_path / "plan.json.solution.json").read_text())
-    assert [float(l) for l, _, flag in rows if flag == "1"] == [solution["lambda"]]
+    values = [float(v) for _, v, _ in rows]
+    assert [flag for _, _, flag in rows] == ["1" if i == values.index(min(values)) else "0"
+                                             for i in range(23)]
 
 
 def test_sweep_requires_two_groups(tmp_path):
@@ -777,13 +815,13 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     terms = st.tuples(st.sampled_from(["pr", "tpr", "fpr", "nr", "tnr", "fnr"]), weights)
     commands = st.sampled_from([
         ("evaluate",),
-        *(("fit", "--solver", s) for s in ("exact", "grid", "probabilistic", "maxmin", "lex", "none")),
+        *(("fit", "--solver", s) for s in ("exact", "probabilistic", "maxmin", "lex", "none")),
         ("lambda-sweep",),
         ("generate",),
     ])
     # Each command is fuzzed only with the flags it declares.
     declared = {"evaluate": ("--p", "--grid", "--domain", "--metric"),
-                "fit": ("--p", "--tol", "--grid", "--domain", "--metric"),
+                "fit": ("--p", "--tol", "--domain", "--metric"),
                 "lambda-sweep": ("--p", "--steps", "--domain", "--metric"),
                 "generate": ("--n", "--seed")}
     flag_values = st.fixed_dictionaries({}, optional={
@@ -792,7 +830,6 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
         "--metric": st.lists(terms, min_size=1, max_size=5).map(
             lambda ts: ",".join(f"{k}:{w}" for k, w in ts)),
     })
-    over = str(MAX_COUNT + 1)
 
     def no_nan(token):
         raise AssertionError(f"{token} in JSON output")
@@ -802,7 +839,6 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     @hypothesis.example(("evaluate",), {"--p": "nan"})
     @hypothesis.example(("fit", "--solver", "exact"), {"--tol": "1e-17"})
     @hypothesis.example(("evaluate",), {"--grid": str(10**20)})
-    @hypothesis.example(("fit", "--solver", "grid"), {"--grid": over})
     @hypothesis.example(("lambda-sweep",), {"--steps": str(10**17)})
     @hypothesis.example(("generate",), {"--n": str(10**17)})
     @hypothesis.example(("generate",), {"--n": str(10**20), "--seed": "-1"})
@@ -816,11 +852,10 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     @hypothesis.example(("evaluate",), {"--domain": WIDE})
     @hypothesis.example(("evaluate",), {"--metric": HUGE_WEIGHTS})
     @hypothesis.example(("lambda-sweep",), {"--metric": "pr:1e308,nr:1e308,tpr:1e308"})
-    @hypothesis.example(("fit", "--solver", "lex"), {"--tol": "nan", "--grid": "1"})
+    @hypothesis.example(("fit", "--solver", "lex"), {"--tol": "nan"})
     @hypothesis.example(("fit", "--solver", "probabilistic"), {"--p": "nan"})
     @hypothesis.example(("fit", "--solver", "none"), {"--p": "0", "--tol": "-1"})
     @hypothesis.example(("fit", "--solver", "maxmin"), {"--p": "inf"})
-    @hypothesis.example(("fit", "--solver", "exact"), {"--grid": "1"})
     def check(command, values):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
         argv = [*command, "--output", str(out / "out")]
@@ -853,8 +888,6 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
 # No value here reaches an allocation.
 BAD_COUNTS = [
     (("evaluate",), "grid", value) for value in (10**17, 10**20, MAX_COUNT + 1)
-] + [
-    (("fit", "--solver", "grid"), "grid", value) for value in (10**17, 10**20, MAX_COUNT + 1)
 ] + [
     (("lambda-sweep",), "steps", value) for value in (10**17, 10**20, MAX_COUNT + 1)
 ] + [
@@ -968,14 +1001,14 @@ def test_metric_weights_must_have_a_positive_sum(tmp_path, capsys, command, metr
 
 
 BAD_FIT_VALUES = [("p", "nan"), ("p", "inf"), ("p", "0"), ("tol", "nan"), ("tol", "-1"),
-                  ("tol", "0"), ("grid", "1")]
+                  ("tol", "0")]
 
 
-# A solver that does not read --p, --tol or --grid used to accept any value
+# A solver that does not read --p or --tol used to accept any value
 # for it, so each of these wrote a plan with exit 0 for some solver.
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("flag, value", BAD_FIT_VALUES, ids=[f"{f}-{v}" for f, v in BAD_FIT_VALUES])
-@pytest.mark.parametrize("solver", ["auto", "grid", "exact", "probabilistic", "maxmin", "lex", "none"])
+@pytest.mark.parametrize("solver", ["auto", "exact", "probabilistic", "maxmin", "lex", "none"])
 def test_fit_checks_numeric_flags_whatever_the_solver(tmp_path, capsys, solver, flag, value, via):
     argv = ["fit", "--input", labeled_binary(tmp_path), "--output", tmp_path / "out",
             "--solver", solver, "--metric", "tpr"]
@@ -1176,14 +1209,15 @@ def test_spec_bytes_keep_exit_code_contract(tmp_path):
 def test_config_file_precedence(tmp_path):
     data = labeled_binary(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"metric": "tpr", "solver": "grid", "grid": 21}))
+    config.write_text(json.dumps({"metric": "tpr", "solver": "exact", "tol": 0.2}))
     plan_path = tmp_path / "plan.json"
-    # config supplies metric/solver; flag overrides the grid size
+    # config supplies metric/solver; flag overrides the tolerance: the bracket
+    # halves 7 times to 2**-7 < 0.01 (3 times for 0.2), plus both ends
     assert run("fit", "--input", data, "--output", plan_path,
-               "--config", config, "--grid", "11") == 0
+               "--config", config, "--tol", "0.01") == 0
     solution = json.loads((tmp_path / "plan.json.solution.json").read_text())
-    assert solution["method"] == "grid"
-    assert solution["evaluations"] == 11
+    assert solution["method"] == "exact"
+    assert solution["evaluations"] == 9
 
 
 def test_cli_outputs_deterministic(tmp_path):
@@ -1222,7 +1256,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
 # Flags each subcommand used to accept without reading them, with a valid value.
 UNREAD_FLAGS = {
     "evaluate": {"--solver": "auto", "--seed": "0", "--tol": "1e-6"},
-    "fit": {"--seed": "0"},
+    "fit": {"--seed": "0", "--grid": "101"},
     "apply": {"--metric": "pr", "--grid": "101", "--p": "1", "--solver": "auto", "--seed": "0",
               "--domain": "0:1", "--tol": "1e-6", "--config": None},
     "lambda-sweep": {"--grid": "101", "--solver": "auto", "--seed": "0", "--tol": "1e-6"},
@@ -1250,12 +1284,12 @@ def test_unread_flag_is_rejected(tmp_path, command, flag):
 
 
 @pytest.mark.parametrize("command, config", [
-    ("fit", {"grid": "x"}),
+    ("evaluate", {"grid": "x"}),
     ("fit", {"p": "x"}),
     ("fit", {"metric": 5}),
     ("fit", {"domain": 5}),
     ("fit", {"tol": [1]}),
-    ("fit", {"grid": 11.0}),
+    ("evaluate", {"grid": 11.0}),
     ("evaluate", {"grid": None}),
     ("generate", {"seed": "x"}),
     ("generate", {"n": "x"}),
@@ -1284,13 +1318,14 @@ def test_config_solver_takes_the_flag_choices(tmp_path, capsys):
 
 def test_config_serves_every_command_but_rejects_unknown_keys(tmp_path, capsys):
     data = labeled_binary(tmp_path)
-    shared = {"metric": "tpr", "solver": "grid", "grid": 21, "p": 1, "tol": 1e-6,
+    shared = {"metric": "tpr", "solver": "exact", "grid": 21, "p": 1, "tol": 0.2,
               "domain": "0:1", "steps": 11, "seed": 3, "n": 100, "fraction": 0.5}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(shared))
     plan_path = tmp_path / "plan.json"
     assert run("fit", "--input", data, "--output", plan_path, "--config", config) == 0
-    assert json.loads((tmp_path / "plan.json.solution.json").read_text())["evaluations"] == 21
+    # 3 halvings bring the bracket to 0.125 <= 0.2, plus both ends
+    assert json.loads((tmp_path / "plan.json.solution.json").read_text())["evaluations"] == 5
     sweep = tmp_path / "sweep.csv"
     assert run("lambda-sweep", "--input", data, "--output", sweep, "--config", config) == 0
     assert len(sweep.read_text().splitlines()) == 1 + 11

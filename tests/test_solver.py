@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -17,14 +20,14 @@ from fairrepair import (
     parse_combo,
     rate_curve,
     solve_exact,
-    solve_grid,
     solve_probabilistic,
     subset_by_label,
     validate_dataset,
     wasserstein,
 )
-from fairrepair import ot
-from fairrepair.solver import _sweep
+from fairrepair import load_csv, load_plan, ot
+from fairrepair.cli import main
+from fairrepair.solver import _RepairPath, _sweep
 
 from conftest import UNIT, conditional_means, make_dataset, random_binary_dataset
 
@@ -111,7 +114,7 @@ def _tied_binary_dataset(rng, domain):
 @pytest.mark.parametrize("domain", [UNIT, ScoreDomain(0.0, 100.0)], ids=["0:1", "0:100"])
 @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
 def test_objective_matches_rebuilt_distribution_oracle(rng, domain, tied):
-    """objective_eval and solve_grid agree bitwise with a per-lambda rebuild."""
+    """objective_eval and _sweep agree bitwise with a per-lambda rebuild."""
     if tied:
         ds = _tied_binary_dataset(rng, domain)
     else:
@@ -123,9 +126,9 @@ def test_objective_matches_rebuilt_distribution_oracle(rng, domain, tied):
             for lam in (0.0, 0.37, 1.0):
                 assert objective_eval(plan, ds, obj, lam) == _reference_objective(plan, ds, obj, lam)
             ref = [_reference_objective(plan, ds, obj, lam) for lam in (0.0, 0.5, 1.0)]
-            sol = solve_grid(plan, ds, obj, steps=3)
-            assert sol.objective_value == min(ref)
-            assert sol.lambda_star == 0.5 * ref.index(min(ref))
+            lams, vals, best = _sweep(plan, ds, obj, 3)
+            assert vals[best] == min(ref)
+            assert lams[best] == 0.5 * ref.index(min(ref))
 
 
 def test_level_partition_built_once_per_term(rng, monkeypatch):
@@ -174,16 +177,16 @@ def test_rates_move_monotonically_under_repair(rng):
 
 def test_grid_constant_objective_breaks_ties_low():
     ds = identical_groups()
-    sol = solve_grid(fit_plan(ds), ds, PR_OBJ, steps=11)
-    assert sol.lambda_star == 0.0
-    assert sol.objective_value == 0.0
-    assert sol.evaluations == 11
+    lams, vals, best = _sweep(fit_plan(ds), ds, PR_OBJ, 11)
+    assert best == 0 and lams[best] == 0.0
+    assert vals[best] == 0.0
+    assert len(vals) == 11
 
 
 def test_grid_two_steps_picks_better_endpoint():
     ds = make_dataset(BINARY)
-    sol = solve_grid(fit_plan(ds), ds, PR_OBJ, steps=2)
-    assert sol.lambda_star == 1.0  # full repair beats none for PR here
+    lams, _, best = _sweep(fit_plan(ds), ds, PR_OBJ, 2)
+    assert lams[best] == 1.0  # full repair beats none for PR here
 
 
 @pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
@@ -195,17 +198,157 @@ def test_objective_rejects_bad_order(p):
 def test_grid_rejects_bad_steps():
     ds = make_dataset(BINARY)
     with pytest.raises(DatasetError):
-        solve_grid(fit_plan(ds), ds, PR_OBJ, steps=1)
+        _sweep(fit_plan(ds), ds, PR_OBJ, 1)
 
 
-# -- golden section ---------------------------------------------------------------
+# -- slope bisection ----------------------------------------------------------------
+
+_EPS = 2.0**-53  # unit roundoff
+
+
+def _rounding_bound(path):
+    """E, a bound on the rounding error of one objective evaluation.
+
+    A moved atom (1 - lam) * z + lam * T takes at most 4 roundings of numbers
+    in [0, 1], so a piece's difference u errs by at most 9 eps and |u|^p by at
+    most 9 p eps (its derivative is at most p for |u| <= 1).  The power, the
+    product with seg and a pairwise sum over N pieces add (log2 N + 3) eps to a
+    seg-weighted sum of at most 1, and each term has its weight, so
+    E = (9 p + log2 N + 3) eps sum(w).  The slope sums seg |u|^(p-1) sign(u) r
+    with |r| <= 2 and r itself rounded 3 times, which at most doubles that
+    count: its error is at most 2 E.
+    """
+    n = max(levels.seg.size for _, _, levels, _ in path.terms)
+    return (9 * path.p + math.log2(n) + 3) * _EPS * sum(w for w, *_ in path.terms)
+
+
+def _slope_cases(rng):
+    """(path, objective) on untied and tied data, for several p and combos."""
+    for ds in (random_binary_dataset(rng, n_per_group=(150, 190)), _tied_binary_dataset(rng, UNIT)):
+        plan = fit_plan(ds)
+        for combo in ("pr", "tpr", "tpr:1,fpr:0.5"):
+            for p in (1.0, 1.5, 2.0, 3.0):
+                obj = LambdaObjective(parse_combo(combo), p)
+                yield _RepairPath(plan, ds, obj), obj
+
+
+def test_slope_has_the_sign_of_the_objectives_change(rng):
+    """p * slope(lam) is a subgradient of the convex objective f at lam.
+
+    Convexity gives f(mu) >= f(lam) + g (mu - lam) for every g between the
+    one-sided derivatives at lam, and the slope lies between them (at a kink of
+    p = 1, sign(0) = 0 averages them).  So f rises to the right of lam when the
+    slope is positive and to its left when it is negative.  Rounding allows 2 E
+    for the two values and 2 p E |mu - lam| for the slope (see _rounding_bound).
+    """
+    lams = np.linspace(0.0, 1.0, 21)
+    for path, obj in _slope_cases(rng):
+        e = _rounding_bound(path)
+        vals = np.array([path(lam) for lam in lams])
+        for lam, v in zip(lams, vals):
+            g = obj.p * path.slope(lam)
+            assert np.all(vals >= v + g * (lams - lam) - 2 * e - 2 * obj.p * e * np.abs(lams - lam))
+
+
+def test_slope_matches_central_difference_away_from_kinks(rng):
+    """p * slope(lam) equals (f(lam + h) - f(lam - h)) / (2 h) where no piece's
+    atom difference u changes sign on [lam - h, lam + h].
+
+    There each piece's seg |u|^p is smooth in lam, u moving at its rate r, so
+    Taylor's theorem bounds the central difference's error by h^2 / 6 times
+    max |f'''| = sum of w seg |p (p - 1) (p - 2)| |r|^3 |u|^(p - 3) over the
+    window (zero for p = 1 and 2).  Each value errs by at most E, so the
+    quotient by E / h, and p * slope by 2 p E (see _rounding_bound).
+    """
+    h = 1e-5
+    checked = 0
+    for path, obj in _slope_cases(rng):
+        p, e = obj.p, _rounding_bound(path)
+        for lam in np.linspace(0.05, 0.95, 19):
+            third, kink = 0.0, False
+            for w, ((d1, t1), (d2, t2)), levels, rate in path.terms:
+                u = (((1 - lam) * d1.atoms + lam * t1)[levels.i1]
+                     - ((1 - lam) * d2.atoms + lam * t2)[levels.i2])
+                moving = rate != 0
+                lo, hi = np.abs(u[moving]) - np.abs(rate[moving]) * h, np.abs(u[moving]) + np.abs(rate[moving]) * h
+                if np.any(lo <= 0):
+                    kink = True
+                    break
+                reach = np.maximum(lo ** (p - 3), hi ** (p - 3))  # max of |u|^(p-3) on the window
+                third += w * (levels.seg[moving] * np.abs(rate[moving]) ** 3 * reach).sum()
+            if kink:
+                continue
+            central = (path(lam + h) - path(lam - h)) / (2 * h)
+            bound = h**2 / 6 * abs(p * (p - 1) * (p - 2)) * third + e / h + 2 * p * e
+            assert abs(p * path.slope(lam) - central) <= bound
+            checked += 1
+    assert checked >= 100
+
+
+def test_exact_returns_the_smallest_minimizer_of_a_flat_stretch():
+    """Scores on multiples of 1/8, two rows per group and label, so every
+    number the search computes is exact.
+
+    TPR keeps a = {0.375, 0.875} and b = {0.125, 0.25}.  The groups' barycenter
+    takes T_a to 0.1875 and 0.625 and T_b to 0.4375 and 0.5, so on the two
+    level pieces (seg 0.5 each) u = 0.25 - 0.5 lam and 0.625 - 0.5 lam, and
+    f = 0.4375 - 0.5 lam up to lam = 0.5 and 0.1875 on [0.5, 1].  The smallest
+    minimizer 0.5 is the first bisection point; the slope there is 0 (sign(0)
+    = 0 on the first piece), so the bracket closes on it from the left and
+    f(0.5) < f(0.5 - 2**-20) picks it.
+    """
+    ds = make_dataset({"a": [0.75, 0.875, 0.75, 0.375], "b": [0.0, 0.125, 0.25, 0.375]},
+                      {"a": [0, 1, 0, 1], "b": [0, 1, 1, 0]})
+    plan = fit_plan(ds)
+    obj = LambdaObjective(parse_combo("tpr"))
+    for lam in np.arange(65) / 64:  # dyadic, so f is exact there too
+        assert objective_eval(plan, ds, obj, lam) == max(0.4375 - 0.5 * lam, 0.1875)
+    sol = solve_exact(plan, ds, obj)
+    assert (sol.lambda_star, sol.objective_value) == (0.5, 0.1875)
 
 
 def test_exact_identical_groups_returns_zero_value():
+    """Identical groups move their atoms to bit-identical places, so every u is
+    0, the slope is 0 everywhere, the bracket closes on 0 and f(0) = 0."""
     ds = identical_groups()
     sol = solve_exact(fit_plan(ds), ds, PR_OBJ)
-    assert sol.objective_value == pytest.approx(0.0, abs=1e-15)
-    assert 0.0 <= sol.lambda_star <= 1e-5  # flat objective resolves low
+    assert (sol.lambda_star, sol.objective_value) == (0.0, 0.0)
+    assert sol.evaluations == 22  # 20 halvings bring 1 below 1e-6, plus both ends
+
+
+# Full repair zeroes the PR objective here: both groups have 3 rows, so at
+# lam = 1 each level maps to the same barycenter atom.
+SIX_ROWS = "score,group,label\n0.1,a,1\n0.2,a,0\n0.3,a,1\n0.6,b,1\n0.7,b,0\n0.9,b,1\n"
+
+
+def test_cli_full_repair_is_lambda_one(tmp_path):
+    """f(1) = 0 and f > 0 on [0, 1), so the slope is negative at every
+    bisection point, the bracket ends at b = 1, and f(1) <= f(a) returns it:
+    the plan's lambda is 1.0 and apply moves every score to T_g(x) =
+    total_repair_score(g, x), bit for bit."""
+    data, plan_path, out = tmp_path / "six.csv", tmp_path / "plan.json", tmp_path / "out.csv"
+    data.write_text(SIX_ROWS)
+    argv = ["fit", "--input", data, "--output", plan_path, "--solver", "exact", "--metric", "pr"]
+    assert main([str(a) for a in argv]) == 0
+    solution = json.loads((tmp_path / "plan.json.solution.json").read_text())
+    assert (solution["lambda"], solution["objective"]) == (1.0, 0.0)
+    assert main(["apply", "--input", str(data), "--plan", str(plan_path), "--output", str(out)]) == 0
+    plan, before, after = load_plan(plan_path), load_csv(data, UNIT), load_csv(out, UNIT)
+    assert set(plan.lambdas.values()) == {1.0}
+    for g in plan.groups:
+        assert np.array_equal(after.group_scores(g), plan.total_repair_score(g, before.group_scores(g)))
+
+
+@pytest.mark.parametrize("p", ["2", "1e308"])
+def test_cli_exact_takes_the_largest_weight_and_order(tmp_path, p):
+    """With w = 1e308 the slope is w times a number in [-2, 2]: at most inf,
+    never inf * 0, so its sign still steers the search and fit exits 0."""
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_ROWS)
+    argv = ["fit", "--input", data, "--output", tmp_path / "plan.json", "--solver", "exact",
+            "--metric", "tpr:1e308", "--p", p]
+    assert main([str(a) for a in argv]) == 0
+    assert 0.0 <= json.loads((tmp_path / "plan.json.solution.json").read_text())["lambda"] <= 1.0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
@@ -219,10 +362,10 @@ def test_exact_agrees_with_fine_grid(rng):
     ds = random_binary_dataset(rng, n_per_group=(200, 250), label_offsets=(-0.2, 0.2))
     plan = fit_plan(ds)
     obj = LambdaObjective(parse_combo("tpr"))
-    fine = solve_grid(plan, ds, obj, steps=10001)
+    lams, vals, best = _sweep(plan, ds, obj, 10001)
     sol = solve_exact(plan, ds, obj)
-    assert abs(sol.lambda_star - fine.lambda_star) <= 1e-3
-    assert sol.objective_value <= fine.objective_value + 1e-6
+    assert abs(sol.lambda_star - lams[best]) <= 1e-3
+    assert sol.objective_value <= vals[best] + 1e-6
 
 
 def test_exact_endpoint_dominance_for_combo(rng):
@@ -320,9 +463,9 @@ def test_solver_agreement_across_splits(rng):
         exact = solve_exact(plan, labeled, obj)
         prob = solve_probabilistic(plan, labeled, TPR)
         assert abs(exact.lambda_star - prob.lambda_star) <= 0.15
-        fine = solve_grid(plan, labeled, obj, steps=1001)
+        _, vals, best = _sweep(plan, labeled, obj, 1001)
         v0 = objective_eval(plan, labeled, obj, 0.0)
-        best_reduction = v0 - fine.objective_value
+        best_reduction = v0 - vals[best]
         assert best_reduction > 0
         for sol in (exact, prob):
             assert (v0 - sol.objective_value) >= 0.8 * best_reduction
@@ -330,7 +473,7 @@ def test_solver_agreement_across_splits(rng):
 
 def test_solution_json_fields():
     ds = make_dataset(BINARY)
-    sol = solve_grid(fit_plan(ds), ds, PR_OBJ, steps=11)
+    sol = solve_exact(fit_plan(ds), ds, PR_OBJ)
     payload = sol.to_dict()
     assert set(payload) == {"lambda", "method", "objective", "clamped", "evaluations"}
-    assert payload["method"] == "grid"
+    assert payload["method"] == "exact"
