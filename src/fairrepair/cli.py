@@ -74,7 +74,7 @@ _count = _checked(int, "count", lambda v: v <= MAX_COUNT, f"at most {MAX_COUNT}"
 _steps = _checked(int, "count", lambda v: 2 <= v <= MAX_COUNT, f"between 2 and {MAX_COUNT}")
 _seed = _checked(int, "seed", lambda v: v >= 0, "nonnegative")
 _order = _checked(float, "order p", lambda v: 1.0 <= v < math.inf, "finite and >= 1")  # rejects NaN
-_tol = _checked(float, "tol", lambda v: 0.0 < v < math.inf, "finite and positive")
+_fraction = _checked(float, "fraction", lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")  # rejects NaN
 
 
 def _parse_domain(text: str) -> ScoreDomain:
@@ -144,19 +144,11 @@ def _cmd_evaluate(args) -> None:
     _atomic_write(_outputs(args)["--curves"], lambda fh: _write_curves(fh, [r.curve for r in reports]))
 
 
-def _pick_solver(name: str, n_groups: int) -> str:
-    if name == "auto":
-        return "exact" if n_groups == 2 else "lex"
-    if name in ("exact", "probabilistic") and n_groups != 2:
-        raise _CliError(f"solver '{name}' is binary-only but data has {n_groups} groups")
-    return name
-
-
 def _cmd_fit(args) -> None:
     combo = parse_combo(args.metric)
     ds = load_csv(args.input, args.domain)
     plan = fit_plan(ds)
-    solver = _pick_solver(args.solver, len(ds.groups))
+    solver = ("exact" if len(ds.groups) == 2 else "lex") if args.solver == "auto" else args.solver
 
     if solver in ("probabilistic", "maxmin", "lex") and combo.single_kind is None:
         raise _CliError(f"solver '{solver}' needs a single metric, not a combination")
@@ -170,7 +162,7 @@ def _cmd_fit(args) -> None:
         plan = plan.with_lambdas(sol.lambdas)
         solution_dict = sol.to_dict()
     else:
-        sol = (solve_exact(plan, ds, LambdaObjective(combo, args.p), args.tol) if solver == "exact"
+        sol = (solve_exact(plan, ds, LambdaObjective(combo, args.p)) if solver == "exact"
                else solve_probabilistic(plan, ds, combo.single_kind))
         plan = plan.with_lambdas(dict.fromkeys(plan.groups, sol.lambda_star))
         solution_dict = sol.to_dict()
@@ -262,11 +254,10 @@ _OPTIONS = {
         "(label-free, lambda=1)",
     )),
     "domain": (_SCORED, dict(type=_parse_domain, default="0:1", help="score domain as lo:hi (default %(default)s)")),
-    "tol": (("fit",), dict(type=_tol, default=1e-6, help="exact solver's bracket width (default %(default)s)")),
     "steps": (("lambda-sweep",), dict(type=_steps, default=101, help="lambda grid size (default %(default)s)")),
     "seed": (("generate",), dict(type=_seed, default=0, help="PRNG seed (default %(default)s)")),
     "n": (("generate",), dict(type=_count, default=8000, help="total rows (default %(default)s)")),
-    "fraction": (("generate",), dict(type=float, default=0.5, help="labeled fraction (default %(default)s)")),
+    "fraction": (("generate",), dict(type=_fraction, default=0.5, help="labeled fraction (default %(default)s)")),
     "config": (_SCORED + ("generate",), dict(help="JSON config file; flags override its values")),
     "json-errors": (tuple(_COMMANDS), dict(action="store_true", help="emit errors as JSON on stderr")),
 }

@@ -135,7 +135,7 @@ def solve_exact(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective,
     stops when narrower than tol, or when float spacing stops it shrinking,
     and returns the end with the lower objective (the smaller lambda on a
     tie), so lambda = 0 and 1 come back exactly.  Evaluations count the
-    slopes plus the two ends.
+    slopes plus the two ends.  ``fairrepair fit`` uses the default tol.
     """
     if not 0.0 < tol < math.inf:  # also rejects NaN
         raise DatasetError(f"tol must be finite and positive, got {tol}")

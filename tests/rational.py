@@ -1,0 +1,111 @@
+"""The paper's one-dimensional quantities in exact rational arithmetic.
+
+A test oracle that shares no code with ``ot``, ``repair``, ``solver`` or
+``metrics``.  Every float is a dyadic rational, so ``Fraction(x)`` holds an
+input exactly and nothing below rounds.  A sample is a list of Fractions; its
+empirical CDF is F(t) = #{x <= t} / n and its quantile function the
+left-continuous inverse Q(a) = inf{t : F(t) >= a}, which at a level in
+((k - 1) / n, k / n] is the k-th smallest point.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+
+def normalize(values, lo: float, hi: float) -> list[Fraction]:
+    """Scores mapped affinely onto [0, 1], with no rounding."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return [(Fraction(x) - lo) / (hi - lo) for x in values]
+
+
+def cdf(sample, t) -> Fraction:
+    return Fraction(sum(x <= t for x in sample), len(sample))
+
+
+def quantile(sample, a) -> Fraction:
+    """Q(a) for a in [0, 1]; Q(0) is the smallest point."""
+    return sorted(sample)[max(math.ceil(a * len(sample)), 1) - 1]
+
+
+def barycenter_quantile(samples, a) -> Fraction:
+    """Q_bary(a): the samples' quantiles at a, weighted by their shares of all points."""
+    total = sum(len(s) for s in samples)
+    return sum(Fraction(len(s), total) * quantile(s, a) for s in samples)
+
+
+def transport(samples, g: int, x) -> Fraction:
+    """Full repair T_g(x) = Q_bary(F_g(x)) of a score x of sample g."""
+    return barycenter_quantile(samples, cdf(samples[g], x))
+
+
+def geodesic(x, t, lam) -> Fraction:
+    """The point a fraction lam of the way from x to t."""
+    lam = Fraction(lam)
+    return (1 - lam) * x + lam * t
+
+
+def levels(s1, s2) -> list[Fraction]:
+    """Every level k / n of either sample, in increasing order; the last is 1."""
+    return sorted({Fraction(k, len(s)) for s in (s1, s2) for k in range(1, len(s) + 1)})
+
+
+def wasserstein(s1, s2, p: int) -> Fraction:
+    """W_p^p: the integral over (0, 1] of |Q1 - Q2|^p, a finite sum because
+    both quantile functions are constant between consecutive merged levels."""
+    total, below = Fraction(0), Fraction(0)
+    for a in levels(s1, s2):
+        total += (a - below) * abs(quantile(s1, a) - quantile(s2, a)) ** p
+        below = a
+    return total
+
+
+def rate_gap(s1, s2, tau) -> Fraction:
+    """|gamma_1 - gamma_2| at threshold tau, gamma the share of points >= tau."""
+    return abs(Fraction(sum(x >= tau for x in s1), len(s1)) - Fraction(sum(x >= tau for x in s2), len(s2)))
+
+
+def threshold_gaps(s1, s2, p: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(expected, exact, max) gap over thresholds tau in [0, 1].
+
+    The rate gap is a step function of tau that changes only at sample points,
+    so it is constant on each open interval between consecutive points of
+    {0, 1} and both samples.  The expected gap integrates it at each interval's
+    midpoint; the max also reads it at every point.  The exact gap is W_p^p.
+    """
+    cuts = sorted({Fraction(0), Fraction(1), *s1, *s2})
+    pieces = [(hi - lo, rate_gap(s1, s2, (lo + hi) / 2)) for lo, hi in zip(cuts, cuts[1:])]
+    expected = sum(width * gap**p for width, gap in pieces)
+    worst = max([gap for _, gap in pieces] + [rate_gap(s1, s2, tau) for tau in cuts])
+    return expected, wasserstein(s1, s2, p), worst
+
+
+def binary_objective(terms, lam, p: int) -> Fraction:
+    """sum of w * W_p^p between two repaired samples, each moved a fraction lam
+    toward its targets.  ``terms`` holds (w, (s1, t1), (s2, t2)), with t[i] the
+    full repair of s[i]."""
+    total = Fraction(0)
+    for w, (s1, t1), (s2, t2) in terms:
+        total += Fraction(w) * wasserstein([geodesic(x, t, lam) for x, t in zip(s1, t1)],
+                                           [geodesic(x, t, lam) for x, t in zip(s2, t2)], p)
+    return total
+
+
+def binary_minimum_p1(terms) -> Fraction:
+    """The least p = 1 objective over lam in [0, 1].
+
+    On the piece of level a, the moved points differ by A + lam * B, with
+    A = Q1(a) - Q2(a) and B, the rate, the difference of their full-repair
+    shifts.  So the objective is piecewise linear and convex, and its minimum
+    lies at lam = 0, lam = 1 or a kink -A / B inside (0, 1).
+    """
+    candidates = {Fraction(0), Fraction(1)}
+    for _, (s1, t1), (s2, t2) in terms:
+        shift1, shift2 = dict(zip(s1, t1)), dict(zip(s2, t2))
+        for a in levels(s1, s2):
+            q1, q2 = quantile(s1, a), quantile(s2, a)
+            rate = (shift1[q1] - q1) - (shift2[q2] - q2)
+            if rate and 0 < (kink := (q2 - q1) / rate) < 1:
+                candidates.add(kink)
+    return min(binary_objective(terms, lam, 1) for lam in candidates)

@@ -263,13 +263,17 @@ def test_fit_exact_objective_is_evaluate_exact_gap_after_apply(tmp_path):
 
 
 def test_fit_probabilistic_rejects_three_groups(tmp_path, capsys):
+    """Both binary solvers give lambda-sweep's message, as a DatasetError."""
     groups = {"a": [0.1, 0.2], "b": [0.3, 0.4], "c": [0.5, 0.6]}
     labels = {g: [0, 1] for g in groups}
     data = write_dataset(tmp_path, "three.csv", groups, labels)
-    code = run("fit", "--input", data, "--output", tmp_path / "p.json",
-               "--solver", "probabilistic", "--metric", "tpr")
-    assert code == 2
-    assert "binary-only" in capsys.readouterr().err
+    for solver in ("probabilistic", "exact"):
+        code = run("fit", "--input", data, "--output", tmp_path / "p.json",
+                   "--solver", solver, "--metric", "tpr", "--json-errors")
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DatasetError", "message": "binary solver needs exactly 2 groups, got 3", "exit_code": 2}
+    assert not list(tmp_path.glob("p.json*"))
 
 
 def test_fit_solver_error_exits_three(tmp_path, capsys):
@@ -739,7 +743,7 @@ def test_sweep_rejects_one_step(tmp_path):
     ("evaluate", "--p", "inf"),
     ("fit", "--p", "nan"),
     ("fit", "--p", "inf"),
-    ("fit", "--solver", "exact", "--tol", "nan"),
+    ("fit", "--solver", "exact", "--tol", "nan"),  # fit takes no --tol: any value exits 2
     ("fit", "--solver", "exact", "--tol", "inf"),
     ("lambda-sweep", "--p", "nan"),
 ], ids=lambda argv: " ".join(argv).replace("--", "").replace(" ", "-"))
@@ -751,19 +755,32 @@ def test_non_finite_p_and_tol_are_validation_errors(tmp_path, argv):
     assert list(tmp_path.iterdir()) == [data]  # no partial output
 
 
-@pytest.mark.parametrize("tol, groups", [
-    ("1e-17", None),
-    ("1e-300", {"A": [0.2, 0.4, 0.6], "B": [0.2, 0.4, 0.6]}),  # flat: the bracket shrinks toward 0
-    ("5e-324", {"A": [0.2, 0.4, 0.6], "B": [0.2, 0.4, 0.6]}),
-], ids=["1e-17", "1e-300-flat", "subnormal-flat"])
-def test_exact_terminates_for_tiny_tol(tmp_path, tol, groups):
-    if groups:
-        data = write_dataset(tmp_path, groups=groups, labels={g: [1, 1, 0] for g in groups})
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_fit_rejects_tol_before_reading_the_input(tmp_path, capsys, via):
+    """fit takes the library's bracket width: --tol, as a flag or a config key, exits 2."""
+    argv = ["fit", "--input", tmp_path / "missing.csv", "--output", tmp_path / "out", "--solver", "exact"]
+    if via == "flag":
+        argv += ["--tol", "1e-6"]
     else:
-        data = labeled_binary(tmp_path)
-    run_subprocess("fit", "--input", data, "--output", tmp_path / "plan.json", "--solver", "exact",
-                   "--metric", "tpr", "--tol", tol)
-    assert 0.0 <= json.loads((tmp_path / "plan.json.solution.json").read_text())["lambda"] <= 1.0
+        (tmp_path / "config.json").write_text(json.dumps({"tol": 1e-6}))
+        argv += ["--config", tmp_path / "config.json"]
+    assert run(*argv) == 2
+    expected = "unrecognized arguments: --tol 1e-6" if via == "flag" else "'tol' cannot be set in a config file"
+    assert expected in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_generate_checks_fraction_before_reading_the_spec(tmp_path, capsys, via):
+    argv = ["generate", "--spec", tmp_path / "missing.json", "--output", tmp_path / "g"]
+    if via == "flag":
+        argv += ["--fraction", "nan"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"fraction": "nan"}))
+        argv += ["--config", tmp_path / "config.json"]
+    assert run(*argv) == 2
+    assert "argument --fraction: fraction must be strictly between 0 and 1, got nan" in capsys.readouterr().err
+    assert not list(tmp_path.glob("g*"))
 
 
 WIDE = "-1e308:1e308"  # both bounds finite, but hi - lo overflows to inf
@@ -775,8 +792,8 @@ def _valid(flag, value) -> bool:
     try:
         if flag == "--p":
             return 1.0 <= float(value) < math.inf
-        if flag == "--tol":
-            return 0.0 < float(value) < math.inf
+        if flag == "--fraction":
+            return 0.0 < float(value) < 1.0
         if flag in ("--grid", "--steps"):
             return 2 <= int(value) <= MAX_COUNT
         if flag == "--domain":
@@ -821,11 +838,11 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     ])
     # Each command is fuzzed only with the flags it declares.
     declared = {"evaluate": ("--p", "--grid", "--domain", "--metric"),
-                "fit": ("--p", "--tol", "--domain", "--metric"),
+                "fit": ("--p", "--domain", "--metric"),
                 "lambda-sweep": ("--p", "--steps", "--domain", "--metric"),
-                "generate": ("--n", "--seed")}
+                "generate": ("--n", "--seed", "--fraction")}
     flag_values = st.fixed_dictionaries({}, optional={
-        "--p": floats, "--tol": floats, "--grid": counts, "--steps": counts, "--n": counts,
+        "--p": floats, "--fraction": floats, "--grid": counts, "--steps": counts, "--n": counts,
         "--seed": counts, "--domain": st.tuples(bounds, bounds).map(":".join),
         "--metric": st.lists(terms, min_size=1, max_size=5).map(
             lambda ts: ",".join(f"{k}:{w}" for k, w in ts)),
@@ -837,11 +854,13 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(commands, flag_values)
     @hypothesis.example(("evaluate",), {"--p": "nan"})
-    @hypothesis.example(("fit", "--solver", "exact"), {"--tol": "1e-17"})
     @hypothesis.example(("evaluate",), {"--grid": str(10**20)})
     @hypothesis.example(("lambda-sweep",), {"--steps": str(10**17)})
     @hypothesis.example(("generate",), {"--n": str(10**17)})
     @hypothesis.example(("generate",), {"--n": str(10**20), "--seed": "-1"})
+    @hypothesis.example(("generate",), {"--fraction": "nan"})
+    @hypothesis.example(("generate",), {"--fraction": "1"})
+    @hypothesis.example(("generate",), {"--n": "2", "--fraction": "5e-324"})
     # Before the domain width, the weight sum and every fit flag were checked, each of
     # these exited 0 with a value the solver never read, wrote NaN, or failed on a NaN.
     @hypothesis.example(("fit", "--solver", "none"), {"--domain": WIDE})
@@ -852,9 +871,8 @@ def test_numeric_flags_keep_exit_code_contract(tmp_path):
     @hypothesis.example(("evaluate",), {"--domain": WIDE})
     @hypothesis.example(("evaluate",), {"--metric": HUGE_WEIGHTS})
     @hypothesis.example(("lambda-sweep",), {"--metric": "pr:1e308,nr:1e308,tpr:1e308"})
-    @hypothesis.example(("fit", "--solver", "lex"), {"--tol": "nan"})
     @hypothesis.example(("fit", "--solver", "probabilistic"), {"--p": "nan"})
-    @hypothesis.example(("fit", "--solver", "none"), {"--p": "0", "--tol": "-1"})
+    @hypothesis.example(("fit", "--solver", "none"), {"--p": "0"})
     @hypothesis.example(("fit", "--solver", "maxmin"), {"--p": "inf"})
     def check(command, values):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1004,8 +1022,9 @@ BAD_FIT_VALUES = [("p", "nan"), ("p", "inf"), ("p", "0"), ("tol", "nan"), ("tol"
                   ("tol", "0")]
 
 
-# A solver that does not read --p or --tol used to accept any value
-# for it, so each of these wrote a plan with exit 0 for some solver.
+# A solver that does not read --p used to accept any value for it, so each of
+# these wrote a plan with exit 0 for some solver.  fit takes no --tol (the exact
+# solver's own bracket width serves every run), so any tol value exits 2 too.
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("flag, value", BAD_FIT_VALUES, ids=[f"{f}-{v}" for f, v in BAD_FIT_VALUES])
 @pytest.mark.parametrize("solver", ["auto", "exact", "probabilistic", "maxmin", "lex", "none"])
@@ -1020,7 +1039,9 @@ def test_fit_checks_numeric_flags_whatever_the_solver(tmp_path, capsys, solver, 
         argv += ["--config", config]
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert f"argument --{flag}: " in err and "Traceback" not in err
+    expected = {"p": "argument --p: ", "tol": f"unrecognized arguments: --tol={value}" if via == "flag"
+                else "'tol' cannot be set in a config file"}
+    assert expected[flag] in err and "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
 
 
@@ -1209,15 +1230,15 @@ def test_spec_bytes_keep_exit_code_contract(tmp_path):
 def test_config_file_precedence(tmp_path):
     data = labeled_binary(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"metric": "tpr", "solver": "exact", "tol": 0.2}))
-    plan_path = tmp_path / "plan.json"
-    # config supplies metric/solver; flag overrides the tolerance: the bracket
-    # halves 7 times to 2**-7 < 0.01 (3 times for 0.2), plus both ends
-    assert run("fit", "--input", data, "--output", plan_path,
-               "--config", config, "--tol", "0.01") == 0
-    solution = json.loads((tmp_path / "plan.json.solution.json").read_text())
-    assert solution["method"] == "exact"
-    assert solution["evaluations"] == 9
+    config.write_text(json.dumps({"metric": "tpr", "solver": "lex", "p": 2}))
+    # config supplies metric and p; the flag overrides the solver
+    assert run("fit", "--input", data, "--output", tmp_path / "plan.json",
+               "--config", config, "--solver", "exact") == 0
+    assert run("fit", "--input", data, "--output", tmp_path / "flags.json",
+               "--metric", "tpr", "--p", "2", "--solver", "exact") == 0
+    solution = (tmp_path / "plan.json.solution.json").read_bytes()
+    assert json.loads(solution)["method"] == "exact"
+    assert solution == (tmp_path / "flags.json.solution.json").read_bytes()
 
 
 def test_cli_outputs_deterministic(tmp_path):
@@ -1256,7 +1277,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
 # Flags each subcommand used to accept without reading them, with a valid value.
 UNREAD_FLAGS = {
     "evaluate": {"--solver": "auto", "--seed": "0", "--tol": "1e-6"},
-    "fit": {"--seed": "0", "--grid": "101"},
+    "fit": {"--seed": "0", "--grid": "101", "--tol": "1e-6"},
     "apply": {"--metric": "pr", "--grid": "101", "--p": "1", "--solver": "auto", "--seed": "0",
               "--domain": "0:1", "--tol": "1e-6", "--config": None},
     "lambda-sweep": {"--grid": "101", "--solver": "auto", "--seed": "0", "--tol": "1e-6"},
@@ -1318,14 +1339,14 @@ def test_config_solver_takes_the_flag_choices(tmp_path, capsys):
 
 def test_config_serves_every_command_but_rejects_unknown_keys(tmp_path, capsys):
     data = labeled_binary(tmp_path)
-    shared = {"metric": "tpr", "solver": "exact", "grid": 21, "p": 1, "tol": 0.2,
+    shared = {"metric": "tpr", "solver": "exact", "grid": 21, "p": 1,
               "domain": "0:1", "steps": 11, "seed": 3, "n": 100, "fraction": 0.5}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(shared))
     plan_path = tmp_path / "plan.json"
     assert run("fit", "--input", data, "--output", plan_path, "--config", config) == 0
-    # 3 halvings bring the bracket to 0.125 <= 0.2, plus both ends
-    assert json.loads((tmp_path / "plan.json.solution.json").read_text())["evaluations"] == 5
+    # 20 halvings bring the bracket to 2**-20 <= 1e-6, the default tol, plus both ends
+    assert json.loads((tmp_path / "plan.json.solution.json").read_text())["evaluations"] == 22
     sweep = tmp_path / "sweep.csv"
     assert run("lambda-sweep", "--input", data, "--output", sweep, "--config", config) == 0
     assert len(sweep.read_text().splitlines()) == 1 + 11

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fairrepair
-from fairrepair import dataset, errors, lex, metrics, ot, repair, solver, synth
+from fairrepair import cli, dataset, errors, lex, metrics, ot, repair, solver, synth
 
 PUBLIC_MODULES = (dataset, errors, lex, metrics, ot, repair, solver, synth)
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +43,23 @@ def test_readme_api_list_names_every_public_name():
         missing = [name for name in module.__all__
                    if not any(re.match(rf"{re.escape(name)}\b", t) for t in tokens)]
         assert not missing, f"README API bullet for {module.__name__} omits {missing}"
+
+
+def test_readme_flag_lists_match_the_parser():
+    """Each subcommand's README bullet names exactly the flags ``build_parser()``
+    gives it, and the ``--config`` key list exactly the options with a default,
+    so a flag cannot be added or deleted without its README line."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line"):text.index("### File formats")]
+    block = section.split("lists them with their defaults):\n\n", 1)[1].split("\n\n", 1)[0]
+    readme = {command: set(re.findall(r"`(--[\w-]+)`", flags))
+              for command, flags in re.findall(r"^- `([\w-]+)`: (.*?)(?=^- |\Z)", block, flags=re.M | re.S)}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert readme == {command: {flag for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                                for flag in action.option_strings}
+                      for command, parser in commands.choices.items()}
+    keys = re.search(r"name without the dashes \(([^)]*)\)", section).group(1)
+    assert set(re.findall(r"`([\w-]+)`", keys)) == {k for k, (_, kw) in cli._OPTIONS.items() if "default" in kw}
 
 
 # -- import cost ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -356,6 +357,26 @@ def test_exact_rejects_bad_tol(tol):
     ds = make_dataset(BINARY)
     with pytest.raises(DatasetError, match="tol"):
         solve_exact(fit_plan(ds), ds, PR_OBJ, tol)
+
+
+@pytest.mark.parametrize("tol, groups", [
+    (1e-17, None),
+    (1e-300, {"A": [0.2, 0.4, 0.6], "B": [0.2, 0.4, 0.6]}),  # flat: the bracket shrinks toward 0
+    (5e-324, {"A": [0.2, 0.4, 0.6], "B": [0.2, 0.4, 0.6]}),
+], ids=["1e-17", "1e-300-flat", "subnormal-flat"])
+def test_exact_terminates_for_tiny_tol(tol, groups):
+    """A tol below float spacing still ends the search: the bracket stops once
+    halving no longer narrows it.  That takes at most 1,075 halvings (1,074
+    bring 1 down to 2**-1074, the smallest subnormal, and one more cannot
+    narrow it), plus the two ends, well inside 30 s."""
+    if groups:
+        ds = make_dataset(groups, {g: [1, 1, 0] for g in groups})
+    else:
+        ds = random_binary_dataset(np.random.default_rng(5), n_per_group=(150, 200), label_offsets=(-0.15, 0.15))
+    start = time.perf_counter()
+    sol = solve_exact(fit_plan(ds), ds, LambdaObjective(parse_combo("tpr")), tol)
+    assert time.perf_counter() - start < 30.0
+    assert 0.0 <= sol.lambda_star <= 1.0 and sol.evaluations <= 2 + 1075
 
 
 def test_exact_agrees_with_fine_grid(rng):
