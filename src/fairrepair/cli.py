@@ -35,8 +35,8 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
 else:
     import numpy as np
 
-from .dataset import (ScoreDomain, _atomic_write, _index_groups, _read_json, _read_scored_csv,
-                      _write_json, load_csv, parse_combo, write_csv)
+from .dataset import (ScoreDomain, _atomic_write, _read_json, _read_scored_csv, _write_json,
+                      load_csv, parse_combo, write_csv)
 from .errors import DatasetError, SolverError, SpecError
 from .lex import build_problem, solve_lexicographic, solve_maxmin
 from .metrics import ThresholdGrid, _write_curves, distributional_disparity
@@ -176,12 +176,11 @@ def _cmd_apply(args) -> None:
     # Not a ScoredDataset: apply keeps every column and the row order, and
     # accepts groups with a single row.
     table = _read_scored_csv(args.input, plan.domain)
-    names, index = _index_groups(table.groups)
-    for k, group in enumerate(names):
+    for k, group in enumerate(table.groups):
         if group not in plan.groups:
-            line = table.lines[np.argmax(index == k)]
+            line = table.lines[np.argmax(table.group_idx == k)]
             raise DatasetError(f"{args.input}:{line}: group '{group}' not in plan")
-    repaired = plan._repaired(names, index, table.scores)
+    repaired = plan._repaired(table.groups, table.group_idx, table.scores)
     _atomic_write(args.output, lambda fh: table.write(fh, repaired))
 
 

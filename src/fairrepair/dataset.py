@@ -89,13 +89,16 @@ class ScoredDataset:
     """
 
     def __init__(self, scores, groups, labels, domain):
-        names, group_idx = _index_groups(list(groups))
-        self._init(scores, names, group_idx, labels, domain)
-        for g, c in zip(self.groups, self._counts):
-            if c < MIN_ROWS_PER_GROUP:
-                raise DatasetError(f"group '{g}' has {c} row(s), needs at least {MIN_ROWS_PER_GROUP}")
+        self._init(scores, *_index_groups(list(groups)), labels, domain, MIN_ROWS_PER_GROUP)
 
-    def _init(self, scores, groups, group_idx, labels, domain) -> None:
+    @classmethod
+    def _indexed(cls, scores, groups, group_idx, labels, domain, min_rows=MIN_ROWS_PER_GROUP):
+        """As the constructor, from sorted distinct ``groups`` and each row's index into them."""
+        out = object.__new__(cls)
+        out._init(scores, groups, group_idx, labels, domain, min_rows)
+        return out
+
+    def _init(self, scores, groups, group_idx, labels, domain, min_rows) -> None:
         try:
             scores = np.array(scores, dtype=float)
         except (TypeError, ValueError) as exc:  # the string "a", say
@@ -127,12 +130,9 @@ class ScoredDataset:
         self._labels.flags.writeable = False
         self._group_idx.flags.writeable = False
         self._counts = np.bincount(group_idx, minlength=len(groups))
-
-    def _derive(self, scores, group_idx, labels) -> "ScoredDataset":
-        """Rows over this dataset's groups, each group keeping at least one row."""
-        out = object.__new__(ScoredDataset)
-        out._init(scores, self.groups, group_idx, labels, self.domain)
-        return out
+        for g, c in zip(groups, self._counts):
+            if c < min_rows:
+                raise DatasetError(f"group '{g}' has {c} row(s), needs at least {min_rows}")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -169,7 +169,7 @@ class ScoredDataset:
 
     def replace_scores(self, new_scores) -> "ScoredDataset":
         """Same rows with new scores (used by repair application)."""
-        return self._derive(new_scores, self._group_idx, self._labels)
+        return self._indexed(new_scores, self.groups, self._group_idx, self._labels, self.domain, 0)
 
 
 def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -187,7 +187,7 @@ def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
             raise DatasetError(f"group names must be non-empty strings, got {g!r}")
     names = tuple(sorted(names))
     index = {g: i for i, g in enumerate(names)}
-    return names, np.fromiter((index[g] for g in groups), dtype=int, count=len(groups))
+    return names, np.fromiter(map(index.__getitem__, groups), dtype=int, count=len(groups))
 
 
 def validate_dataset(rows, domain: ScoreDomain) -> ScoredDataset:
@@ -324,7 +324,7 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
     for g, c in zip(ds.groups, kept):
         if c == 0:
             raise DatasetError(f"group '{g}' is empty under Y={kind.label_condition}")
-    return ds._derive(ds.scores[mask], ds.group_indices[mask], ds.labels[mask])
+    return ds._indexed(ds.scores[mask], ds.groups, ds.group_indices[mask], ds.labels[mask], ds.domain, 0)
 
 
 def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_PER_GROUP) -> list[np.ndarray]:
@@ -346,22 +346,32 @@ def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_P
 # ---------------------------------------------------------------------------
 
 
+def _quote(cell: str) -> str:
+    """``cell`` as csv.writer's default (minimal) quoting writes it."""
+    quote = "," in cell or '"' in cell or "\r" in cell or "\n" in cell
+    return '"' + cell.replace('"', '""') + '"' if quote else cell
+
+
 class _ScoredCsv(NamedTuple):
-    """A scored CSV: raw cells by column, the score and group parsed."""
+    """A scored CSV by column: the scores parsed, every other cell kept raw."""
 
     header: list[str]
-    columns: list[list[str]]  # raw cells per header column; the score column stays empty
-    lines: array              # file line each record ends on, if read from a file
+    columns: list       # None for the score, (distinct cells, row index) for group and label, else cells
+    lines: array        # file line each record ends on, if read from a file
     scores: np.ndarray
-    groups: list[str]         # stripped
+    groups: tuple       # distinct stripped groups, sorted
+    group_idx: np.ndarray  # each row's index into groups
 
-    def write(self, fh, new_scores) -> None:
-        """Write the table back with each record's score cell replaced."""
-        columns = list(self.columns)
-        columns[self.header.index("score")] = map(repr, np.asarray(new_scores, dtype=float).tolist())
-        writer = csv.writer(fh)
-        writer.writerow(self.header)
-        writer.writerows(zip(*columns))
+    def write(self, fh, new_scores, chunk=1 << 14) -> None:
+        """Write the table, each score as ``repr(float)``, ``chunk`` rows at a time, as csv.writer would."""
+        fh.write(",".join(map(_quote, self.header)) + "\r\n")
+        quoted = [[_quote(c) for c in col[0]] if isinstance(col, tuple) else None for col in self.columns]
+        for start in range(0, new_scores.size, chunk):
+            part = slice(start, start + chunk)
+            cells = [map(repr, new_scores[part].tolist()) if col is None
+                     else map(q.__getitem__, col[1][part].tolist()) if q is not None
+                     else map(_quote, col[part]) for col, q in zip(self.columns, quoted)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
@@ -369,7 +379,8 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
 
     Blank lines are skipped, as csv.DictReader skips them, and short records
     are padded with empty cells.  A record may not have more cells than the
-    header, and its score must be a finite number inside ``domain``.
+    header, and its score must be a finite number inside ``domain``.  Group
+    and label cells are keyed by raw text: each distinct one is checked once.
     """
     def fail(message: str):
         return DatasetError(f"{path}:{reader.line_num}: {message}")
@@ -383,13 +394,14 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
             if len(set(header)) != len(header):
                 raise DatasetError(f"{path}: CSV header repeats a column name")
             width, si, gi = len(header), header.index("score"), header.index("group")
-            columns = [[] for _ in header]
-            raw_columns = [(j, columns[j]) for j in range(width) if j != si]
-            lines, scores, groups = array("q"), array("d"), []
+            columns = [None if n == "score" else ({}, []) if n in ("group", "label") else [] for n in header]
+            keyed = [(j, *c) for j, c in enumerate(columns) if isinstance(c, tuple)]
+            others = [(j, c) for j, c in enumerate(columns) if isinstance(c, list)]
+            lines, scores = array("q"), array("d")
             for rec in reader:
-                if not rec:
-                    continue
                 if len(rec) != width:
+                    if not rec:
+                        continue
                     if len(rec) > width:
                         raise fail(f"{len(rec)} cells but the header has {width}")
                     rec += [""] * (width - len(rec))
@@ -398,12 +410,16 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
                     scores.append(float(raw))
                 except ValueError:
                     raise fail(f"bad score '{raw}'" if raw else "missing score") from None
-                for j, column in raw_columns:
+                for j, ids, index in keyed:
+                    k = ids.get(rec[j])
+                    if k is None:
+                        if j == gi and not rec[j].strip():
+                            raise fail("missing group")
+                        k = ids[rec[j]] = len(ids)
+                    index.append(k)
+                for j, column in others:
                     column.append(rec[j])
                 lines.append(reader.line_num)
-                groups.append(rec[gi].strip())
-                if not groups[-1]:
-                    raise fail("missing group")
     except UnicodeDecodeError:
         raise DatasetError(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:
@@ -416,25 +432,29 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
             f"{path}:{lines[bad[0]]}: score out of domain: {scores[bad[0]]} is not a "
             f"finite number in [{domain.lo}, {domain.hi}]"
         )
-    return _ScoredCsv(header, columns, lines, scores, groups)
+    for j, ids, index in keyed:
+        columns[j] = (tuple(ids), np.array(index, dtype=int))
+    names, index = _index_groups([c.strip() for c in columns[gi][0]])
+    return _ScoredCsv(header, columns, lines, scores, names, index[columns[gi][1]])
 
 
 def load_csv(path, domain: ScoreDomain) -> ScoredDataset:
+    """A scored CSV as a dataset; group and label cells are stripped, and an empty label is missing."""
     table = _read_scored_csv(path, domain)
-    labels = [-1] * len(table.groups)
+    labels = np.full(table.scores.size, -1)
     if "label" in table.header:
-        raw_labels = table.columns[table.header.index("label")]
-        for i, (raw, line) in enumerate(zip(raw_labels, table.lines)):
-            raw = raw.strip()
-            if not raw:
-                continue
+        cells, ids = table.columns[table.header.index("label")]
+        values = [-1] * len(cells)
+        for k, raw in enumerate(map(str.strip, cells)):
             try:
-                labels[i] = int(raw)
+                values[k] = int(raw) if raw else -1
+                message = f"non-binary label: {values[k]}"
             except ValueError:
-                raise DatasetError(f"{path}:{line}: bad label '{raw}'") from None
-            if labels[i] not in (0, 1):
-                raise DatasetError(f"{path}:{line}: non-binary label: {labels[i]}")
-    return ScoredDataset(table.scores, table.groups, labels, domain)
+                message = f"bad label '{raw}'"
+            if raw and values[k] not in (0, 1):  # cells come in file order: this is the first bad line
+                raise DatasetError(f"{path}:{table.lines[np.argmax(ids == k)]}: {message}")
+        labels = np.array(values, dtype=int)[ids]
+    return _named(path, ScoredDataset._indexed, table.scores, table.groups, table.group_idx, labels, domain)
 
 
 def write_csv(ds: ScoredDataset, path) -> None:
@@ -443,12 +463,11 @@ def write_csv(ds: ScoredDataset, path) -> None:
     The label column is written when any row has a label, with an empty cell
     for each missing one.
     """
-    groups = [ds.groups[g] for g in ds.group_indices.tolist()]
-    header, columns = ["score", "group"], [[], groups]
+    header, columns = ["score", "group"], [None, (ds.groups, ds.group_indices)]
     if ds.labels.max() >= 0:
         header.append("label")
-        columns.append(["" if y < 0 else y for y in ds.labels.tolist()])  # csv.writer formats the ints
-    table = _ScoredCsv(header, columns, array("q"), ds.scores, groups)
+        columns.append((("", "0", "1"), ds.labels + 1))
+    table = _ScoredCsv(header, columns, array("q"), ds.scores, ds.groups, ds.group_indices)
     _atomic_write(path, lambda fh: table.write(fh, ds.scores))
 
 

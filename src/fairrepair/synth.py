@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreDomain, ScoredDataset, _check_keys, _named, _numbers, _read_json
+from .dataset import ScoreDomain, ScoredDataset, _check_keys, _index_groups, _named, _numbers, _read_json
 from .errors import DatasetError, SpecError
 
 __all__ = ["JointSpec", "sample", "split", "bundled_spec", "GENERATOR_ID"]
@@ -131,8 +131,9 @@ def sample(spec: JointSpec, n: int, seed: int) -> ScoredDataset:
     scores = spec.support[sidx]
     lab_prob = np.stack([spec.label1_prob[g] for g in spec.groups])
     labels = (rng.random(n) < lab_prob[gidx, sidx]).astype(int)
-    groups = [spec.groups[k] for k in gidx]
-    return ScoredDataset(scores, groups, labels, spec.domain)
+    present, gidx = np.unique(gidx, return_inverse=True)  # a group may draw no rows
+    names, index = _index_groups([spec.groups[k] for k in present])
+    return ScoredDataset._indexed(scores, names, index[gidx], labels, spec.domain)
 
 
 def split(ds: ScoredDataset, fraction: float, seed: int) -> tuple[ScoredDataset, ScoredDataset]:
@@ -150,9 +151,9 @@ def split(ds: ScoredDataset, fraction: float, seed: int) -> tuple[ScoredDataset,
     first, second = np.sort(perm[:k]), np.sort(perm[k:])
     parts = []
     for idx, name in ((first, "labeled"), (second, "holdout")):
-        groups = [ds.groups[i] for i in ds.group_indices[idx]]
-        missing = set(ds.groups) - set(groups)
-        if missing:
-            raise DatasetError(f"group(s) {sorted(missing)} vanished from the {name} part")
-        parts.append(ScoredDataset(ds.scores[idx], groups, ds.labels[idx], ds.domain))
+        gidx = ds.group_indices[idx]
+        missing = [g for g, c in zip(ds.groups, np.bincount(gidx, minlength=len(ds.groups))) if c == 0]
+        if missing:  # ds.groups is sorted, so missing is too
+            raise DatasetError(f"group(s) {missing} vanished from the {name} part")
+        parts.append(ScoredDataset._indexed(ds.scores[idx], ds.groups, gidx, ds.labels[idx], ds.domain))
     return parts[0], parts[1]

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,15 @@ def make_dataset(group_scores, group_labels=None, domain=UNIT):
         labels = group_labels.get(g) if group_labels else [None] * len(scores)
         rows.extend((s, g, l) for s, l in zip(scores, labels))
     return validate_dataset(rows, domain)
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """The reference for the scored-CSV writers: what csv.writer writes in its default dialect."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def random_binary_dataset(rng, n_per_group=(300, 400), means=(0.45, 0.6), sd=0.14,

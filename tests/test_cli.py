@@ -29,7 +29,7 @@ from fairrepair import (
 from fairrepair import cli, repair
 from fairrepair.cli import main
 
-from conftest import UNIT, make_dataset, random_binary_dataset
+from conftest import UNIT, csv_writer_bytes, make_dataset, random_binary_dataset
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 MAX_COUNT = 2**31 - 1  # the largest row, grid or step count the CLI accepts
@@ -450,6 +450,35 @@ def test_apply_keeps_groups_that_differ_by_a_trailing_nul(tmp_path):
     assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
+def test_apply_writes_each_group_cell_back_as_read(tmp_path):
+    """Group cells A, ' A ' and "A" are one group, and each is written back as read."""
+    src = tmp_path / "in.csv"
+    src.write_text('score,group\n0.1,A\n0.2, A \n0.3,"A"\n0.4,B\n0.5,B\n')
+    plan_path = tmp_path / "plan.json"
+    out = tmp_path / "out.csv"
+    assert run("fit", "--input", src, "--output", plan_path, "--solver", "none") == 0
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", out) == 0
+    assert [line.split(",")[1] for line in out.read_text().splitlines()] == ["group", "A", " A ", "A", "B", "B"]
+
+
+def test_apply_matches_csv_writer_byte_for_byte(tmp_path):
+    """Quoted, reordered and extra columns: apply writes what csv.writer would."""
+    odd = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", "trail ", "naïve ☃", "", "plain"]
+    header = ["id", "label", "score", "note", "group"]
+    rows = [[f"r{i}", ["", " 1 ", "0"][i % 3], repr([0.0, 5e-324, 1e-05, 0.1, 1.0][i % 5]), note, group]
+            for i, note in enumerate(odd) for group in ("x,y", ' "q" ')]
+    src = tmp_path / "in.csv"
+    src.write_bytes(csv_writer_bytes(header, rows))
+    plan_path = tmp_path / "plan.json"
+    out = tmp_path / "out.csv"
+    assert run("fit", "--input", src, "--output", plan_path, "--solver", "none") == 0
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", out) == 0
+    repaired = load_plan(plan_path).apply(load_csv(src, UNIT)).scores
+    assert not np.array_equal(repaired, load_csv(src, UNIT).scores)
+    expected = [row[:2] + [repr(float(x))] + row[3:] for row, x in zip(rows, repaired)]
+    assert out.read_bytes() == csv_writer_bytes(header, expected)
+
+
 def test_apply_header_only_input(tmp_path):
     plan_path = tmp_path / "plan.json"
     assert run("fit", "--input", write_dataset(tmp_path), "--output", plan_path,
@@ -491,6 +520,17 @@ def test_malformed_csv_is_validation_error(tmp_path, capsys, command, case):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"score,group,label\n", "dataset has zero rows"),
+    (b"score,group\n0.1,a\n0.2,a\n0.3,b\n", "group 'b' has 1 row(s), needs at least 2"),
+], ids=["header-only", "one-row-group"])
+def test_evaluate_names_the_file_in_dataset_errors(tmp_path, capsys, content, message):
+    src = tmp_path / "in.csv"
+    src.write_bytes(content)
+    assert run("evaluate", "--input", src, "--output", tmp_path / "report.json") == 2
+    assert capsys.readouterr().err == f"fairrepair: error: {src}: {message}\n"
 
 
 def test_apply_unknown_group_names_its_first_line(tmp_path, capsys):

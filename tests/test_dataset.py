@@ -1,4 +1,6 @@
-import csv
+import io
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from fairrepair import (
     validate_dataset,
     write_csv,
 )
-from fairrepair.dataset import FNR, FPR, NR, TNR
+from fairrepair.dataset import FNR, FPR, NR, TNR, _read_scored_csv
 
-from conftest import UNIT, make_dataset, random_binary_dataset
+from conftest import UNIT, csv_writer_bytes, make_dataset, random_binary_dataset
 
 
 def test_symmetric_counts_give_half_half():
@@ -271,12 +273,33 @@ def test_csv_missing_score_rejected(tmp_path):
     # A truncated row used to become a third group named ''.
     ("score,group,label\n0.1,A,1\n0.2,A,0\n0.3\n0.4,B,1\n0.5,B,0\n", ":4: missing group"),
     ("score,group\n0.1,A\n0.2, \n0.3,B\n0.4,B\n", ":3: missing group"),
-], ids=["nan-score", "extra-cell", "duplicate-header", "truncated-row", "blank-group"])
+    ("score,group\n0.1,A\nx,A\n0.3,B\n0.4,B\n", ":3: bad score 'x'"),
+    ("score,group,label\n0.1,A,1\n0.2,A,x\n0.3,B,0\n0.4,B,1\n", ":3: bad label 'x'"),
+    ("score,group,label\n0.1,A,1\n0.2,A,0\n0.3,B,2\n0.4,B,1\n", ":4: non-binary label: 2"),
+    # A bad label is reported only once every score has been read and checked.
+    ("score,group,label\n0.1,A,x\n0.2,A,1\nbad,B,0\n0.4,B,1\n", ":4: bad score 'bad'"),
+    ("score,group,label\n0.1,A,x\n0.2,A,1\n1.5,B,0\n0.4,B,1\n", ":4: score out of domain: 1.5"),
+    # The dataset checks name the file too (apply accepts both inputs).
+    ("score,group,label\n", "data.csv: dataset has zero rows"),
+    ("score,group\n0.1,A\n0.2,A\n0.3,B\n", r"data.csv: group 'B' has 1 row\(s\), needs at least 2"),
+], ids=["nan-score", "extra-cell", "duplicate-header", "truncated-row", "blank-group", "bad-score", "bad-label",
+        "non-binary-label", "score-before-label", "domain-before-label", "header-only", "one-row-group"])
 def test_csv_malformed_rows_rejected_with_line(tmp_path, content, message):
     path = tmp_path / "data.csv"
     path.write_text(content)
-    with pytest.raises(DatasetError, match=message):
+    with pytest.raises(DatasetError, match=message) as err:
         load_csv(path, UNIT)
+    assert str(err.value).startswith(f"{path}:")
+
+
+def test_csv_labels_and_groups_are_stripped(tmp_path):
+    """Label cells ' 1 ' and '+1' read as 1; group cells A, ' A ' and "A" are one group."""
+    path = tmp_path / "data.csv"
+    path.write_text('score,group,label\n0.1,A, 1 \n0.2, A ,+1\n0.3,"A",0\n0.4,B,\n0.5,B,1\n')
+    ds = load_csv(path, UNIT)
+    assert ds.groups == ("A", "B")
+    assert ds.group_indices.tolist() == [0, 0, 0, 1, 1]
+    assert ds.labels.tolist() == [1, 1, 0, -1, 1]
 
 
 def test_csv_skips_blank_lines_and_pads_short_rows(tmp_path):
@@ -295,22 +318,96 @@ def test_csv_roundtrip_keeps_partial_labels(tmp_path):
     assert load_csv(path, UNIT).labels.tolist() == ds.labels.tolist() == [1, -1, 0, 1]
 
 
+# Cells that csv.writer quotes, or that look as if it might.  Python 3.10's
+# csv module cannot write NUL, so those cases need 3.11.
+NUL = "\0" if sys.version_info >= (3, 11) else ""
+ODD_CELLS = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", " lead", "trail ", "naïve ☃", '"', ",",
+             f"nul{NUL}"]
+ODD_SCORES = [0.0, 5e-324, 1e-05, 0.1]
+
+
+def _check_write_csv(tmp_path, groups, scores, labels):
+    """write_csv writes the bytes csv.writer would."""
+    ds = ScoredDataset(scores, groups, [-1 if y is None else y for y in labels], UNIT)
+    path = tmp_path / "out.csv"
+    write_csv(ds, path)
+    labeled = any(y is not None for y in labels)
+    header = ["score", "group"] + ["label"] * labeled
+    rows = [[repr(float(x)), g] + ["" if y is None else str(y)] * labeled
+            for x, g, y in zip(scores, groups, labels)]
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+def _check_round_trip(tmp_path, header, rows):
+    """Read ``rows`` as written by csv.writer, write them back in chunks of 3: only the score cells change."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(csv_writer_bytes(header, rows))
+    table = _read_scored_csv(path, UNIT)
+    buf = io.StringIO(newline="")
+    table.write(buf, table.scores, chunk=3)
+    si = header.index("score")
+    expected = [row[:si] + [repr(float(row[si]))] + row[si + 1:] for row in rows]
+    assert buf.getvalue().encode("utf-8") == csv_writer_bytes(header, expected)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_write_csv_matches_csv_writer(tmp_path, labeled):
+    groups = [g for g in ODD_CELLS for _ in range(2)]
+    scores = [ODD_SCORES[i % len(ODD_SCORES)] for i in range(len(groups))]
+    labels = [(None, 0, 1)[i % 3] if labeled else None for i in range(len(groups))]
+    _check_write_csv(tmp_path, groups, scores, labels)
+
+
+def test_scored_csv_writes_every_cell_back_as_csv_writer_would(tmp_path):
+    """Read then write: the score column is rewritten, every other cell comes back as read."""
+    header = ["id", "label", "score", "note", "group"]
+    rows = [[f"r{i}", ["", " 1 ", "0", "x,y"][i % 4], repr(ODD_SCORES[i % 4]), cell, cell.strip() or "g"]
+            for i, cell in enumerate(ODD_CELLS + ["", "plain"])]
+    _check_round_trip(tmp_path, header, rows)
+
+
+def test_csv_writer_property(tmp_path):
+    """write_csv, and reading then writing a table with extra columns, match csv.writer."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(st.characters(codec="utf-8", exclude_characters="" if NUL else "\0"), max_size=6)
+    cell = st.sampled_from(ODD_CELLS) | text
+    score = st.sampled_from(ODD_SCORES) | st.floats(0, 1)
+    label = st.sampled_from([None, 0, 1])
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.tuples(score, cell.filter(str.strip), label), min_size=1, max_size=8),
+                      st.lists(cell, min_size=1, max_size=8))
+    def check(rows, notes):
+        rows = rows + rows  # every group gets two rows
+        _check_write_csv(tmp_path, [g for _, g, _ in rows], [x for x, _, _ in rows], [y for _, _, y in rows])
+        _check_round_trip(tmp_path, ["note", "score", "group", "label"],
+                          [[n, repr(x), g, "" if y is None else f" {y}"] for n, (x, g, y) in zip(notes, rows)])
+
+    check()
+
+
 def test_write_csv_keeps_old_file_when_the_write_fails(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     write_csv(_labeled(), path)
     before = path.read_bytes()
 
-    class HeaderThenFail:  # stands in for csv.writer
-        def __init__(self, fh):
-            self.fh = fh
+    real_fdopen = os.fdopen
 
-        def writerow(self, row):
-            self.fh.write(",".join(row) + "\r\n")
+    def fdopen(*args, **kwargs):  # a file that takes the header, then runs out of space
+        fh = real_fdopen(*args, **kwargs)
+        calls = []
 
-        def writerows(self, rows):
-            raise OSError(28, "No space left on device")
+        def write(text):
+            calls.append(text)
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return type(fh).write(fh, text)
 
-    monkeypatch.setattr(csv, "writer", HeaderThenFail)
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
     with pytest.raises(OSError):
         write_csv(make_dataset({"A": [0.1, 0.2], "B": [0.3, 0.4]}), path)
     assert path.read_bytes() == before
