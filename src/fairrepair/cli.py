@@ -29,11 +29,9 @@ import sys
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy as np
+        import numpy  # noqa: F401
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
-else:
-    import numpy as np
 
 from .dataset import (ScoreDomain, _atomic_write, _read_json, _read_scored_csv, _write_json,
                       load_csv, parse_combo, write_csv)
@@ -176,11 +174,13 @@ def _cmd_apply(args) -> None:
     # Not a ScoredDataset: apply keeps every column and the row order, and
     # accepts groups with a single row.
     table = _read_scored_csv(args.input, plan.domain)
-    for k, group in enumerate(table.groups):
-        if group not in plan.groups:
-            line = table.lines[np.argmax(table.group_idx == k)]
-            raise DatasetError(f"{args.input}:{line}: group '{group}' not in plan")
-    repaired = plan._repaired(table.groups, table.group_idx, table.scores)
+    cells, index, lines = table.columns["group"]
+    names = [c.strip() for c in cells]  # one per distinct cell: ' A' and 'A' both name A
+    # The first unknown name, at the first line of any cell that names it.
+    unknown = min(((g, line) for g, line in zip(names, lines) if g not in plan.groups), default=None)
+    if unknown:
+        raise DatasetError(f"{args.input}:{unknown[1]}: group '{unknown[0]}' not in plan")
+    repaired = plan._repaired(names, index, table.scores)
     _atomic_write(args.output, lambda fh: table.write(fh, repaired))
 
 

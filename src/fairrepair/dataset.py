@@ -89,24 +89,19 @@ class ScoredDataset:
     """
 
     def __init__(self, scores, groups, labels, domain):
-        self._init(scores, *_index_groups(list(groups)), labels, domain, MIN_ROWS_PER_GROUP)
+        names, index = _index_groups(list(groups))
+        self._init(_floats(scores, "non-numeric score"), names, index, _floats(labels, "non-binary label"),
+                   domain, MIN_ROWS_PER_GROUP)
 
     @classmethod
     def _indexed(cls, scores, groups, group_idx, labels, domain, min_rows=MIN_ROWS_PER_GROUP):
-        """As the constructor, from sorted distinct ``groups`` and each row's index into them."""
+        """As the constructor, from sorted distinct ``groups`` and each row's index into them;
+        keeps the arrays, uncopied: float scores and int (or float) labels that no one else holds."""
         out = object.__new__(cls)
         out._init(scores, groups, group_idx, labels, domain, min_rows)
         return out
 
     def _init(self, scores, groups, group_idx, labels, domain, min_rows) -> None:
-        try:
-            scores = np.array(scores, dtype=float)
-        except (TypeError, ValueError) as exc:  # the string "a", say
-            raise DatasetError(f"non-numeric score: {exc}") from None
-        try:  # as floats, not ints, so that 0.5 is not truncated to 0
-            labels = np.array(labels, dtype=float)
-        except (TypeError, ValueError) as exc:  # the string "x", say
-            raise DatasetError(f"non-binary label: {exc}") from None
         if scores.ndim != 1 or group_idx.size != scores.size or labels.size != scores.size:
             raise DatasetError("scores, groups and labels must be equal-length 1-d sequences")
         if scores.size == 0:
@@ -115,21 +110,17 @@ class ScoredDataset:
             raise DatasetError("scores must be finite")
         if scores.min() < domain.lo or scores.max() > domain.hi:
             bad = scores[(scores < domain.lo) | (scores > domain.hi)][0]
-            raise DatasetError(
-                f"score out of domain: {bad} not in [{domain.lo}, {domain.hi}]"
-            )
+            raise DatasetError(f"score out of domain: {bad} not in [{domain.lo}, {domain.hi}]")
         ok = (labels == -1) | (labels == 0) | (labels == 1)  # -1 encodes "no label"
         if not np.all(ok):
             raise DatasetError(f"non-binary label: {labels[~ok][0]}")
 
         self.domain = domain
         self.groups, self._group_idx = groups, group_idx
-        self._scores = scores
-        self._labels = labels.astype(int)
-        self._scores.flags.writeable = False
-        self._labels.flags.writeable = False
-        self._group_idx.flags.writeable = False
-        self._counts = np.bincount(group_idx, minlength=len(groups))
+        self._scores, self._labels = scores, labels.astype(int, copy=False)
+        self._counts = np.bincount(group_idx, minlength=len(groups))  # first: it copies a read-only index
+        for a in (self._scores, self._labels, group_idx):
+            a.flags.writeable = False
         for g, c in zip(groups, self._counts):
             if c < min_rows:
                 raise DatasetError(f"group '{g}' has {c} row(s), needs at least {min_rows}")
@@ -169,7 +160,16 @@ class ScoredDataset:
 
     def replace_scores(self, new_scores) -> "ScoredDataset":
         """Same rows with new scores (used by repair application)."""
-        return self._indexed(new_scores, self.groups, self._group_idx, self._labels, self.domain, 0)
+        return self._indexed(_floats(new_scores, "non-numeric score"), self.groups, self._group_idx,
+                             self._labels, self.domain, 0)
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """A float copy of ``values``, so a dataset shares no caller's array and a label 0.5 is not cut to 0."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # the string "a", say
+        raise DatasetError(f"{what}: {exc}") from None
 
 
 def _index_groups(groups: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -355,38 +355,38 @@ def _quote(cell: str) -> str:
 class _ScoredCsv(NamedTuple):
     """A scored CSV by column: the scores parsed, every other cell kept raw."""
 
-    header: list[str]
-    columns: list       # None for the score, (distinct cells, row index) for group and label, else cells
-    lines: array        # file line each record ends on, if read from a file
+    columns: dict       # by name in file order: None for the score; (distinct cells, row index,
+                        # line each cell first appears on) for group and label; else the cells
     scores: np.ndarray
-    groups: tuple       # distinct stripped groups, sorted
-    group_idx: np.ndarray  # each row's index into groups
 
     def write(self, fh, new_scores, chunk=1 << 14) -> None:
         """Write the table, each score as ``repr(float)``, ``chunk`` rows at a time, as csv.writer would."""
-        fh.write(",".join(map(_quote, self.header)) + "\r\n")
-        quoted = [[_quote(c) for c in col[0]] if isinstance(col, tuple) else None for col in self.columns]
+        fh.write(",".join(map(_quote, self.columns)) + "\r\n")
+        quoted = [[_quote(c) for c in col[0]] if isinstance(col, tuple) else None for col in self.columns.values()]
         for start in range(0, new_scores.size, chunk):
             part = slice(start, start + chunk)
             cells = [map(repr, new_scores[part].tolist()) if col is None
                      else map(q.__getitem__, col[1][part].tolist()) if q is not None
-                     else map(_quote, col[part]) for col, q in zip(self.columns, quoted)]
+                     else map(_quote, col[part]) for col, q in zip(self.columns.values(), quoted)]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
-    """Read a CSV with 'score' and 'group' columns; errors name path:line.
+    """Read a CSV with 'score' and 'group' columns in one pass; errors name path:line.
 
-    Blank lines are skipped, as csv.DictReader skips them, and short records
-    are padded with empty cells.  A record may not have more cells than the
-    header, and its score must be a finite number inside ``domain``.  Group
-    and label cells are keyed by raw text: each distinct one is checked once.
+    A UTF-8 byte-order mark is skipped, and so are blank lines, as
+    csv.DictReader skips them; short records are padded with empty cells.
+    Each record is checked as it is read: it may not have more cells than
+    the header or a blank group, and its score must be a finite number inside
+    ``domain``.  Group and label cells are keyed by raw text, each distinct
+    one checked once and kept with the line it first appears on.
     """
     def fail(message: str):
         return DatasetError(f"{path}:{reader.line_num}: {message}")
 
+    lo, hi = domain.lo, domain.hi
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or "score" not in header or "group" not in header:
@@ -394,10 +394,11 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
             if len(set(header)) != len(header):
                 raise DatasetError(f"{path}: CSV header repeats a column name")
             width, si, gi = len(header), header.index("score"), header.index("group")
-            columns = [None if n == "score" else ({}, []) if n in ("group", "label") else [] for n in header]
-            keyed = [(j, *c) for j, c in enumerate(columns) if isinstance(c, tuple)]
-            others = [(j, c) for j, c in enumerate(columns) if isinstance(c, list)]
-            lines, scores = array("q"), array("d")
+            columns = {n: None if n == "score" else ({}, array("q"), array("q")) if n in ("group", "label") else []
+                       for n in header}
+            keyed = [(j, *c) for j, c in enumerate(columns.values()) if isinstance(c, tuple)]
+            others = [(j, c) for j, c in enumerate(columns.values()) if isinstance(c, list)]
+            scores = array("d")
             for rec in reader:
                 if len(rec) != width:
                     if not rec:
@@ -407,54 +408,53 @@ def _read_scored_csv(path, domain: ScoreDomain) -> _ScoredCsv:
                     rec += [""] * (width - len(rec))
                 raw = rec[si].strip()
                 try:
-                    scores.append(float(raw))
+                    x = float(raw)
                 except ValueError:
                     raise fail(f"bad score '{raw}'" if raw else "missing score") from None
-                for j, ids, index in keyed:
+                for j, ids, index, first in keyed:
                     k = ids.get(rec[j])
                     if k is None:
                         if j == gi and not rec[j].strip():
                             raise fail("missing group")
                         k = ids[rec[j]] = len(ids)
+                        first.append(reader.line_num)
                     index.append(k)
+                if not lo <= x <= hi:  # NaN included; after the group, which a record reports first
+                    raise fail(f"score out of domain: {x} is not a finite number in [{lo}, {hi}]")
+                scores.append(x)
                 for j, column in others:
                     column.append(rec[j])
-                lines.append(reader.line_num)
     except UnicodeDecodeError:
         raise DatasetError(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:
         raise fail(str(exc)) from None
 
-    scores = np.array(scores, dtype=float)
-    bad = np.flatnonzero(~((scores >= domain.lo) & (scores <= domain.hi)))  # NaN included
-    if bad.size:
-        raise DatasetError(
-            f"{path}:{lines[bad[0]]}: score out of domain: {scores[bad[0]]} is not a "
-            f"finite number in [{domain.lo}, {domain.hi}]"
-        )
-    for j, ids, index in keyed:
-        columns[j] = (tuple(ids), np.array(index, dtype=int))
-    names, index = _index_groups([c.strip() for c in columns[gi][0]])
-    return _ScoredCsv(header, columns, lines, scores, names, index[columns[gi][1]])
+    columns = {n: (tuple(c[0]), np.frombuffer(c[1], dtype=np.int64), c[2]) if isinstance(c, tuple) else c
+               for n, c in columns.items()}
+    return _ScoredCsv(columns, np.frombuffer(scores))
 
 
 def load_csv(path, domain: ScoreDomain) -> ScoredDataset:
-    """A scored CSV as a dataset; group and label cells are stripped, and an empty label is missing."""
+    """A scored CSV as a dataset; group and label cells are stripped, and an empty label is missing.
+
+    The first bad label is named at the line it first appears on.  The dataset keeps the read arrays."""
     table = _read_scored_csv(path, domain)
-    labels = np.full(table.scores.size, -1)
-    if "label" in table.header:
-        cells, ids = table.columns[table.header.index("label")]
-        values = [-1] * len(cells)
-        for k, raw in enumerate(map(str.strip, cells)):
+    cells, index, _ = table.columns["group"]
+    groups, group_idx = _index_groups([c.strip() for c in cells])
+    if "label" not in table.columns:
+        labels = np.full(table.scores.size, -1)
+    else:
+        cells, ids, lines = table.columns["label"]
+        values = []
+        for raw, line in zip(map(str.strip, cells), lines):  # in file order
             try:
-                values[k] = int(raw) if raw else -1
-                message = f"non-binary label: {values[k]}"
+                values.append(int(raw) if raw else -1)
             except ValueError:
-                message = f"bad label '{raw}'"
-            if raw and values[k] not in (0, 1):  # cells come in file order: this is the first bad line
-                raise DatasetError(f"{path}:{table.lines[np.argmax(ids == k)]}: {message}")
-        labels = np.array(values, dtype=int)[ids]
-    return _named(path, ScoredDataset._indexed, table.scores, table.groups, table.group_idx, labels, domain)
+                raise DatasetError(f"{path}:{line}: bad label '{raw}'") from None
+            if raw and values[-1] not in (0, 1):
+                raise DatasetError(f"{path}:{line}: non-binary label: {values[-1]}")
+        labels = np.array(values)[ids]
+    return _named(path, ScoredDataset._indexed, table.scores, groups, group_idx[index], labels, domain)
 
 
 def write_csv(ds: ScoredDataset, path) -> None:
@@ -463,11 +463,10 @@ def write_csv(ds: ScoredDataset, path) -> None:
     The label column is written when any row has a label, with an empty cell
     for each missing one.
     """
-    header, columns = ["score", "group"], [None, (ds.groups, ds.group_indices)]
+    columns = {"score": None, "group": (ds.groups, ds.group_indices, ())}
     if ds.labels.max() >= 0:
-        header.append("label")
-        columns.append((("", "0", "1"), ds.labels + 1))
-    table = _ScoredCsv(header, columns, array("q"), ds.scores, ds.groups, ds.group_indices)
+        columns["label"] = (("", "0", "1"), ds.labels + 1, ())
+    table = _ScoredCsv(columns, ds.scores)
     _atomic_write(path, lambda fh: table.write(fh, ds.scores))
 
 

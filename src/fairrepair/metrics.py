@@ -7,13 +7,12 @@ The disparity over every threshold is exact; the grid only draws the curves.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_scores
+from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_scores, _quote
 from .errors import DatasetError
 from .ot import EmpiricalDistribution, wasserstein
 
@@ -65,13 +64,14 @@ class DisparityCurve:
 
 
 def _write_curves(fh, curves) -> None:
-    """Rows of every curve under one `threshold,group,metric,value` header."""
-    writer = csv.writer(fh, lineterminator="\n")  # quotes a group name such as 'a,b'
-    writer.writerow(["threshold", "group", "metric", "value"])
+    """Rows of every curve under one `threshold,group,metric,value` header; a group
+    name is quoted as in a scored CSV, so every row reads back as four cells."""
+    fh.write("threshold,group,metric,value\n")
     for curve in curves:
         for group in sorted(curve.values):
-            for tau, v in zip(curve.grid.points.tolist(), curve.values[group].tolist()):
-                writer.writerow([repr(tau), group, curve.metric.name, repr(v)])
+            cells = f"{_quote(group)},{curve.metric.name}"
+            fh.writelines(f"{tau!r},{cells},{v!r}\n"
+                          for tau, v in zip(curve.grid.points.tolist(), curve.values[group].tolist()))
 
 
 def rate_curve(ds: ScoredDataset, kind: MetricKind, grid: ThresholdGrid) -> DisparityCurve:

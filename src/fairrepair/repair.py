@@ -111,7 +111,7 @@ class RepairPlan:
         return ds.replace_scores(self._repaired(ds.groups, ds.group_indices, ds.scores))
 
     def _repaired(self, names, index, scores) -> np.ndarray:
-        """Each score repaired with its group's lambda; row i is in group ``names[index[i]]``."""
+        """Each score repaired with its group's lambda; row i is in group ``names[index[i]]`` (names may repeat)."""
         out = np.empty_like(scores)
         for k, g in enumerate(names):
             rows = index == k

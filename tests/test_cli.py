@@ -99,14 +99,14 @@ def test_evaluate_unlabeled_tpr_is_validation_error(tmp_path, capsys):
 
 
 def test_evaluate_curves_quote_group_names(tmp_path):
-    """A group name with a comma or a quote stays one cell of the curve CSV."""
-    groups = {"a,b": [0.2, 0.4, 0.6], 'q"r': [0.1, 0.3, 0.5]}
+    """A group name with a comma, a quote, CR or LF stays one cell of the curve CSV."""
+    groups = {"a,b": [0.2, 0.4, 0.6], 'q"r': [0.1, 0.3, 0.5], "c\rr": [0.3, 0.5, 0.7], "l\nf": [0.2, 0.3, 0.4]}
     path = write_dataset(tmp_path, groups=groups)
     assert run("evaluate", "--input", path, "--output", tmp_path / "report.json", "--grid", "5") == 0
     with open(tmp_path / "report.curves.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["threshold", "group", "metric", "value"]
-    assert len(rows) == 1 + 2 * 5
+    assert len(rows) == 1 + 4 * 5
     assert all(len(row) == 4 for row in rows)
     assert {row[1] for row in rows[1:]} == set(groups)
 
@@ -499,6 +499,9 @@ MALFORMED_CSV = {
     "duplicate-header": (b"score,group,score\n0.2,A,0.1\n", "header repeats a column"),
     "not-utf8": (b"score,group\n0.2,A\n0.3,\xff\n", "not UTF-8"),
     "missing-group": (b"score,group,label\n0.2,A,1\n0.3\n", ":3: missing group"),
+    # Each score is checked on its own line: a later bad record is not reached.
+    "domain-before-later-score": (b"score,group\n0.2,A\n1.5,B\n0.3,A\nx,B\n", ":3: score out of domain: 1.5"),
+    "bom-not-utf8": (b"\xef\xbb\xbfscore,group\n0.2,A\n0.3,\xff\n", "not UTF-8"),
 }
 
 
@@ -541,6 +544,32 @@ def test_apply_unknown_group_names_its_first_line(tmp_path, capsys):
     src.write_text("score,group\n0.2,A\n0.3,Z\n0.4,B\n0.5,Z\n")
     assert run("apply", "--input", src, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
     assert f"{src}:3: group 'Z' not in plan" in capsys.readouterr().err
+    # The first unknown name in sorted order, at the first line of any cell that strips to it.
+    src.write_text("score,group\n0.2,A\n0.3,Z\n0.4, Y \n0.5,Y\n")
+    assert run("apply", "--input", src, "--plan", plan_path, "--output", tmp_path / "o.csv") == 2
+    assert f"{src}:4: group 'Y' not in plan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["apply", "evaluate"])
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, command):
+    """Excel's "CSV UTF-8" starts with a BOM: it is skipped, and apply writes none."""
+    plain = write_dataset(tmp_path, groups={"A": [0.2, 0.4, 0.6], "B": [0.1, 0.3, 0.5]})
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    plan = tmp_path / "plan.json"
+    assert run("fit", "--input", plain, "--output", plan, "--solver", "none") == 0
+    outputs = []
+    for src in (plain, bom):
+        out = tmp_path / f"{src.stem}.out"
+        if command == "apply":
+            assert run("apply", "--input", src, "--plan", plan, "--output", out) == 0
+            outputs.append(out.read_bytes())
+        else:
+            assert run("evaluate", "--input", src, "--output", out) == 0
+            outputs.append((json.loads(out.read_text())["reports"], (tmp_path / f"{src.stem}.curves.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    if command == "apply":
+        assert outputs[1].startswith(b"score,group\r\n")
 
 
 def test_non_utf8_plan_and_config_are_validation_errors(tmp_path):

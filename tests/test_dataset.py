@@ -1,6 +1,7 @@
 import io
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,19 @@ def test_derived_datasets_match_the_constructor():
         ds.replace_scores(new + 1.0)
 
 
+@pytest.mark.parametrize("label_type", [int, float])
+def test_dataset_never_shares_its_callers_arrays(label_type):
+    """The constructor and replace_scores copy what they are given: writing to
+    the caller's arrays afterwards changes no dataset."""
+    scores, new = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.6, 0.7, 0.8])
+    labels = np.array([1, 0, -1, 1], dtype=label_type)
+    ds = ScoredDataset(scores, ["A", "A", "B", "B"], labels, UNIT)
+    repaired = ds.replace_scores(new)
+    scores[:], labels[:], new[:] = 0.9, 0, 0.9  # still the caller's arrays, and still writable
+    assert ds.scores.tolist() == [0.1, 0.2, 0.3, 0.4] and repaired.scores.tolist() == [0.5, 0.6, 0.7, 0.8]
+    assert ds.labels.tolist() == repaired.labels.tolist() == [1, 0, -1, 1]
+
+
 def test_conditioning_on_unlabeled_data_errors():
     ds = make_dataset({"A": [0.2, 0.4], "B": [0.1, 0.3]})
     with pytest.raises(DatasetError, match="unlabeled"):
@@ -279,17 +293,47 @@ def test_csv_missing_score_rejected(tmp_path):
     # A bad label is reported only once every score has been read and checked.
     ("score,group,label\n0.1,A,x\n0.2,A,1\nbad,B,0\n0.4,B,1\n", ":4: bad score 'bad'"),
     ("score,group,label\n0.1,A,x\n0.2,A,1\n1.5,B,0\n0.4,B,1\n", ":4: score out of domain: 1.5"),
+    # The domain is checked on the line that holds the score, so a later bad record is not reached.
+    ("score,group\n0.1,A\n1.5,A\n0.3,B\nx,B\n", ":3: score out of domain: 1.5"),
     # The dataset checks name the file too (apply accepts both inputs).
     ("score,group,label\n", "data.csv: dataset has zero rows"),
     ("score,group\n0.1,A\n0.2,A\n0.3,B\n", r"data.csv: group 'B' has 1 row\(s\), needs at least 2"),
 ], ids=["nan-score", "extra-cell", "duplicate-header", "truncated-row", "blank-group", "bad-score", "bad-label",
-        "non-binary-label", "score-before-label", "domain-before-label", "header-only", "one-row-group"])
+        "non-binary-label", "score-before-label", "domain-before-label", "domain-before-later-score", "header-only",
+        "one-row-group"])
 def test_csv_malformed_rows_rejected_with_line(tmp_path, content, message):
     path = tmp_path / "data.csv"
     path.write_text(content)
     with pytest.raises(DatasetError, match=message) as err:
         load_csv(path, UNIT)
     assert str(err.value).startswith(f"{path}:")
+
+
+def test_csv_read_memory_per_row(tmp_path):
+    """tracemalloc peaks per row at 5e4 rows of a two-group labeled CSV.
+
+    The reader keeps three 8-byte values a row: the float score and the
+    row's index into the distinct group cells and into the distinct label
+    cells.  With an array's growth slack (up to 1/16) that is 25.5 B.
+    load_csv adds two: the row's index into the sorted group names and its
+    int label, so 41.5 B, plus up to 3 B of boolean masks from the checks.
+    Each bound leaves less room than one more 8-byte value a row (a line
+    number, or a copy of a column), so keeping one fails the test.
+    """
+    rng = np.random.default_rng(0)
+    n = 50_000
+    groups = rng.integers(0, 2, n)
+    path = tmp_path / "data.csv"
+    write_csv(ScoredDataset(rng.random(n), np.array(["a", "b"])[groups].tolist(), rng.integers(0, 2, n), UNIT),
+              path)
+    for read, bound in ((_read_scored_csv, 32), (load_csv, 50)):
+        tracemalloc.start()
+        try:
+            read(path, UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound, (read.__name__, peak / n)
 
 
 def test_csv_labels_and_groups_are_stripped(tmp_path):
