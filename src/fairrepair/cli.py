@@ -166,7 +166,7 @@ def _cmd_fit(args) -> None:
         solution_dict = sol.to_dict()
 
     save_plan(plan, args.output)
-    _write_json(args.output + ".solution.json", solution_dict)
+    _write_json(_outputs(args)["<output>.solution.json"], solution_dict)
 
 
 def _cmd_apply(args) -> None:

@@ -86,6 +86,7 @@ class ScoredDataset:
     Immutable after construction; the numpy views exposed here are read-only.
     The constructor takes the scores, group names and labels as sequences;
     :func:`validate_dataset` takes rows and :func:`load_csv` a file, all checked alike.
+    Groups are counted only where their sizes are checked; :attr:`proportions` counts anew.
     """
 
     def __init__(self, scores, groups, labels, domain):
@@ -115,15 +116,15 @@ class ScoredDataset:
         if not np.all(ok):
             raise DatasetError(f"non-binary label: {labels[~ok][0]}")
 
+        if min_rows:  # before the index is read-only, which np.bincount would copy
+            for g, c in zip(groups, np.bincount(group_idx, minlength=len(groups))):
+                if c < min_rows:
+                    raise DatasetError(f"group '{g}' has {c} row(s), needs at least {min_rows}")
         self.domain = domain
         self.groups, self._group_idx = groups, group_idx
         self._scores, self._labels = scores, labels.astype(int, copy=False)
-        self._counts = np.bincount(group_idx, minlength=len(groups))  # first: it copies a read-only index
         for a in (self._scores, self._labels, group_idx):
             a.flags.writeable = False
-        for g, c in zip(groups, self._counts):
-            if c < min_rows:
-                raise DatasetError(f"group '{g}' has {c} row(s), needs at least {min_rows}")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -151,7 +152,7 @@ class ScoredDataset:
     @property
     def proportions(self) -> np.ndarray:
         """Group proportions p_g in :attr:`groups` order; sums to 1."""
-        return self._counts / self._scores.size
+        return np.bincount(self._group_idx, minlength=len(self.groups)) / self._scores.size
 
     def group_scores(self, group: str) -> np.ndarray:
         if group not in self.groups:

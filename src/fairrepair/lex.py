@@ -128,8 +128,8 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
         np.add(inherited, prob.alpha),
     ])
     cost = np.concatenate([np.full(n, prob.eps_stab), top[-1]])
-    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * (k + npairs + nv)
-    x = linprog(cost, A, rhs, bounds)
+    upper = np.concatenate([np.ones(n), np.full(k + npairs + nv, np.inf)])
+    x = linprog(cost, A, rhs, upper)
     return np.clip(x[:n], 0.0, 1.0)
 
 

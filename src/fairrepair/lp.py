@@ -1,6 +1,6 @@
 """Small dense linear-programming core: a one-phase dual simplex.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub  and  0 <= x <= hi,  with c >= 0, at the
+Solves  min c.x  s.t.  A_ub x <= b_ub  and  0 <= x <= upper,  with c >= 0, at the
 scale the lexicographic solver needs (hundreds of variables and constraints).
 Nonnegative costs make the all-slack basis dual feasible whatever the signs of
 b_ub, so Lemke's dual simplex (1954) reaches the optimum from it with no
@@ -23,12 +23,12 @@ __all__ = ["linprog"]
 _TOL = 1e-9
 
 
-def linprog(c, A_ub, b_ub, bounds) -> np.ndarray:
-    """Exact minimizer of c.x subject to A_ub x <= b_ub and bounds.
+def linprog(c, A_ub, b_ub, upper) -> np.ndarray:
+    """Exact minimizer of c.x subject to A_ub x <= b_ub and 0 <= x <= upper.
 
-    c must be nonnegative.  bounds is a sequence of (lo, hi) per variable; lo
-    must be 0.0 and hi is a float or None.  Returns the optimal x; raises
-    :class:`LPError` on infeasible problems, and after
+    c must be nonnegative.  upper holds one bound per variable, inf for none;
+    each finite one becomes a row of the tableau.  Returns the optimal x;
+    raises :class:`LPError` on infeasible problems, and after
     2000 + 200 * (rows + columns) pivots.
     """
     c = np.asarray(c, dtype=float)
@@ -39,22 +39,20 @@ def linprog(c, A_ub, b_ub, bounds) -> np.ndarray:
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
     if b_ub.size != A_ub.shape[0]:
         raise LPError("one b_ub entry per A_ub row required")
-    if len(bounds) != n:
-        raise LPError("one (lo, hi) bound pair per variable required")
-    if any(lo != 0.0 for lo, _ in bounds):
-        raise LPError("lower bounds other than 0 are not supported")
-    # A finite upper bound becomes an extra row on the variable's column.
-    capped = [j for j, (_, hi) in enumerate(bounds) if hi is not None]
+    upper = np.asarray(upper, dtype=float).reshape(-1)
+    if upper.size != n or not np.all(upper > -np.inf):  # NaN included
+        raise LPError("one upper bound per variable, a number or inf, required")
+    capped = np.flatnonzero(upper < np.inf)
     mu = A_ub.shape[0]
-    m = mu + len(capped)
+    m = mu + capped.size
 
     # Tableau [x | slacks | rhs] with the slacks basic; the bottom row holds
     # the reduced costs and, in its last entry, minus the objective.
     T = np.zeros((m + 1, n + m + 1))
     T[:mu, :n] = A_ub
-    T[mu + np.arange(len(capped)), capped] = 1.0
+    T[mu + np.arange(capped.size), capped] = 1.0
     T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:m, -1] = np.concatenate([b_ub, [float(bounds[j][1]) for j in capped]])
+    T[:m, -1] = np.concatenate([b_ub, upper[capped]])
     T[m, :n] = c
     basis = n + np.arange(m)
     stalled = 0

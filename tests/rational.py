@@ -92,20 +92,46 @@ def binary_objective(terms, lam, p: int) -> Fraction:
     return total
 
 
-def binary_minimum_p1(terms) -> Fraction:
-    """The least p = 1 objective over lam in [0, 1].
+def pieces(terms):
+    """(w, seg, A, B) for each piece of each of ``binary_objective``'s terms.
 
-    On the piece of level a, the moved points differ by A + lam * B, with
-    A = Q1(a) - Q2(a) and B, the rate, the difference of their full-repair
-    shifts.  So the objective is piecewise linear and convex, and its minimum
-    lies at lam = 0, lam = 1 or a kink -A / B inside (0, 1).
+    On the piece of merged level a, of width seg, the moved points differ by
+    A + lam * B, with A = Q1(a) - Q2(a) and B, the rate, the difference of
+    their full-repair shifts.  So the objective is the sum of
+    w * seg * |A + lam * B|^p over the pieces.
     """
-    candidates = {Fraction(0), Fraction(1)}
-    for _, (s1, t1), (s2, t2) in terms:
+    for w, (s1, t1), (s2, t2) in terms:
         shift1, shift2 = dict(zip(s1, t1)), dict(zip(s2, t2))
+        below = Fraction(0)
         for a in levels(s1, s2):
             q1, q2 = quantile(s1, a), quantile(s2, a)
-            rate = (shift1[q1] - q1) - (shift2[q2] - q2)
-            if rate and 0 < (kink := (q2 - q1) / rate) < 1:
-                candidates.add(kink)
+            yield Fraction(w), a - below, q1 - q2, (shift1[q1] - q1) - (shift2[q2] - q2)
+            below = a
+
+
+def binary_minimum_p1(terms) -> Fraction:
+    """The least p = 1 objective over lam in [0, 1]: it is piecewise linear
+    and convex, so its minimum lies at lam = 0, lam = 1 or a kink -A / B
+    inside (0, 1)."""
+    candidates = {Fraction(0), Fraction(1)}
+    for _, _, A, B in pieces(terms):
+        if B and 0 < (kink := -A / B) < 1:
+            candidates.add(kink)
     return min(binary_objective(terms, lam, 1) for lam in candidates)
+
+
+def binary_minimizer_p2(terms) -> tuple[Fraction, Fraction, Fraction]:
+    """(lam*, g, S): the least minimizer over [0, 1] of the p = 2 objective,
+    its half slope g there and its curvature S.
+
+    The objective is exactly quadratic, f(lam) = f(0) + 2 g0 lam + S lam^2 with
+    g0 = sum w seg A B and S = sum w seg B^2, so its half slope is
+    g0 + S lam and lam* = clip(-g0 / S, 0, 1); f is constant when S = 0, and
+    lam* is then 0.
+    """
+    g0 = curvature = Fraction(0)
+    for w, seg, A, B in pieces(terms):
+        g0 += w * seg * A * B
+        curvature += w * seg * B * B
+    lam = min(Fraction(1), max(Fraction(0), -g0 / curvature)) if curvature else Fraction(0)
+    return lam, g0 + curvature * lam, curvature

@@ -502,6 +502,8 @@ MALFORMED_CSV = {
     # Each score is checked on its own line: a later bad record is not reached.
     "domain-before-later-score": (b"score,group\n0.2,A\n1.5,B\n0.3,A\nx,B\n", ":3: score out of domain: 1.5"),
     "bom-not-utf8": (b"\xef\xbb\xbfscore,group\n0.2,A\n0.3,\xff\n", "not UTF-8"),
+    "field-over-limit": (b"score,group\n0.2," + b"A" * (csv.field_size_limit() + 1) + b"\n",
+                         f"bad.csv:2: field larger than field limit ({csv.field_size_limit()})"),
 }
 
 
@@ -1087,6 +1089,17 @@ def test_metric_weights_must_have_a_positive_sum(tmp_path, capsys, command, metr
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("command", [("evaluate",), ("fit", "--solver", "exact"), ("lambda-sweep",)],
+                         ids=lambda c: c[-1])
+def test_bad_metric_weight_is_validation_error(tmp_path, capsys, command):
+    data = write_dataset(tmp_path, "in.csv", groups={"a": [0.1, 0.5, 0.9, 0.3], "b": [0.2, 0.4, 0.8, 0.6]},
+                         labels={"a": [0, 1, 1, 0], "b": [1, 0, 1, 0]})
+    assert run(*command, "--input", data, "--output", tmp_path / "out", "--metric", "tpr:abc") == 2
+    err = capsys.readouterr().err
+    assert "bad metric weight in 'tpr:abc'" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
 BAD_FIT_VALUES = [("p", "nan"), ("p", "inf"), ("p", "0"), ("tol", "nan"), ("tol", "-1"),
                   ("tol", "0")]
 
@@ -1199,6 +1212,12 @@ BAD_SPECS = {
                           "joint spec proportion of 'a': '0.5' is not a JSON number"),
     "hi-string": (custom_spec_with(("domain", "hi"), "100"),
                   "joint spec domain hi: '100' is not a JSON number"),
+    "support-not-increasing": (custom_spec_with(("score_support",), [0.75, 0.25]),
+                               "score support must be strictly increasing"),
+    "support-outside-domain": (custom_spec_with(("score_support",), [0.25, 1.5]),
+                               "score support must lie inside the domain"),
+    "groups-not-an-array": (custom_spec_with(("groups",), {"name": "a", "proportion": 1.0}),
+                            "spec groups must be a JSON array"),
     **{f"domain-{case}": (custom_spec_with(("domain",), domain), f"spec domain: {message}")
        for case, (domain, message) in BAD_DOMAINS.items()},
 }
@@ -1385,6 +1404,7 @@ def test_unread_flag_is_rejected(tmp_path, command, flag):
     ("generate", {"n": "x"}),
     ("generate", {"fraction": "x"}),
     ("lambda-sweep", {"steps": "x"}),
+    ("fit", ["metric", "tpr"]),  # config must be a JSON object
 ], ids=lambda x: x if isinstance(x, str) else json.dumps(x))
 def test_bad_config_value_is_validation_error(tmp_path, capsys, command, config):
     data = labeled_binary(tmp_path)

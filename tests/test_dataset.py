@@ -11,6 +11,7 @@ from fairrepair import (
     TPR,
     DatasetError,
     MetricCombo,
+    MetricKind,
     ScoreDomain,
     ScoredDataset,
     load_csv,
@@ -41,6 +42,17 @@ def test_count_ratio_proportions():
 def test_score_out_of_domain_rejected():
     with pytest.raises(DatasetError, match="out of domain"):
         validate_dataset([(1.2, "A"), (0.1, "A"), (0.5, "B"), (0.6, "B")], UNIT)
+
+
+@pytest.mark.parametrize("scores, groups, labels", [
+    ([0.1, 0.2, 0.3], ["a", "a", "b", "b"], [-1] * 4),
+    ([0.1, 0.2, 0.3, 0.4], ["a", "a", "b"], [-1] * 4),
+    ([0.1, 0.2, 0.3, 0.4], ["a", "a", "b", "b"], [-1] * 3),
+    ([[0.1, 0.2], [0.3, 0.4]], ["a", "b"], [-1] * 2),
+], ids=["scores", "groups", "labels", "2-d-scores"])
+def test_unequal_length_inputs_rejected(scores, groups, labels):
+    with pytest.raises(DatasetError, match="scores, groups and labels must be equal-length 1-d sequences"):
+        ScoredDataset(scores, groups, labels, UNIT)
 
 
 def test_zero_rows_rejected():
@@ -112,6 +124,9 @@ def test_row_that_is_not_a_sequence_rejected(row, shown):
 def test_groups_ordered_lexicographically():
     ds = validate_dataset([(0.1, "z"), (0.2, "z"), (0.3, "m"), (0.4, "m"), (0.5, "a"), (0.6, "a")], UNIT)
     assert ds.groups == ("a", "m", "z")
+    assert ds.group_scores("m").tolist() == [0.3, 0.4]
+    with pytest.raises(DatasetError, match="unknown group 'b'"):
+        ds.group_scores("b")
 
 
 def test_domain_requires_hi_above_lo():
@@ -227,6 +242,10 @@ def test_metric_kind_table():
     assert (NR.label_condition, NR.predicted_class) == (None, 0)
     assert (TNR.label_condition, TNR.predicted_class) == (0, 0)
     assert (FNR.label_condition, FNR.predicted_class) == (1, 0)
+    with pytest.raises(DatasetError, match="label_condition must be 0, 1 or None"):
+        MetricKind("x", 2, 1)
+    with pytest.raises(DatasetError, match="predicted_class must be 0 or 1"):
+        MetricKind("x", None, None)
 
 
 def test_parse_metric_and_combo():
@@ -235,11 +254,14 @@ def test_parse_metric_and_combo():
     assert combo.kinds == [TPR, FPR]
     assert combo.terms[1][1] == 0.5
     assert parse_combo("pr").single_kind is PR
+    assert parse_combo(" tpr,,fpr:2, ").terms == ((TPR, 1.0), (FPR, 2.0))  # empty parts are skipped
 
 
 def test_combo_rejects_negative_weight_and_empty():
     with pytest.raises(DatasetError):
         parse_combo("tpr:-1")
+    with pytest.raises(DatasetError, match="bad metric weight in 'tpr:abc'"):
+        parse_combo("fpr,tpr:abc")
     with pytest.raises(DatasetError):
         MetricCombo(())
     with pytest.raises(DatasetError):
@@ -334,6 +356,25 @@ def test_csv_read_memory_per_row(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak / n <= bound, (read.__name__, peak / n)
+
+
+def test_replace_scores_memory_per_row():
+    """replace_scores copies the caller's scores (8 B a row) and keeps the
+    dataset's group index and labels; its checks add up to 3 B of boolean
+    masks.  The 12 B bound leaves less room than one more 8-byte value a row,
+    such as the copy np.bincount makes of a read-only group index."""
+    rng = np.random.default_rng(0)
+    n = 50_000
+    ds = ScoredDataset(rng.random(n), np.array(["a", "b"])[rng.integers(0, 2, n)].tolist(), rng.integers(0, 2, n),
+                       UNIT)
+    new = rng.random(n)
+    tracemalloc.start()
+    try:
+        ds.replace_scores(new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 12, peak / n
 
 
 def test_csv_labels_and_groups_are_stripped(tmp_path):

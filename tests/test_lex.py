@@ -140,9 +140,9 @@ def test_lp_size_per_round(monkeypatch):
 
     shapes = []
 
-    def recording_linprog(c, A_ub, b_ub, bounds):
+    def recording_linprog(c, A_ub, b_ub, upper):
         shapes.append(A_ub.shape)
-        return linprog(c, A_ub, b_ub, bounds)
+        return linprog(c, A_ub, b_ub, upper)
 
     monkeypatch.setattr(lex, "linprog", recording_linprog)
     solve_lexicographic(synthetic_problem([0.3, 0.5, 0.6, 0.9], [0.2, 0.0, -0.1, -0.3]))

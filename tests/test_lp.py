@@ -8,16 +8,13 @@ from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
 
 ROW_SPARSE_PIVOT = lp._pivot
+INF = np.inf
 
 
-def _feasible(x, A, b, bounds, tol=1e-7):
+def _feasible(x, A, b, upper, tol=1e-7):
     if A is not None and len(A):
         assert np.all(np.asarray(A) @ x <= np.asarray(b) + tol)
-    for xi, (lo, hi) in zip(x, bounds):
-        if lo is not None:
-            assert xi >= lo - tol
-        if hi is not None:
-            assert xi <= hi + tol
+    assert np.all(x >= -tol) and np.all(x <= np.asarray(upper) + tol)
 
 
 def test_box_corner():
@@ -25,9 +22,9 @@ def test_box_corner():
     c = [1.0, 2.0]
     A = [[-1.0, -1.0]]
     b = [-1.0]
-    bounds = [(0.0, 0.7), (0.0, 0.8)]
-    x = linprog(c, A, b, bounds)
-    _feasible(x, A, b, bounds)
+    upper = [0.7, 0.8]
+    x = linprog(c, A, b, upper)
+    _feasible(x, A, b, upper)
     assert np.allclose(x, [0.7, 0.3], atol=1e-9)
 
 
@@ -37,7 +34,7 @@ def test_classic_two_variable():
     c = [4.0, 12.0, 18.0]
     A = [[-1.0, 0.0, -3.0], [0.0, -2.0, -2.0]]
     b = [-3.0, -5.0]
-    x = linprog(c, A, b, [(0.0, None)] * 3)
+    x = linprog(c, A, b, [INF] * 3)
     assert np.allclose(x, [0.0, 1.5, 1.0], atol=1e-9)
     assert float(np.dot(c, x)) == pytest.approx(36.0, abs=1e-9)
 
@@ -48,18 +45,18 @@ def test_negative_rhs_row_leaves_the_basis():
     c = [1.0, 2.0]
     A = [[-1.0, -1.0]]
     b = [-2.0]
-    bounds = [(0.0, 3.0), (0.0, 3.0)]
-    x = linprog(c, A, b, bounds)
-    _feasible(x, A, b, bounds)
+    upper = [3.0, 3.0]
+    x = linprog(c, A, b, upper)
+    _feasible(x, A, b, upper)
     assert np.allclose(x, [2.0, 0.0], atol=1e-9)
 
 
 def test_infeasible_detected():
     with pytest.raises(LPError, match="infeasible"):
-        linprog([0.0], [[1.0]], [-1.0], bounds=[(0.0, None)])
+        linprog([0.0], [[1.0]], [-1.0], upper=[INF])
     with pytest.raises(LPError, match="infeasible"):
         # x >= 2 and x <= 1
-        linprog([1.0], [[-1.0], [1.0]], [-2.0, 1.0], bounds=[(0.0, None)])
+        linprog([1.0], [[-1.0], [1.0]], [-2.0, 1.0], upper=[INF])
 
 
 def test_degenerate_cycling_guard():
@@ -74,9 +71,9 @@ def test_degenerate_cycling_guard():
     ]
     b = [0.0, 0.0, 1.0]
     A_dual = -np.array(A).T
-    bounds = [(0.0, None)] * 3
-    y = linprog(b, A_dual, c, bounds)
-    _feasible(y, A_dual, c, bounds)
+    upper = [INF] * 3
+    y = linprog(b, A_dual, c, upper)
+    _feasible(y, A_dual, c, upper)
     assert float(np.dot(b, y)) == pytest.approx(0.05, abs=1e-9)
 
 
@@ -91,7 +88,7 @@ def test_epigraph_max_reduction(rng):
         c = [0.0, 1.0]
         A = [[bi, -1.0] for bi in bb]
         rhs = [-ai - shift for ai in a]
-        x = linprog(c, A, rhs, bounds=[(0.0, 1.0), (0.0, None)])
+        x = linprog(c, A, rhs, upper=[1.0, INF])
         zs = np.linspace(0, 1, 20001)
         oracle = np.min(np.max(a[:, None] + bb[:, None] * zs[None, :], axis=0))
         assert x[1] - shift == pytest.approx(oracle, abs=1e-4)
@@ -111,7 +108,7 @@ def test_random_lps_against_vertex_enumeration(rng):
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m)
         c = rng.random(n)
-        bounds = [(0.0, 2.0)] * n
+        upper = [2.0] * n
         # enumerate candidate vertices: intersections of all constraint pairs
         rows = [*A, *np.eye(n), *(-np.eye(n))]
         rhs = [*b, *([2.0] * n), *([0.0] * n)]
@@ -126,19 +123,20 @@ def test_random_lps_against_vertex_enumeration(rng):
         outcomes.add(np.isfinite(best))
         if not np.isfinite(best):
             with pytest.raises(LPError, match="infeasible"):
-                linprog(c, A, b, bounds)
+                linprog(c, A, b, upper)
             continue
-        x = linprog(c, A, b, bounds)
-        _feasible(x, A, b, bounds)
+        x = linprog(c, A, b, upper)
+        _feasible(x, A, b, upper)
         assert float(c @ x) == pytest.approx(best, abs=1e-7)
     assert outcomes == {True, False}  # both kinds of draw occurred
 
 
 def test_against_highs(rng):
     """Seeded random LPs, continuous and integer-rounded (degenerate), with
-    nonnegative costs, right-hand sides of mixed sign and a mix of (0, 1) and
-    (0, None) bounds: the optimal value matches HiGHS to 1e-9, and both
-    solvers call the same problems infeasible."""
+    nonnegative costs, right-hand sides of mixed sign and a mix of upper
+    bounds 1 and none: the optimal value matches HiGHS, given the same bounds
+    as (lo, hi) pairs, to 1e-9, and both solvers call the same problems
+    infeasible."""
     optimize = pytest.importorskip("scipy.optimize")
     outcomes = []
     for trial in range(200):
@@ -151,7 +149,8 @@ def test_against_highs(rng):
             A = rng.normal(size=(m, n))
             b = rng.normal(size=m)
             c = rng.random(n) * (rng.random(n) < 0.8)
-        bounds = [(0.0, 1.0) if capped else (0.0, None) for capped in rng.random(n) < 0.5]
+        upper = np.where(rng.random(n) < 0.5, 1.0, INF)
+        bounds = [(0.0, hi) for hi in upper]
         res = optimize.linprog(c, A, b, bounds=bounds, method="highs",
                                options={"primal_feasibility_tolerance": 1e-10,
                                         "dual_feasibility_tolerance": 1e-10})
@@ -159,10 +158,10 @@ def test_against_highs(rng):
         outcomes.append(res.status)
         if res.status == 2:
             with pytest.raises(LPError, match="infeasible"):
-                linprog(c, A, b, bounds)
+                linprog(c, A, b, upper)
             continue
-        x = linprog(c, A, b, bounds)
-        _feasible(x, A, b, bounds)
+        x = linprog(c, A, b, upper)
+        _feasible(x, A, b, upper)
         assert float(c @ x) == pytest.approx(res.fun, abs=1e-9)
     assert 0 < outcomes.count(2) < len(outcomes)  # both kinds of problem occurred
 
@@ -170,23 +169,21 @@ def test_against_highs(rng):
 def test_duplicate_negative_rhs_rows():
     # Two identical x >= 1 rows: once one leaves the basis, the other's
     # slack is basic at zero, and no row needs to be dropped.
-    x = linprog([1.0], [[-1.0], [-1.0], [1.0]], [-1.0, -1.0, 1.0], bounds=[(0.0, None)])
+    x = linprog([1.0], [[-1.0], [-1.0], [1.0]], [-1.0, -1.0, 1.0], upper=[INF])
     assert x.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("c, A, b, bounds, message", [
-    ([1.0], [[1.0]], [1.0, 2.0], [(0.0, None)], "one b_ub entry per A_ub row"),
-    ([1.0], [[1.0]], [1.0], [(0.0, None), (0.0, None)], "one .* bound pair per variable"),
-    ([1.0], [[1.0]], [1.0], [(0.5, None)], "lower bounds other than 0 are not supported"),
-    ([1.0], [[1.0]], [1.0], [(None, None)], "lower bounds other than 0 are not supported"),
-    ([1.0], [[1.0]], [1.0], [(None, 2.0)], "lower bounds other than 0 are not supported"),
-    ([-1.0], [[1.0]], [1.0], [(0.0, None)], "costs must be nonnegative"),
-    ([np.nan], [[1.0]], [1.0], [(0.0, None)], "costs must be nonnegative"),
-], ids=["b_ub_length", "bounds_length", "lower_bound", "free", "free_upper_bound", "negative_cost",
-        "nan_cost"])
-def test_malformed_problem_rejected(c, A, b, bounds, message):
+@pytest.mark.parametrize("c, A, b, upper, message", [
+    ([1.0], [[1.0]], [1.0, 2.0], [INF], "one b_ub entry per A_ub row"),
+    ([1.0], [[1.0]], [1.0], [INF, INF], "one upper bound per variable"),
+    ([1.0], [[1.0]], [1.0], [np.nan], "one upper bound per variable, a number or inf"),
+    ([1.0], [[1.0]], [1.0], [-INF], "one upper bound per variable, a number or inf"),
+    ([-1.0], [[1.0]], [1.0], [INF], "costs must be nonnegative"),
+    ([np.nan], [[1.0]], [1.0], [INF], "costs must be nonnegative"),
+], ids=["b_ub_length", "bounds_length", "nan_upper", "minus_inf_upper", "negative_cost", "nan_cost"])
+def test_malformed_problem_rejected(c, A, b, upper, message):
     with pytest.raises(LPError, match=message):
-        linprog(c, A, b, bounds)
+        linprog(c, A, b, upper)
 
 
 def _dense_pivot(T, row, col):

@@ -33,6 +33,8 @@ def test_grid_contracts():
         ThresholdGrid(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DatasetError):
         ThresholdGrid.linspace(UNIT, 1)
+    with pytest.raises(DatasetError, match="threshold grid needs at least 2 points"):
+        ThresholdGrid(np.array([0.5]))
 
 
 def test_tpr_rate_counts_positives_at_threshold():

@@ -121,6 +121,16 @@ def test_constructor_contracts():
             EmpiricalDistribution([0.2, 0.4], counts)
     with pytest.raises(DatasetError):
         EmpiricalDistribution.from_samples([0.5])
+    with pytest.raises(DatasetError, match="needs at least one atom"):
+        EmpiricalDistribution([], [])
+
+
+def test_equality_compares_merged_atoms_and_counts():
+    d = EmpiricalDistribution([0.3, 0.7], [2, 1])
+    assert d == EmpiricalDistribution([0.7, 0.3, 0.3], [1, 1, 1])  # the same after merging
+    assert d != EmpiricalDistribution([0.3, 0.7], [1, 2])
+    assert d != EmpiricalDistribution([0.3, 0.6], [2, 1])
+    assert d != (d.atoms, d.counts)
 
 
 def test_counts_total_at_most_two_to_the_53():
@@ -280,6 +290,8 @@ def test_barycenter_weight_validation():
         barycenter_quantile([d1, d2], [1.0, float("nan")], 0.5)
     with pytest.raises(DatasetError):
         barycenter_quantile([d1], [1.0], 0.5)
+    with pytest.raises(DatasetError, match="one weight per distribution required"):
+        barycenter_quantile([d1, d2], [1.0], 0.5)
 
 
 def test_barycenter_quantile_nondecreasing(rng):

@@ -172,3 +172,48 @@ def test_exact_solver_reaches_the_rational_minimum_at_p1(data, combo):
     steps = sol.evaluations - 2
     allowance = objective_bound(combo, 1, rows) + steps * (58 + 8 * rows) * EPS * w
     assert Fraction(sol.objective_value) <= minimum + 2 * w * tol + allowance
+
+
+@hypothesis.settings(**SETTINGS)
+@hypothesis.given(lattice_data(), st.sampled_from(COMBOS))
+def test_exact_solver_finds_the_rational_minimizer_at_p2(data, combo):
+    """At p = 2, solve_exact's lambda is within tol + delta / S of the rational
+    minimizer lam* (see rational.binary_minimizer_p2), and its objective within
+    2 |g| D + S D^2 + E of the least one, with D that distance and g the exact
+    half slope at lam*; a flat objective (S = 0) is met to within E.
+
+    solve_exact bisects on the sign of the computed half slope.  At p = 2 a
+    piece adds w seg u rate (|u|^1 sign(u) is u exactly), so against the exact
+    half slope the computed one errs by at most delta = (6 G + 50 + 8 K) eps w:
+    u by (2 G + 13) eps (see objective_bound) times seg |rate| <= 2 seg, the
+    rate by (2 G + 18) eps (see the p = 1 test) times seg |u| <= seg, each of
+    the K widths by 3 eps times |u rate| <= 2, the two products per piece and
+    the K-term sum by 2 (K + 1) eps, and weighting and adding the terms by
+    4 eps; (62 + 8 K) eps w for G = 2 groups.  The exact half slope is g + S (lam - lam*), where g = 0 unless lam*
+    is clipped: g > 0 at lam* = 0 and g < 0 at lam* = 1.  The bracket's left
+    end moves only to a midpoint whose computed half slope is negative, so
+    whose exact one is below delta: at most delta / S right of lam*.  The right
+    end likewise stays at most delta / S left of lam*.  The final bracket is at
+    most tol wide, so both ends, and the returned one, lie within
+    D = tol + delta / S of lam*.  There f(lam) - f(lam*) is
+    2 g (lam - lam*) + S (lam - lam*)^2, and the computed objective is within E
+    of the exact one; it is never below f(lam*) - E.
+    """
+    domain, scores, labels = data
+    combo = parse_combo(combo)
+    ds = make_dataset(scores, labels, domain)
+    sol = solve_exact(fit_plan(ds), ds, LambdaObjective(combo, 2.0))
+    terms = exact_terms(domain, scores, labels, combo)
+    lam_star, slope, curvature = rational.binary_minimizer_p2(terms)
+    minimum = rational.binary_objective(terms, lam_star, 2)
+    rows = sum(len(s) for s in scores.values())
+    w, tol = Fraction(sum(w for _, w in combo.terms)), Fraction(1e-6)
+    E = objective_bound(combo, 2, rows)
+    got = Fraction(sol.objective_value)
+    assert got >= minimum - E
+    if not curvature:
+        assert got <= minimum + E
+        return
+    reach = tol + (62 + 8 * rows) * EPS * w / curvature
+    assert abs(Fraction(sol.lambda_star) - lam_star) <= reach
+    assert got <= minimum + 2 * abs(slope) * reach + curvature * reach**2 + E

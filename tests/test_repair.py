@@ -42,6 +42,9 @@ def test_fit_single_group_rejected():
     ds = make_dataset({"A": [0.1, 0.2, 0.3]})
     with pytest.raises(DatasetError, match="2 groups"):
         fit_plan(ds)
+    fitted = EmpiricalDistribution.from_samples(ds.scores)
+    with pytest.raises(DatasetError, match="repair needs at least 2 distinct groups"):
+        RepairPlan(UNIT, ("A",), {"A": fitted}, {"A": 1.0})
 
 
 def test_fit_four_groups():

@@ -64,6 +64,13 @@ def test_objective_pr_vanishes_at_full_repair():
     assert objective_eval(plan, ds, PR_OBJ, 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [-0.5, 1.5, float("nan")])
+def test_objective_rejects_lambda_outside_unit_interval(lam):
+    ds = make_dataset(BINARY)
+    with pytest.raises(DatasetError, match=r"lambda must lie in \[0, 1\]"):
+        objective_eval(fit_plan(ds), ds, PR_OBJ, lam)
+
+
 def test_objective_requires_two_groups():
     ds = make_dataset({"A": [0.2, 0.4], "B": [0.1, 0.3], "C": [0.5, 0.6]})
     plan = fit_plan(ds)

@@ -124,6 +124,9 @@ def test_split_preserves_groups_or_errors():
         split(ds, 1 / 6, seed=0)
     with pytest.raises(DatasetError):
         split(ds, 1.5, seed=0)
+    for fraction in (0.01, 0.99):  # rounds to 0 or 6 of the 6 rows
+        with pytest.raises(DatasetError, match="split fraction leaves one side empty"):
+            split(ds, fraction, seed=0)
 
 
 def test_bundled_spec_loads_and_roundtrips(tmp_path):
