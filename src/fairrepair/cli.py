@@ -129,7 +129,10 @@ def _outputs(args) -> dict:
 
 def _cmd_evaluate(args) -> None:
     combo = parse_combo(args.metric)
-    grid = ThresholdGrid.linspace(args.domain, args.grid)
+    try:
+        grid = ThresholdGrid.linspace(args.domain, args.grid)
+    except DatasetError:  # --grid >= 2 is checked, so two points are equal
+        raise _CliError(f"--domain holds fewer distinct floats than --grid's {args.grid} points") from None
     ds = load_csv(args.input, args.domain)
 
     reports = [distributional_disparity(ds, kind, args.p, grid) for kind in combo.kinds]

@@ -9,12 +9,14 @@ inherited from earlier rounds.  Every such top-j sum takes the epigraph form
 of Ogryczak & Tamir (Inf. Proc. Letters 85, 2003): the sum of the j largest
 L_g is at most eps exactly when j*t + sum_g v_g <= eps for some t, v >= 0 with
 v_g >= L_g - t, so a round LP has polynomially many rows for any number of
-groups.  Round 1 alone is max-min fairness.
+groups.  Round 1 alone is max-min fairness.  Later rounds keep the earlier
+optima as exact bounds, and every round is solved on the problem's own scale,
+so the lambdas do not depend on the units of the scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -38,21 +40,16 @@ class LexProblem:
     groups: tuple[str, ...]
     base_means: np.ndarray   # a_g = E[score | condition, g]
     mean_shifts: np.ndarray  # b_g = E[t(score) | condition, g]
-    # Stabilization: alpha loosens inherited round bounds; eps_stab is a tiny
-    # pull toward lambda = 0 that makes flat optima deterministic.
-    alpha: ClassVar[float] = 1e-4
+    # A pull toward lambda = 0, per unit of the problem's scale: flat optima are deterministic.
     eps_stab: ClassVar[float] = 1e-6
 
     @property
     def n(self) -> int:
         return len(self.groups)
 
-    def means(self, lambdas: np.ndarray) -> np.ndarray:
-        return self.base_means + np.asarray(lambdas, dtype=float) * self.mean_shifts
-
     def losses(self, lambdas: np.ndarray) -> np.ndarray:
         """L_g = sum over other groups of |m_g - m_j|."""
-        m = self.means(lambdas)
+        m = self.base_means + np.asarray(lambdas, dtype=float) * self.mean_shifts
         return np.abs(m[:, None] - m[None, :]).sum(axis=1)
 
 
@@ -61,8 +58,14 @@ def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexP
     if len(ds.groups) < 2:
         raise DatasetError("need at least 2 groups")
     scores = _conditional_scores(ds, kind, min_rows=1)  # subset_by_label rejects an empty group
-    return LexProblem(ds.groups, np.array([x.mean() for x in scores]),
-                      np.array([plan.shift(g, x).mean() for g, x in zip(ds.groups, scores)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean's sum can overflow
+        a = np.array([x.mean() for x in scores])
+        b = np.array([plan.shift(g, x).mean() for g, x in zip(ds.groups, scores)])
+        top = len(a) ** 2 * (np.ptp(a) + np.max(np.abs(b)))  # bounds every sum of losses
+    if not np.isfinite(top):  # also when a mean or a shift is not finite
+        raise DatasetError(f"score domain [{ds.domain.lo}, {ds.domain.hi}] is too wide for {len(a)} "
+                           "groups: their means or losses overflow in score units")
+    return LexProblem(ds.groups, a, b)
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,7 @@ class LexSolution:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "lambdas": self.lambdas,
-            "epsilons": self.epsilons,
-            "losses": self.losses,
-            "rounds": self.rounds,
-        }
+        return asdict(self)
 
 
 def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
@@ -89,16 +86,19 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     Variables: lambdas (n, in [0,1]), u_pair >= |m_i - m_j| per unordered
     pair, and for each round j = 1..k a top-j epigraph block: t_j >= 0 and
     excesses v_jg >= L_g - t_j.  Block k's sum k*t_k + sum_g v_kg is the
-    objective; block j < k's sum j*t_j + sum_g v_jg is bounded by
-    eps_j + alpha.  t_j >= 0 loses nothing because losses are nonnegative.
+    objective; block j < k's sum j*t_j + sum_g v_jg is bounded by eps_j.
+    t_j >= 0 loses nothing because losses are nonnegative.
+
+    a, b and every eps_j are divided by the problem's scale s = ptp(a) + max|b|,
+    so every pair gap is at most 2, the simplex's absolute tolerance is relative
+    to s, and eps_stab pulls toward lambda = 0 by eps_stab * s in score units.
     """
     n = prob.n
     first, second = np.triu_indices(n, 1)  # pairs (i, j) with i < j
     npairs = first.size
-    signed = np.zeros((npairs, n))  # pair-group incidence, +1 on i and -1 on j
-    signed[np.arange(npairs), first] = 1.0
-    signed[np.arange(npairs), second] = -1.0
-    a, b = prob.base_means, prob.mean_shifts
+    signed = np.eye(n)[first] - np.eye(n)[second]  # pair-group incidence, +1 on i and -1 on j
+    s = float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
+    a, b = prob.base_means / s, prob.mean_shifts / s
     nv = k * n
 
     # Columns: [lambdas (n) | t (k) | u (npairs) | v (k*n, block j's v_j in order)].
@@ -122,11 +122,7 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     ])
 
     A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.hstack([np.zeros((k - 1, n)), top[:-1]])])
-    rhs = np.concatenate([
-        np.stack([-gap, gap], axis=1).ravel(),
-        np.zeros(nv),
-        np.add(inherited, prob.alpha),
-    ])
+    rhs = np.concatenate([np.stack([-gap, gap], axis=1).ravel(), np.zeros(nv), np.divide(inherited, s)])
     cost = np.concatenate([np.full(n, prob.eps_stab), top[-1]])
     upper = np.concatenate([np.ones(n), np.full(k + npairs + nv, np.inf)])
     x = linprog(cost, A, rhs, upper)
@@ -134,8 +130,7 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
 
 
 def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
-    epsilons: list[float] = []
-    trace: list[dict] = []
+    epsilons, trace = [], []
     for k in range(1, n_rounds + 1):
         lam = _round_lp(prob, k, epsilons)
         loss = prob.losses(lam)
@@ -156,8 +151,8 @@ def solve_lexicographic(prob: LexProblem) -> LexSolution:
     """n rounds of constrained minimization; round 1 equals max-min.
 
     Each round k minimizes the total loss of the k worst-off groups subject
-    to the j worst-off groups' total respecting eps_j, for every earlier
-    round j (within the alpha stabilization slack), then records eps_k as
-    the realized sum of the k largest losses.
+    to the j worst-off groups' total respecting eps_j exactly, for every
+    earlier round j, then records eps_k as the realized sum of the k largest
+    losses.
     """
     return _solve_rounds(prob, prob.n, "lexicographic")

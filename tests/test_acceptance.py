@@ -237,7 +237,7 @@ def test_criterion_8_lexicographic_vs_brute_force():
         for k in range(3):
             grid_eps.append(float(k_sums[k][feas].min()))
             for size in range(1, k + 2):
-                feas &= k_sums[size - 1] <= grid_eps[size - 1] + prob.alpha + 1e-9
+                feas &= k_sums[size - 1] <= grid_eps[size - 1] + 1e-9
             worst_vs_grid_lex = max(worst_vs_grid_lex, sol.epsilons[k] - grid_eps[k])
 
         # (b) grid points feasible for the LP's own bounds never beat it
@@ -247,12 +247,12 @@ def test_criterion_8_lexicographic_vs_brute_force():
                 best_feasible = float(k_sums[k][feas].min())
                 worst_vs_feasible = max(worst_vs_feasible, sol.epsilons[k] - best_feasible)
             for size in range(1, k + 2):
-                feas &= k_sums[size - 1] <= sol.epsilons[size - 1] + prob.alpha + 1e-9
+                feas &= k_sums[size - 1] <= sol.epsilons[size - 1] + 1e-9
 
         lex_profile = np.sort(list(sol.losses.values()))[::-1]
         mm_profile = np.sort(list(mm.losses.values()))[::-1]
         for l, m_ in zip(lex_profile, mm_profile):
-            if abs(l - m_) > 1e-6 + prob.alpha:
+            if abs(l - m_) > 1e-6:
                 dominance_ok &= l < m_
                 break
     ok = worst_vs_grid_lex <= 1e-3 and worst_vs_feasible <= 1e-3 and dominance_ok

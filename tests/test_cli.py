@@ -23,7 +23,10 @@ from fairrepair import (
     load_plan,
     objective_eval,
     parse_combo,
+    sample,
     save_plan,
+    split,
+    validate_dataset,
     write_csv,
 )
 from fairrepair import cli, repair
@@ -296,6 +299,48 @@ def test_probabilistic_lambda_does_not_depend_on_the_domain(tmp_path, domain):
     assert run("fit", "--input", data, "--output", plan_path, "--solver", "probabilistic",
                "--metric", "tpr", f"--domain={domain}") == 0
     assert json.loads((tmp_path / "p.json.solution.json").read_text())["lambda"] == 1.0
+
+
+def test_fit_lex_on_a_wide_domain(tmp_path):
+    """Bundled-spec seed 1's labeled split, its scores and domain scaled by
+    1e10.  With a slack of 1e-4 score units on the inherited round bounds, a
+    later round's LP was infeasible here (exit 3)."""
+    labeled, _ = split(sample(bundled_spec(), 8000, seed=1), 0.5, seed=1)
+    groups = [labeled.groups[i] for i in labeled.group_indices]
+    wide = validate_dataset(zip(labeled.scores * 1e10, groups, labeled.labels), ScoreDomain(0.0, 1e12))
+    write_csv(wide, tmp_path / "wide.csv")
+    assert run("fit", "--input", tmp_path / "wide.csv", "--output", tmp_path / "p.json", "--solver", "lex",
+               "--metric", "fpr", "--domain=0:1e12") == 0
+    assert len(json.loads((tmp_path / "p.json.solution.json").read_text())["epsilons"]) == 4
+
+
+# Before build_problem checked its sums, lex and maxmin exited 0 with bare NaN
+# tokens in the sidecar, probabilistic exited 0 with lambda 0 and "clamped",
+# and all three printed numpy's "overflow encountered in reduce".
+@pytest.mark.parametrize("solver, n_groups", [("lex", 3), ("maxmin", 3), ("probabilistic", 2)])
+def test_mean_model_overflow_is_validation_error(tmp_path, capsys, solver, n_groups):
+    lo = -1.7976931348623157e308
+    domain = ScoreDomain(lo, 0.5)
+    groups = {f"g{i}": lo * np.linspace(1.0, 0.0, 20) ** (i + 1) for i in range(n_groups)}
+    data = write_dataset(tmp_path, groups=groups, labels=dict.fromkeys(groups, [1, 0] * 10), domain=domain)
+    capsys.readouterr()
+    assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--solver", solver, "--metric", "tpr",
+               f"--domain={lo!r}:0.5") == 2
+    assert capsys.readouterr().err == (f"fairrepair: error: score domain [{lo}, 0.5] is too wide for {n_groups} "
+                                       "groups: their means or losses overflow in score units\n")
+    assert not list(tmp_path.glob("p.json*"))
+
+
+def test_domain_with_fewer_floats_than_grid_points_is_validation_error(tmp_path, capsys):
+    """1e300:1.0000000000000002e300 holds two floats, so --grid 2 works and
+    the default 101 points exit 2, naming both flags."""
+    hi = 1.0000000000000002e300
+    data = write_dataset(tmp_path, groups={"A": [1e300, hi], "B": [hi, hi]}, domain=ScoreDomain(1e300, hi))
+    argv = ("evaluate", "--input", data, "--output", tmp_path / "r.json", f"--domain=1e300:{hi!r}")
+    assert run(*argv) == 2
+    assert "--domain holds fewer distinct floats than --grid's 101 points" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
+    assert run(*argv, "--grid", "2") == 0
 
 
 # Group 'a' has a single row under Y=1: too few for its TPR score distribution.

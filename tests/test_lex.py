@@ -17,6 +17,7 @@ from fairrepair import (
     solve_probabilistic,
     split,
     subset_by_label,
+    validate_dataset,
 )
 from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
@@ -89,7 +90,7 @@ def test_build_problem_pairwise_gaps_antisymmetric(rng):
     for kind in (PR, TPR, FPR):
         prob = build_problem(plan, ds, kind)
         for lam in (np.zeros(prob.n), rng.random(prob.n)):
-            m = prob.means(lam)
+            m = prob.base_means + lam * prob.mean_shifts
             gaps = m[:, None] - m[None, :]
             assert np.array_equal(gaps, -gaps.T)
             assert prob.losses(lam) == pytest.approx(np.abs(gaps).sum(axis=0))
@@ -156,11 +157,17 @@ def test_thirteen_groups_accepted():
     assert prob.n == 13
 
 
+def problem_scale(prob):
+    """s = ptp(a) + max|b|, or 1 when that is 0: the unit each round LP is solved in."""
+    return float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
+
+
 def subset_round_optimum(prob, k, inherited):
     """Round k's optimum through the subset encoding, solved by HiGHS.
 
     Variables: lambdas, u per pair, a free t and v_g >= L_g - t; each earlier
-    round j bounds the summed loss of every subset of j groups by eps_j + alpha.
+    round j bounds the summed loss of every subset of j groups by eps_j.  The
+    lambdas cost eps_stab * s: the round LP's pull, in score units.
     """
     optimize = pytest.importorskip("scipy.optimize")
     n = prob.n
@@ -181,8 +188,9 @@ def subset_round_optimum(prob, k, inherited):
     for j, eps in enumerate(inherited, start=1):
         for subset in itertools.combinations(range(n), j):
             rows.append(loss[list(subset)].sum(axis=0))
-            rhs.append(eps + prob.alpha)
-    cost = np.concatenate([np.full(n, prob.eps_stab), np.zeros(len(pairs)), [float(k)], np.ones(n)])
+            rhs.append(eps)
+    pull = prob.eps_stab * problem_scale(prob)
+    cost = np.concatenate([np.full(n, pull), np.zeros(len(pairs)), [float(k)], np.ones(n)])
     bounds = [(0, 1)] * n + [(0, None)] * len(pairs) + [(None, None)] + [(0, None)] * n
     # HiGHS's default 1e-7 feasibility tolerances can stop it 3e-8 short of the optimum.
     res = optimize.linprog(cost, np.array(rows), rhs, bounds=bounds, method="highs",
@@ -198,7 +206,7 @@ def test_round_optima_match_subset_encoding(rng):
         prob = synthetic_problem(rng.random(n), rng.normal(scale=0.3, size=n))
         sol = solve_lexicographic(prob)
         for k, rnd in enumerate(sol.rounds, start=1):
-            ours = rnd["epsilon"] + prob.eps_stab * sum(rnd["lambdas"].values())
+            ours = rnd["epsilon"] + prob.eps_stab * problem_scale(prob) * sum(rnd["lambdas"].values())
             assert ours == pytest.approx(subset_round_optimum(prob, k, sol.epsilons[:k - 1]), abs=1e-9)
 
 
@@ -262,7 +270,7 @@ def test_lex_binary_collapses_to_maxmin(rng):
     prob = build_problem(plan, ds, TPR)
     mm = solve_maxmin(prob)
     lx = solve_lexicographic(prob)
-    assert lx.epsilons[0] == pytest.approx(mm.epsilons[0], abs=1e-9 + prob.alpha)
+    assert lx.epsilons[0] == pytest.approx(mm.epsilons[0], abs=1e-9)
     assert len(lx.epsilons) == 2
 
 
@@ -285,10 +293,10 @@ def test_lex_three_group_round_oracle():
         k_sum = np.sort(losses, axis=-1)[..., ::-1][..., : k + 1].sum(axis=-1)
         oracle_k = k_sum[feas].min()
         assert sol.epsilons[k] <= oracle_k + 1e-3
-        # inherit the constraint for the next round (alpha slack)
+        # inherit the constraint for the next round
         for size in range(1, k + 2):
             size_sum = np.sort(losses, axis=-1)[..., ::-1][..., :size].sum(axis=-1)
-            feas &= size_sum <= sol.epsilons[size - 1] + prob.alpha + 1e-9
+            feas &= size_sum <= sol.epsilons[size - 1] + 1e-9
 
 
 def test_lex_profile_dominates_maxmin(rng):
@@ -302,13 +310,13 @@ def test_lex_profile_dominates_maxmin(rng):
         mm = np.sort(list(solve_maxmin(prob).losses.values()))[::-1]
         lx = np.sort(list(solve_lexicographic(prob).losses.values()))[::-1]
         for m, l in zip(mm, lx):
-            if abs(m - l) > 1e-6 + prob.alpha:
+            if abs(m - l) > 1e-6:
                 assert l < m
                 break
 
 
 def test_lex_round_monotonicity(rng):
-    """Earlier-round bounds stay respected (within alpha slack) at the end."""
+    """Earlier-round bounds stay respected at the end."""
     for _ in range(10):
         n = int(rng.integers(3, 5))
         a = rng.random(n)
@@ -317,7 +325,57 @@ def test_lex_round_monotonicity(rng):
         sol = solve_lexicographic(prob)
         final = np.sort(list(sol.losses.values()))[::-1]
         for k in range(1, n + 1):
-            assert final[:k].sum() <= sol.epsilons[k - 1] + prob.alpha + 1e-9
+            assert final[:k].sum() <= sol.epsilons[k - 1] + 1e-9
+
+
+def test_lex_three_group_keeps_the_maxmin_optimum():
+    """The worst lex loss is max-min's epsilon_1.  A 1e-4 slack on the
+    inherited bounds once let it reach 0.1951 here, against 0.195."""
+    prob = synthetic_problem([0.87, 0.63, 0.81], [0.37, 0.11, -0.26])
+    eps1 = solve_maxmin(prob).epsilons[0]
+    assert eps1 == pytest.approx(0.195, abs=1e-12)
+    assert max(solve_lexicographic(prob).losses.values()) == pytest.approx(eps1, abs=1e-9 * problem_scale(prob))
+
+
+@pytest.mark.parametrize("exponent", [-6, -3, 0, 3, 7, 12])
+def test_lex_keeps_every_bound_at_any_scale(exponent):
+    """Seeded 3-9-group problems of width 10^exponent, a third with a tied
+    pair of groups and a third with a common offset of 1e3 widths in a: the
+    solve raises no LPError, the final losses keep every epsilon_j, and the
+    worst loss is max-min's epsilon_1, each to 1e-9 of the problem's scale.
+    With a slack of 1e-4 score units on the inherited bounds, narrow problems
+    broke the bounds and wide ones ended in an infeasible LP."""
+    width = 10.0 ** exponent
+    rng = np.random.default_rng(exponent + 6)
+    for case in range(6):
+        n = int(rng.integers(3, 10))
+        a, b = rng.random(n) * width, rng.normal(scale=0.3, size=n) * width
+        if case % 3 == 1:
+            a[1], b[1] = a[0], b[0]
+        if case % 3 == 2:
+            a += 1e3 * width
+        prob = synthetic_problem(a, b)
+        tol = 1e-9 * problem_scale(prob)
+        lex, mm = solve_lexicographic(prob), solve_maxmin(prob)
+        final = np.sort(list(lex.losses.values()))[::-1]
+        assert np.all(np.cumsum(final) <= np.array(lex.epsilons) + tol), (case, n)
+        assert final[0] == pytest.approx(mm.epsilons[0], abs=tol), (case, n)
+
+
+@pytest.mark.parametrize("k", [-6, -3, 3, 7, 10])
+def test_lex_lambdas_do_not_depend_on_the_units(k):
+    """A bundled-spec labeled split with its scores and domain scaled by 10^k
+    gets the unscaled split's lex lambdas (FPR) to 1e-12.  With the slack in
+    score units they moved by up to 0.28 at k = -6."""
+    labeled, _ = split(sample(bundled_spec(), 8000, seed=1), 0.5, seed=1)
+    factor = 10.0 ** k
+    scaled = validate_dataset(zip(labeled.scores * factor, [labeled.groups[i] for i in labeled.group_indices],
+                                  labeled.labels),
+                              ScoreDomain(labeled.domain.lo * factor, labeled.domain.hi * factor))
+    want = solve_lexicographic(build_problem(fit_plan(labeled), labeled, FPR)).lambdas
+    got = solve_lexicographic(build_problem(fit_plan(scaled), scaled, FPR)).lambdas
+    assert got.keys() == want.keys()
+    assert max(abs(got[g] - want[g]) for g in want) <= 1e-12
 
 
 def test_lex_trace_structure():

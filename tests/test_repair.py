@@ -3,6 +3,7 @@ import pytest
 
 import base64
 import json
+import tracemalloc
 
 from fairrepair import (
     PR,
@@ -10,6 +11,7 @@ from fairrepair import (
     EmpiricalDistribution,
     RepairPlan,
     ScoreDomain,
+    ScoredDataset,
     ThresholdGrid,
     barycenter_quantile,
     fit_plan,
@@ -425,3 +427,57 @@ def test_load_plan_rejects_non_object_and_non_utf8(tmp_path):
     path.write_bytes(b'{"format_version": 2, "groups": ["\xff"]}')
     with pytest.raises(DatasetError, match="not valid plan JSON"):
         load_plan(path)
+
+
+def _two_equal_groups(n):
+    """n uniform scores, alternately in groups a and b, with labels."""
+    rng = np.random.default_rng(0)
+    return ScoredDataset(rng.random(n), np.array(["a", "b"])[np.arange(n) % 2].tolist(), rng.integers(0, 2, n), UNIT)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_apply_memory_per_row():
+    """tracemalloc peaks per row of RepairPlan.apply at 2e5 rows in two equal
+    groups, with the full-repair table already built.
+
+    apply holds its output (8 B a row) and one group's row mask (1 B).  A
+    group's pass peaks in _geodesic with five float arrays of the group's rows
+    alive: the scores, their full repair T, (1 - lambda) x, lambda T and the
+    sum, 20 B a row for half the rows.  That is 29 B, or 25 B where numpy adds
+    into the temporary (1 - lambda) x in place, as it does for arrays this
+    large.  replace_scores then copies the output: 16 B, plus at most 3 B of
+    masks from its checks.  The 30 B bound leaves less room than one more
+    8-byte value a row, such as a copy of the scores or of the group index.
+    """
+    n = 200_000
+    ds = _two_equal_groups(n)
+    plan = fit_plan(ds).with_lambdas({"a": 0.3, "b": 0.7})
+    plan.total_repair_score("a", [0.5])  # builds the table
+    assert _traced_peak(lambda: plan.apply(ds)) / n <= 30
+
+
+def test_load_plan_memory_per_atom(tmp_path):
+    """tracemalloc peaks per atom of load_plan on a plan of 2e5 distinct atoms
+    in two equal groups.
+
+    The parsed JSON keeps every group's base64 text until the plan is built:
+    4/3 characters per byte of 16 B an atom, 21.3 B.  The peak is in the
+    second group's EmpiricalDistribution.  The first group's atoms, counts
+    and levels are kept (24 B per its atom, 12 B an atom), and the second's
+    decoded atoms and counts (16 B per its atom, 8 B) and its count check's
+    mask (0.5 B) are alive.  Seven of the constructor's 8-byte arrays are too:
+    the sort order, sorted atoms, merge index, merged atoms, merged counts,
+    cumulative counts and levels (56 B per its atom, 28 B).  That is 69.8 B,
+    and the 72 B bound leaves less room than one more 8-byte value an atom.
+    """
+    n = 200_000
+    save_plan(fit_plan(_two_equal_groups(n)), tmp_path / "plan.json")
+    assert _traced_peak(lambda: load_plan(tmp_path / "plan.json")) / n <= 72
