@@ -95,14 +95,15 @@ class ScoredDataset:
                    domain, MIN_ROWS_PER_GROUP)
 
     @classmethod
-    def _indexed(cls, scores, groups, group_idx, labels, domain, min_rows=MIN_ROWS_PER_GROUP):
+    def _indexed(cls, scores, groups, group_idx, labels, domain, min_rows=MIN_ROWS_PER_GROUP, where=""):
         """As the constructor, from sorted distinct ``groups`` and each row's index into them;
-        keeps the arrays, uncopied: float scores and int (or float) labels that no one else holds."""
+        keeps the arrays, uncopied: float scores and int (or float) labels that no one else holds.
+        ``where`` says where the rows were counted, for the too-few-rows error."""
         out = object.__new__(cls)
-        out._init(scores, groups, group_idx, labels, domain, min_rows)
+        out._init(scores, groups, group_idx, labels, domain, min_rows, where)
         return out
 
-    def _init(self, scores, groups, group_idx, labels, domain, min_rows) -> None:
+    def _init(self, scores, groups, group_idx, labels, domain, min_rows, where="") -> None:
         if scores.ndim != 1 or group_idx.size != scores.size or labels.size != scores.size:
             raise DatasetError("scores, groups and labels must be equal-length 1-d sequences")
         if scores.size == 0:
@@ -117,9 +118,7 @@ class ScoredDataset:
             raise DatasetError(f"non-binary label: {labels[~ok][0]}")
 
         if min_rows:  # before the index is read-only, which np.bincount would copy
-            for g, c in zip(groups, np.bincount(group_idx, minlength=len(groups))):
-                if c < min_rows:
-                    raise DatasetError(f"group '{g}' has {c} row(s), needs at least {min_rows}")
+            _check_rows(groups, np.bincount(group_idx, minlength=len(groups)), min_rows, where)
         self.domain = domain
         self.groups, self._group_idx = groups, group_idx
         self._scores, self._labels = scores, labels.astype(int, copy=False)
@@ -163,6 +162,13 @@ class ScoredDataset:
         """Same rows with new scores (used by repair application)."""
         return self._indexed(_floats(new_scores, "non-numeric score"), self.groups, self._group_idx,
                              self._labels, self.domain, 0)
+
+
+def _check_rows(groups, counts, min_rows: int, where: str) -> None:
+    """Raise unless each group's count is at least ``min_rows``; ``where`` says where the rows were counted."""
+    for g, c in zip(groups, counts):
+        if c < min_rows:
+            raise DatasetError(f"group '{g}' has {c} row(s){where}, needs at least {min_rows}")
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -321,11 +327,9 @@ def subset_by_label(ds: ScoredDataset, kind: MetricKind) -> ScoredDataset:
     if not ds.is_labeled:
         raise DatasetError(f"metric '{kind}' conditions on labels but the data is unlabeled")
     mask = ds.labels == kind.label_condition
-    kept = np.bincount(ds.group_indices[mask], minlength=len(ds.groups))
-    for g, c in zip(ds.groups, kept):
-        if c == 0:
-            raise DatasetError(f"group '{g}' is empty under Y={kind.label_condition}")
-    return ds._indexed(ds.scores[mask], ds.groups, ds.group_indices[mask], ds.labels[mask], ds.domain, 0)
+    group_idx = ds.group_indices[mask]
+    _check_rows(ds.groups, np.bincount(group_idx, minlength=len(ds.groups)), 1, f" under Y={kind.label_condition}")
+    return ds._indexed(ds.scores[mask], ds.groups, group_idx, ds.labels[mask], ds.domain, 0)
 
 
 def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_PER_GROUP) -> list[np.ndarray]:
@@ -335,10 +339,7 @@ def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_P
     """
     sub = subset_by_label(ds, kind)
     scores = [sub.group_scores(g) for g in ds.groups]
-    for g, x in zip(ds.groups, scores):
-        if x.size < min_rows:
-            raise DatasetError(f"group '{g}' has {x.size} row(s) under Y={kind.label_condition}, "
-                               f"needs at least {min_rows}")
+    _check_rows(ds.groups, [x.size for x in scores], min_rows, f" under Y={kind.label_condition}")
     return scores
 
 

@@ -102,8 +102,8 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     nv = k * n
 
     # Columns: [lambdas (n) | t (k) | u (npairs) | v (k*n, block j's v_j in order)].
-    # Ratio ties enter the smallest column, so the order steers the simplex: a
-    # 9-group solve takes 816 pivots in this order and 1090 with it reversed.
+    # Ratio ties enter the smallest column, so the order steers the simplex; neither order wins
+    # on every input (fit-lex's 9 groups at seeds 0-3: 991-1197 pivots here, 1010-1087 reversed).
     # u_ij >= +-(m_i - m_j):  +-(b_i lam_i - b_j lam_j) - u_ij <= -+(a_i - a_j)
     u_cols = np.hstack([np.zeros((npairs, k)), -np.eye(npairs), np.zeros((npairs, nv))])
     u_rows = np.stack([np.hstack([signed * b, u_cols]), np.hstack([-signed * b, u_cols])], axis=1)

@@ -57,13 +57,17 @@ class EmpiricalDistribution:
         if total > _MAX_TOTAL:
             raise DatasetError(f"counts must total at most 2**53, got {total}")
 
+        # Each temporary is dropped once used: a constructor's peak is the peak of fit_plan and load_plan.
         order = np.argsort(atoms, kind="stable")
         atoms = np.clip(atoms[order], 0.0, 1.0)
+        counts = counts.astype(np.int64, copy=False)[order]
+        del order
         first = np.flatnonzero(np.concatenate(([True], atoms[1:] != atoms[:-1])))  # exact ties merge
         self.atoms = atoms[first]
-        self.counts = np.add.reduceat(counts.astype(np.int64)[order], first)
-        cumulative = np.cumsum(self.counts)
-        self.breakpoints = cumulative / cumulative[-1]  # integers up to 2**53: one rounding each
+        del atoms
+        self.counts = np.add.reduceat(counts, first)
+        del counts, first
+        self.breakpoints = np.cumsum(self.counts) / self.counts.sum()  # integers up to 2**53: one rounding each
         for a in (self.atoms, self.counts, self.breakpoints):
             a.flags.writeable = False
 

@@ -189,8 +189,6 @@ def fit_plan(ds: ScoredDataset) -> RepairPlan:
     Label-free.  Every lambda is 1 (full repair); solvers replace them
     afterwards via :meth:`RepairPlan.with_lambdas`.
     """
-    if len(ds.groups) < 2:
-        raise DatasetError("need at least 2 groups to fit a repair plan")
     fitted = {
         g: EmpiricalDistribution.from_samples(ds.domain.normalize(ds.group_scores(g)))
         for g in ds.groups

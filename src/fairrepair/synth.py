@@ -133,7 +133,7 @@ def sample(spec: JointSpec, n: int, seed: int) -> ScoredDataset:
     labels = (rng.random(n) < lab_prob[gidx, sidx]).astype(int)
     present, gidx = np.unique(gidx, return_inverse=True)  # a group may draw no rows
     names, index = _index_groups([spec.groups[k] for k in present])
-    return ScoredDataset._indexed(scores, names, index[gidx], labels, spec.domain)
+    return ScoredDataset._indexed(scores, names, index[gidx], labels, spec.domain, where=" in the sample")
 
 
 def split(ds: ScoredDataset, fraction: float, seed: int) -> tuple[ScoredDataset, ScoredDataset]:
@@ -148,12 +148,6 @@ def split(ds: ScoredDataset, fraction: float, seed: int) -> tuple[ScoredDataset,
     if k < 1 or k > n - 1:
         raise DatasetError("split fraction leaves one side empty")
     perm = _rng(seed).permutation(n)
-    first, second = np.sort(perm[:k]), np.sort(perm[k:])
-    parts = []
-    for idx, name in ((first, "labeled"), (second, "holdout")):
-        gidx = ds.group_indices[idx]
-        missing = [g for g, c in zip(ds.groups, np.bincount(gidx, minlength=len(ds.groups))) if c == 0]
-        if missing:  # ds.groups is sorted, so missing is too
-            raise DatasetError(f"group(s) {missing} vanished from the {name} part")
-        parts.append(ScoredDataset._indexed(ds.scores[idx], ds.groups, gidx, ds.labels[idx], ds.domain))
-    return parts[0], parts[1]
+    return tuple(ScoredDataset._indexed(ds.scores[idx], ds.groups, ds.group_indices[idx], ds.labels[idx], ds.domain,
+                                        where=f" in the {name} part")
+                 for idx, name in ((np.sort(perm[:k]), "labeled"), (np.sort(perm[k:]), "holdout")))

@@ -1,10 +1,11 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fairrepair import ScoreDomain, validate_dataset
+from fairrepair import ScoreDomain, ScoredDataset, validate_dataset
 
 UNIT = ScoreDomain(0.0, 1.0)
 
@@ -38,6 +39,22 @@ def random_binary_dataset(rng, n_per_group=(300, 400), means=(0.45, 0.6), sd=0.1
         y = (rng.random(n) < p).astype(int)
         rows.extend((float(si), g, int(yi)) for si, yi in zip(s, y))
     return validate_dataset(rows, domain)
+
+
+def two_equal_groups(n):
+    """n uniform scores, alternately in groups a and b, with labels."""
+    rng = np.random.default_rng(0)
+    return ScoredDataset(rng.random(n), np.array(["a", "b"])[np.arange(n) % 2].tolist(), rng.integers(0, 2, n), UNIT)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc traces while ``call()`` runs: the pattern of every memory budget test."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def conditional_means(ds, label):

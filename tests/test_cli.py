@@ -367,6 +367,29 @@ def test_mean_solvers_take_one_conditioned_row(tmp_path, solver):
                "--metric", "tpr") == 0
 
 
+# No row of group 'a', then no row of any group, has label 1.
+NO_POSITIVE = {"a_only": {"a": [0, 0, 0], "b": [1, 1, 0]}, "every_group": {"a": [0, 0, 0], "b": [0, 0, 0]}}
+
+
+@pytest.mark.parametrize("command", [("evaluate",), ("fit", "--solver", "lex")], ids=["evaluate", "fit-lex"])
+@pytest.mark.parametrize("case", sorted(NO_POSITIVE))
+def test_group_without_conditioned_rows_is_one_error_line(tmp_path, capsys, command, case):
+    """subset_by_label counts before it builds the subset, so an empty group or
+    an empty subset is a validation error that names the group."""
+    data = write_dataset(tmp_path, groups=ONE_POSITIVE[0], labels=NO_POSITIVE[case])
+    assert run(*command, "--input", data, "--output", tmp_path / "out", "--metric", "tpr") == 2
+    assert capsys.readouterr().err == "fairrepair: error: group 'a' has 0 row(s) under Y=1, needs at least 1\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_fit_lex_needs_a_single_metric(tmp_path, capsys):
+    data = write_dataset(tmp_path, groups=ONE_POSITIVE[0], labels=ONE_POSITIVE[1])
+    assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--solver", "lex",
+               "--metric", "tpr,fpr") == 2
+    assert "solver 'lex' needs a single metric, not a combination" in capsys.readouterr().err
+    assert not list(tmp_path.glob("p*"))
+
+
 def test_fit_none_is_label_free_full_repair(tmp_path):
     data = write_dataset(tmp_path)  # unlabeled
     plan_path = tmp_path / "plan.json"
@@ -1205,6 +1228,13 @@ def test_generate_deterministic_bytes(tmp_path):
     assert (tmp_path / "one_holdout.csv").read_bytes() == (tmp_path / "two_holdout.csv").read_bytes()
 
 
+def test_generate_names_where_a_group_is_short(tmp_path, capsys):
+    assert run("generate", "--output", tmp_path / "g", "--n", "12", "--seed", "0") == 2
+    assert capsys.readouterr().err == \
+        "fairrepair: error: group 'group_b' has 1 row(s) in the sample, needs at least 2\n"
+    assert not list(tmp_path.glob("g*"))
+
+
 CUSTOM_SPEC = {
     "domain": {"lo": 0.0, "hi": 1.0},
     "groups": [{"name": "a", "proportion": 0.5}, {"name": "b", "proportion": 0.5}],
@@ -1263,6 +1293,10 @@ BAD_SPECS = {
                                "score support must lie inside the domain"),
     "groups-not-an-array": (custom_spec_with(("groups",), {"name": "a", "proportion": 1.0}),
                             "spec groups must be a JSON array"),
+    "support-a-number": (custom_spec_with(("score_support",), 0.5),
+                         "malformed joint spec score_support: expected a JSON array, got float"),
+    "proportion-too-large": (custom_spec_with(("groups", 0, "proportion"), 10**400),
+                             "malformed joint spec (OverflowError: int too large to convert to float)"),
     **{f"domain-{case}": (custom_spec_with(("domain",), domain), f"spec domain: {message}")
        for case, (domain, message) in BAD_DOMAINS.items()},
 }

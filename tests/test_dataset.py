@@ -1,7 +1,7 @@
 import io
 import os
+import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from fairrepair import (
 )
 from fairrepair.dataset import FNR, FPR, NR, TNR, _read_scored_csv
 
-from conftest import UNIT, csv_writer_bytes, make_dataset, random_binary_dataset
+from conftest import UNIT, csv_writer_bytes, make_dataset, random_binary_dataset, traced_peak
 
 
 def test_symmetric_counts_give_half_half():
@@ -132,6 +132,8 @@ def test_groups_ordered_lexicographically():
 def test_domain_requires_hi_above_lo():
     with pytest.raises(DatasetError):
         ScoreDomain(1.0, 1.0)
+    with pytest.raises(DatasetError, match="score domain bounds must be finite"):
+        ScoreDomain(float("inf"), 1.0)
     with pytest.raises(DatasetError, match="has width inf"):  # finite bounds, infinite width
         ScoreDomain(-1e308, 1e308)
     assert ScoreDomain(0.0, 1e308).width == 1e308
@@ -228,7 +230,7 @@ def test_conditioning_on_unlabeled_data_errors():
 
 def test_group_emptied_by_conditioning_errors():
     ds = make_dataset({"A": [0.2, 0.4], "B": [0.1, 0.3]}, {"A": [1, 0], "B": [0, 0]})
-    with pytest.raises(DatasetError, match="empty under Y=1"):
+    with pytest.raises(DatasetError, match=re.escape("group 'B' has 0 row(s) under Y=1, needs at least 1")):
         subset_by_label(ds, TPR)
 
 
@@ -349,12 +351,7 @@ def test_csv_read_memory_per_row(tmp_path):
     write_csv(ScoredDataset(rng.random(n), np.array(["a", "b"])[groups].tolist(), rng.integers(0, 2, n), UNIT),
               path)
     for read, bound in ((_read_scored_csv, 32), (load_csv, 50)):
-        tracemalloc.start()
-        try:
-            read(path, UNIT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: read(path, UNIT))
         assert peak / n <= bound, (read.__name__, peak / n)
 
 
@@ -368,12 +365,7 @@ def test_replace_scores_memory_per_row():
     ds = ScoredDataset(rng.random(n), np.array(["a", "b"])[rng.integers(0, 2, n)].tolist(), rng.integers(0, 2, n),
                        UNIT)
     new = rng.random(n)
-    tracemalloc.start()
-    try:
-        ds.replace_scores(new)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: ds.replace_scores(new))
     assert peak / n <= 12, peak / n
 
 

@@ -7,6 +7,7 @@ from fairrepair import (
     FPR,
     PR,
     TPR,
+    DatasetError,
     ScoreDomain,
     bundled_spec,
     build_problem,
@@ -67,6 +68,12 @@ def test_build_problem_conditional_means():
     assert prob.base_means == pytest.approx([0.3, 0.6])  # the label-1 rows only
     assert prob.mean_shifts == pytest.approx([plan.shift("A", [0.2, 0.4]).mean(),
                                               plan.shift("B", [0.5, 0.7]).mean()])
+
+
+def test_build_problem_needs_two_groups():
+    plan = fit_plan(make_dataset({"A": [0.2, 0.4], "B": [0.1, 0.3]}))
+    with pytest.raises(DatasetError, match="need at least 2 groups"):
+        build_problem(plan, make_dataset({"A": [0.2, 0.4]}), PR)
 
 
 def test_build_problem_identical_groups_equal_means():

@@ -3,7 +3,6 @@ import pytest
 
 import base64
 import json
-import tracemalloc
 
 from fairrepair import (
     PR,
@@ -21,7 +20,7 @@ from fairrepair import (
     wasserstein,
 )
 
-from conftest import UNIT, make_dataset, random_binary_dataset, random_distribution
+from conftest import UNIT, make_dataset, random_binary_dataset, random_distribution, traced_peak, two_equal_groups
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 
@@ -42,7 +41,7 @@ def test_fit_equal_groups_half_weights():
 
 def test_fit_single_group_rejected():
     ds = make_dataset({"A": [0.1, 0.2, 0.3]})
-    with pytest.raises(DatasetError, match="2 groups"):
+    with pytest.raises(DatasetError, match="repair needs at least 2 distinct groups"):
         fit_plan(ds)
     fitted = EmpiricalDistribution.from_samples(ds.scores)
     with pytest.raises(DatasetError, match="repair needs at least 2 distinct groups"):
@@ -429,19 +428,38 @@ def test_load_plan_rejects_non_object_and_non_utf8(tmp_path):
         load_plan(path)
 
 
-def _two_equal_groups(n):
-    """n uniform scores, alternately in groups a and b, with labels."""
-    rng = np.random.default_rng(0)
-    return ScoredDataset(rng.random(n), np.array(["a", "b"])[np.arange(n) % 2].tolist(), rng.integers(0, 2, n), UNIT)
+def test_fit_plan_memory_per_row():
+    """tracemalloc peaks per row of fit_plan at 2e5 rows in two equal groups.
+
+    The peak is in the second group's EmpiricalDistribution.  The first
+    group's atoms, counts and levels are kept (24 B per its row, 12 B a row),
+    and the second's normalized scores and from_samples' counts of 1 are alive
+    (16 B per its row, 8 B).  So are four of the constructor's 8-byte arrays,
+    as it drops each temporary once used: the sorted counts, merge index,
+    merged atoms and merged counts (32 B per its row, 16 B).  That is 36 B, and
+    the 38 B bound leaves less room than one more 8-byte value per row of a
+    group (4 B), such as the sort order kept to the end.
+    """
+    n = 200_000
+    ds = two_equal_groups(n)
+    assert traced_peak(lambda: fit_plan(ds)) / n <= 38
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_save_plan_memory_per_atom(tmp_path):
+    """tracemalloc peaks per atom of save_plan on a plan of 2e5 distinct atoms
+    in two equal groups.
+
+    to_dict holds every group's atoms and counts as base64 text: 4/3
+    characters per byte of 16 B an atom, 21.3 B.  json.dump writes each text
+    as a quoted copy, and the text file encodes that copy to bytes; for one
+    group's atoms each copy is 4/3 of 8 B per its atom, 5.3 B an atom.  That is 32 B,
+    and the 34 B bound leaves less room than one more 8-byte value per atom of
+    a group (4 B), such as a kept copy of its atoms; the whole JSON text built
+    before the write would add 21.3 B.
+    """
+    n = 200_000
+    plan = fit_plan(two_equal_groups(n))
+    assert traced_peak(lambda: save_plan(plan, tmp_path / "plan.json")) / n <= 34
 
 
 def test_apply_memory_per_row():
@@ -458,10 +476,10 @@ def test_apply_memory_per_row():
     8-byte value a row, such as a copy of the scores or of the group index.
     """
     n = 200_000
-    ds = _two_equal_groups(n)
+    ds = two_equal_groups(n)
     plan = fit_plan(ds).with_lambdas({"a": 0.3, "b": 0.7})
     plan.total_repair_score("a", [0.5])  # builds the table
-    assert _traced_peak(lambda: plan.apply(ds)) / n <= 30
+    assert traced_peak(lambda: plan.apply(ds)) / n <= 30
 
 
 def test_load_plan_memory_per_atom(tmp_path):
@@ -473,11 +491,12 @@ def test_load_plan_memory_per_atom(tmp_path):
     second group's EmpiricalDistribution.  The first group's atoms, counts
     and levels are kept (24 B per its atom, 12 B an atom), and the second's
     decoded atoms and counts (16 B per its atom, 8 B) and its count check's
-    mask (0.5 B) are alive.  Seven of the constructor's 8-byte arrays are too:
-    the sort order, sorted atoms, merge index, merged atoms, merged counts,
-    cumulative counts and levels (56 B per its atom, 28 B).  That is 69.8 B,
-    and the 72 B bound leaves less room than one more 8-byte value an atom.
+    mask (0.5 B) are alive.  So are four of the constructor's 8-byte arrays,
+    as it drops each temporary once used: the sorted counts, merge index,
+    merged atoms and merged counts (32 B per its atom, 16 B).  That is 57.8 B,
+    and the 60 B bound leaves less room than one more 8-byte value per atom of
+    a group (4 B), such as the sort order kept to the end.
     """
     n = 200_000
-    save_plan(fit_plan(_two_equal_groups(n)), tmp_path / "plan.json")
-    assert _traced_peak(lambda: load_plan(tmp_path / "plan.json")) / n <= 72
+    save_plan(fit_plan(two_equal_groups(n)), tmp_path / "plan.json")
+    assert traced_peak(lambda: load_plan(tmp_path / "plan.json")) / n <= 60

@@ -30,7 +30,7 @@ from fairrepair import load_csv, load_plan, ot
 from fairrepair.cli import main
 from fairrepair.solver import _RepairPath, _sweep
 
-from conftest import UNIT, conditional_means, make_dataset, random_binary_dataset
+from conftest import UNIT, conditional_means, make_dataset, random_binary_dataset, traced_peak, two_equal_groups
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 PR_OBJ = LambdaObjective(parse_combo("pr"))
@@ -505,3 +505,25 @@ def test_solution_json_fields():
     payload = sol.to_dict()
     assert set(payload) == {"lambda", "method", "objective", "clamped", "evaluations"}
     assert payload["method"] == "exact"
+
+
+def test_solve_exact_memory_per_row():
+    """tracemalloc peaks per row of solve_exact at 2e5 rows in two equal groups,
+    about half of them labeled 1, after a warm-up call: that builds the
+    full-repair table and loads the modules numpy imports on first use.
+
+    Under Y=1 a group keeps about n/4 rows, and the merged level partition has
+    about n/2 pieces.  The path keeps each group's atoms, counts, levels and
+    full repair T (32 B per its row, 16 B a row) and each piece's width, two
+    atom indices and rate (32 B per piece, 16 B a row): 32 B.  A slope then
+    holds three 8-byte values per piece (12 B): the two groups' moved atoms
+    while it forms their difference u, and later u, |u|^(p-1) and sign(u),
+    where numpy multiplies into the temporaries in place, as it does for arrays
+    this large.  That is 44 B, and the 46 B bound leaves less room than one
+    more 8-byte value per piece (4 B), such as a kept copy of u.
+    """
+    n = 200_000
+    ds = two_equal_groups(n)
+    plan, obj = fit_plan(ds), LambdaObjective(parse_combo("tpr"))
+    solve_exact(plan, ds, obj)
+    assert traced_peak(lambda: solve_exact(plan, ds, obj)) / n <= 46

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ def test_spec_validation():
     with pytest.raises(SpecError):
         JointSpec(UNIT, ("a",), np.array([1.0]), np.array([0.5]),
                   {"a": np.array([1.0])}, {"a": np.array([1.5])})  # bad prob
+    with pytest.raises(SpecError, match="one proportion per group required"):
+        JointSpec(UNIT, ("a", "b"), np.array([1.0]), np.array([0.5]),
+                  {g: np.array([1.0]) for g in "ab"}, {g: np.array([0.5]) for g in "ab"})
+
+
+def test_sample_error_names_the_sample():
+    with pytest.raises(DatasetError, match=re.escape("group 'b' has 1 row(s) in the sample, needs at least 2")):
+        sample(two_group_spec(), 4, seed=0)
 
 
 def test_seed_determinism_byte_identical(tmp_path):
@@ -127,6 +136,18 @@ def test_split_preserves_groups_or_errors():
     for fraction in (0.01, 0.99):  # rounds to 0 or 6 of the 6 rows
         with pytest.raises(DatasetError, match="split fraction leaves one side empty"):
             split(ds, fraction, seed=0)
+
+
+@pytest.mark.parametrize("fraction, seed, message", [
+    (0.3, 10, "group 'B' has 0 row(s) in the labeled part"),
+    (0.3, 0, "group 'B' has 1 row(s) in the labeled part"),
+    (0.7, 4, "group 'B' has 0 row(s) in the holdout part"),
+    (0.7, 0, "group 'B' has 1 row(s) in the holdout part"),
+])
+def test_split_error_names_the_part(fraction, seed, message):
+    ds = make_dataset({"A": [0.1, 0.2, 0.3, 0.35, 0.4, 0.45], "B": [0.5, 0.6, 0.7, 0.8]})
+    with pytest.raises(DatasetError, match=re.escape(f"{message}, needs at least 2")):
+        split(ds, fraction, seed)
 
 
 def test_bundled_spec_loads_and_roundtrips(tmp_path):
