@@ -50,8 +50,8 @@ labeled, holdout = split(ds, 0.5, seed=0)
 plan = fit_plan(labeled)
 print("group weights:", dict(zip(plan.groups, plan.group_weights.round(3))))
 for x in (0.3, 0.5, 0.7):
-    print(f"shift t({x:.1f}, a) = {float(plan.shift('a', x)):+.4f}"
-          f"   t({x:.1f}, b) = {float(plan.shift('b', x)):+.4f}")
+    print(f"shift t({x:.1f}, a) = {float(plan.total_repair_score('a', x) - x):+.4f}"
+          f"   t({x:.1f}, b) = {float(plan.total_repair_score('b', x) - x):+.4f}")
 
 ##############################################################################
 # The objective along lambda is convex: sweep it, then solve two ways.

@@ -67,10 +67,6 @@ class ScoreDomain:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.isfinite(x)) and np.all(x >= self.lo) and np.all(x <= self.hi))
-
     def normalize(self, x):
         """Affine map of scores onto [0, 1]."""
         return (np.asarray(x, dtype=float) - self.lo) / self.width
@@ -86,7 +82,7 @@ class ScoredDataset:
     Immutable after construction; the numpy views exposed here are read-only.
     The constructor takes the scores, group names and labels as sequences;
     :func:`validate_dataset` takes rows and :func:`load_csv` a file, all checked alike.
-    Groups are counted only where their sizes are checked; :attr:`proportions` counts anew.
+    Groups are counted only where their sizes are checked.
     """
 
     def __init__(self, scores, groups, labels, domain):
@@ -147,11 +143,6 @@ class ScoredDataset:
     @property
     def is_labeled(self) -> bool:
         return bool(np.all(self._labels >= 0))
-
-    @property
-    def proportions(self) -> np.ndarray:
-        """Group proportions p_g in :attr:`groups` order; sums to 1."""
-        return np.bincount(self._group_idx, minlength=len(self.groups)) / self._scores.size
 
     def group_scores(self, group: str) -> np.ndarray:
         if group not in self.groups:
@@ -339,7 +330,8 @@ def _conditional_scores(ds: ScoredDataset, kind: MetricKind, min_rows=MIN_ROWS_P
     """
     sub = subset_by_label(ds, kind)
     scores = [sub.group_scores(g) for g in ds.groups]
-    _check_rows(ds.groups, [x.size for x in scores], min_rows, f" under Y={kind.label_condition}")
+    where = "" if kind.label_condition is None else f" under Y={kind.label_condition}"
+    _check_rows(ds.groups, [x.size for x in scores], min_rows, where)
     return scores
 
 

@@ -60,7 +60,7 @@ def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexP
     scores = _conditional_scores(ds, kind, min_rows=1)  # subset_by_label rejects an empty group
     with np.errstate(over="ignore", invalid="ignore"):  # a mean's sum can overflow
         a = np.array([x.mean() for x in scores])
-        b = np.array([plan.shift(g, x).mean() for g, x in zip(ds.groups, scores)])
+        b = np.array([(plan.total_repair_score(g, x) - x).mean() for g, x in zip(ds.groups, scores)])
         top = len(a) ** 2 * (np.ptp(a) + np.max(np.abs(b)))  # bounds every sum of losses
     if not np.isfinite(top):  # also when a mean or a shift is not finite
         raise DatasetError(f"score domain [{ds.domain.lo}, {ds.domain.hi}] is too wide for {len(a)} "

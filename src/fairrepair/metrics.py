@@ -47,7 +47,8 @@ class ThresholdGrid:
     def linspace(cls, domain: ScoreDomain, count: int = DEFAULT_GRID_COUNT) -> "ThresholdGrid":
         if count < 2:
             raise DatasetError("grid count must be >= 2")
-        return cls(np.linspace(domain.lo, domain.hi, count))
+        with np.errstate(over="ignore"):  # near the largest float, the last point overflows before it is set to hi
+            return cls(np.linspace(domain.lo, domain.hi, count))
 
     @property
     def count(self) -> int:

@@ -92,10 +92,6 @@ class RepairPlan:
         """Fully repaired score: transport of x onto the group barycenter."""
         return self.domain.denormalize(self._full_repair(group, self.domain.normalize(x)))
 
-    def shift(self, group: str, x):
-        """Signed adjustment t(x) = fully-repaired(x) - x; may be negative."""
-        return self.total_repair_score(group, x) - np.asarray(x, dtype=float)
-
     def repaired_score(self, group: str, x):
         """Partial repair (1 - lambda) * x + lambda * T_g(x) with the plan's lambda for ``group``."""
         t = self.total_repair_score(group, x)  # rejects an unknown group before the lambda lookup

@@ -50,7 +50,7 @@ class JointSpec:
             raise SpecError("group proportions must be positive and sum to 1")
         if support.ndim != 1 or support.size < 1 or not np.all(np.diff(support) > 0):
             raise SpecError("score support must be strictly increasing")
-        if not self.domain.contains(support):
+        if not self.domain.lo <= support[0] <= support[-1] <= self.domain.hi:  # also rejects NaN and inf
             raise SpecError("score support must lie inside the domain")
         for g in self.groups:
             p = np.asarray(self.pmf.get(g), dtype=float)
@@ -131,8 +131,7 @@ def sample(spec: JointSpec, n: int, seed: int) -> ScoredDataset:
     scores = spec.support[sidx]
     lab_prob = np.stack([spec.label1_prob[g] for g in spec.groups])
     labels = (rng.random(n) < lab_prob[gidx, sidx]).astype(int)
-    present, gidx = np.unique(gidx, return_inverse=True)  # a group may draw no rows
-    names, index = _index_groups([spec.groups[k] for k in present])
+    names, index = _index_groups(list(spec.groups))  # a group that drew too few rows fails the count
     return ScoredDataset._indexed(scores, names, index[gidx], labels, spec.domain, where=" in the sample")
 
 

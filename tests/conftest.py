@@ -47,6 +47,11 @@ def two_equal_groups(n):
     return ScoredDataset(rng.random(n), np.array(["a", "b"])[np.arange(n) % 2].tolist(), rng.integers(0, 2, n), UNIT)
 
 
+def group_shares(ds):
+    """Each group's share of the rows, in ``ds.groups`` order: the proportions p_g."""
+    return np.bincount(ds.group_indices, minlength=len(ds.groups)) / len(ds)
+
+
 def traced_peak(call) -> int:
     """The peak bytes tracemalloc traces while ``call()`` runs: the pattern of every memory budget test."""
     tracemalloc.start()

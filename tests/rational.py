@@ -10,6 +10,7 @@ left-continuous inverse Q(a) = inf{t : F(t) >= a}, which at a level in
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -135,3 +136,29 @@ def binary_minimizer_p2(terms) -> tuple[Fraction, Fraction, Fraction]:
         curvature += w * seg * B * B
     lam = min(Fraction(1), max(Fraction(0), -g0 / curvature)) if curvature else Fraction(0)
     return lam, g0 + curvature * lam, curvature
+
+
+def lex_candidate_profile(a, b) -> list[Fraction]:
+    """The lexicographically least descending loss vector over the clip-form points.
+
+    Group g's mean m_g = clip(c, I_g) for one common point c, I_g the interval
+    between a_g and a_g + b_g, and L_g = sum over j of |m_g - m_j|.  Between
+    consecutive interval endpoints every m_g, so every L_g, is affine in c; the
+    sorted vector is then affine between the points where two losses cross, and
+    its lexicographic least on the segment lies at one of those points or an end.
+    """
+    intervals = [sorted((Fraction(x), Fraction(x) + Fraction(y))) for x, y in zip(a, b)]
+    ends = sorted({e for interval in intervals for e in interval})
+
+    def losses(c):
+        m = [min(max(c, lo), hi) for lo, hi in intervals]
+        return [sum(abs(x - y) for y in m) for x in m]
+
+    candidates = set(ends)
+    for lo, hi in zip(ends, ends[1:]):
+        at_lo, at_hi = losses(lo), losses(hi)
+        for g, h in itertools.combinations(range(len(intervals)), 2):
+            d_lo, d_hi = at_lo[g] - at_lo[h], at_hi[g] - at_hi[h]
+            if d_lo * d_hi < 0:  # L_g - L_h changes sign inside the segment
+                candidates.add(lo + (hi - lo) * d_lo / (d_lo - d_hi))
+    return min(sorted(losses(c), reverse=True) for c in candidates)

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from fairrepair import (
     LambdaObjective,
     ScoreDomain,
+    ScoredDataset,
     bundled_spec,
     fit_plan,
     load_csv,
@@ -1126,6 +1129,45 @@ def test_domain_width_must_be_finite(tmp_path, capsys, case):
     assert set(tmp_path.iterdir()) == before
 
 
+def test_extreme_domains_keep_exit_code_contract(tmp_path):
+    """Every command on domains with bounds up to the largest float: exit 0/2/3/4,
+    at most one error line, no warning, and no NaN or Infinity in any written file."""
+    rng = np.random.default_rng(13)
+    bounds = [s * v for v in (1.7976931348623157e308, 1e308, 1e300, 1e10, 1.0) for s in (1, -1)] + [0.0, 0.5, 1e-300]
+    domains = [ScoreDomain(lo, hi) for lo in bounds for hi in bounds if lo < hi and math.isfinite(hi - lo)]
+    non_finite = re.compile(r"\b(NaN|nan|Infinity|inf)\b")
+    for case in range(60):
+        domain = domains[rng.integers(len(domains))]
+        n_groups = int(rng.integers(2, 5))
+        sizes = rng.integers(4, 13, n_groups)
+        u = rng.random(sizes.sum())
+        near = min(1.0, domain.width)
+        scores = [domain.lo + u * domain.width, domain.lo + u * near, domain.hi - u * near][rng.integers(3)]
+        groups = np.repeat(list("abcd"[:n_groups]), sizes).tolist()
+        ds = ScoredDataset(np.clip(scores, domain.lo, domain.hi), groups, rng.integers(0, 2, sizes.sum()), domain)
+        out = tmp_path / str(case)
+        out.mkdir()
+        data = out / "in.csv"
+        write_csv(ds, data)
+        flags = ("--input", data, f"--domain={domain.lo!r}:{domain.hi!r}", "--metric", ["pr", "tpr"][case % 2])
+        solvers = ("exact", "probabilistic", "maxmin", "lex", "none") if n_groups == 2 else ("maxmin", "lex", "none")
+        commands = [("evaluate", *flags, "--output", out / "report.json")]
+        commands += [("fit", *flags, "--solver", s, "--output", out / f"{s}.json") for s in solvers]
+        commands += [("lambda-sweep", *flags, "--output", out / "sweep.csv")] * (n_groups == 2)
+        commands += [("apply", "--plan", out / "none.json", "--input", data, "--output", out / "repaired.csv")]
+        for argv in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = run(*argv)
+            assert code in (0, 2, 3, 4), (argv, err.getvalue())
+            assert not caught, (argv, [str(w.message) for w in caught])
+            lines = err.getvalue().splitlines()
+            assert lines == [] or (len(lines) == 1 and lines[0].startswith("fairrepair: error: ")), (argv, lines)
+        for path in out.iterdir():
+            assert not non_finite.search(path.read_text()), (domain, path.name)
+
+
 # Before the sum was checked, evaluate exited 0 with "weighted_expected_gap":
 # Infinity, and fit --solver exact and lambda-sweep exited 3 ("objective is not
 # finite").
@@ -1251,6 +1293,17 @@ def test_generate_custom_spec(tmp_path):
     assert run("generate", "--spec", spec_path, "--output", prefix, "--n", "200", "--seed", "1") == 0
     ds = load_csv(f"{prefix}_labeled.csv", UNIT)
     assert set(np.unique(ds.scores)) <= {0.25, 0.75}
+
+
+def test_generate_rejects_a_spec_group_that_draws_no_rows(tmp_path, capsys):
+    """At 0.999/0.001 and n = 200, group b draws no row: the sample fails the same count as one row."""
+    spec = copy.deepcopy(CUSTOM_SPEC)
+    spec["groups"][0]["proportion"], spec["groups"][1]["proportion"] = 0.999, 0.001
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run("generate", "--spec", spec_path, "--output", tmp_path / "g", "--n", "200", "--seed", "0") == 2
+    assert capsys.readouterr().err == "fairrepair: error: group 'b' has 0 row(s) in the sample, needs at least 2\n"
+    assert not list(tmp_path.glob("g*"))
 
 
 def custom_spec_with(path, value):

@@ -23,6 +23,7 @@ from fairrepair import (
 from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
 
+import rational
 from conftest import conditional_means, make_dataset, random_binary_dataset
 
 
@@ -66,8 +67,9 @@ def test_build_problem_conditional_means():
     plan = fit_plan(ds)
     prob = build_problem(plan, ds, TPR)
     assert prob.base_means == pytest.approx([0.3, 0.6])  # the label-1 rows only
-    assert prob.mean_shifts == pytest.approx([plan.shift("A", [0.2, 0.4]).mean(),
-                                              plan.shift("B", [0.5, 0.7]).mean()])
+    xa, xb = np.array([0.2, 0.4]), np.array([0.5, 0.7])
+    assert prob.mean_shifts == pytest.approx([(plan.total_repair_score("A", xa) - xa).mean(),
+                                              (plan.total_repair_score("B", xb) - xb).mean()])
 
 
 def test_build_problem_needs_two_groups():
@@ -215,6 +217,21 @@ def test_round_optima_match_subset_encoding(rng):
         for k, rnd in enumerate(sol.rounds, start=1):
             ours = rnd["epsilon"] + prob.eps_stab * problem_scale(prob) * sum(rnd["lambdas"].values())
             assert ours == pytest.approx(subset_round_optimum(prob, k, sol.epsilons[:k - 1]), abs=1e-9)
+
+
+def test_lex_epsilons_are_the_candidate_profile():
+    """Each epsilon_k is the top-k sum of the exact least clip-form profile
+    (rational.lex_candidate_profile), to 1e-9 of the problem's scale, on seeded
+    2-7-group problems, a third of them with a tied pair of groups."""
+    rng = np.random.default_rng(33)
+    for case in range(30):
+        n = int(rng.integers(2, 8))
+        a, b = rng.random(n), rng.normal(scale=0.3, size=n)
+        if case % 3 == 1:
+            a[1], b[1] = a[0], b[0]
+        prob = synthetic_problem(a, b)
+        profile = np.cumsum([float(v) for v in rational.lex_candidate_profile(a, b)])
+        assert solve_lexicographic(prob).epsilons == pytest.approx(profile, abs=1e-9 * problem_scale(prob)), case
 
 
 # -- max-min ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fairrepair import (
 )
 from fairrepair.metrics import _write_curves
 
-from conftest import UNIT, make_dataset, random_binary_dataset
+from conftest import UNIT, make_dataset, random_binary_dataset, traced_peak, two_equal_groups
 
 GRID = ThresholdGrid.linspace(UNIT, 101)
 
@@ -125,6 +125,33 @@ def test_disparity_needs_two_groups():
     ds = make_dataset({"A": [0.1, 0.2]})
     with pytest.raises(DatasetError):
         distributional_disparity(ds, PR, 1.0, GRID)
+
+
+def test_unconditional_too_few_rows_names_no_condition():
+    """The label-1 subset keeps one row of group a; PR counts it with no "under Y=" phrase."""
+    ds = make_dataset({"a": [0.1, 0.2, 0.3], "b": [0.4, 0.5, 0.6]}, {"a": [1, 0, 0], "b": [1, 1, 0]})
+    with pytest.raises(DatasetError) as exc:
+        distributional_disparity(subset_by_label(ds, TPR), PR, 1.0, GRID)
+    assert str(exc.value) == "group 'a' has 1 row(s), needs at least 2"
+
+
+def test_distributional_disparity_memory_per_row():
+    """tracemalloc peaks per row of distributional_disparity (TPR) at 2e5 rows
+    in two equal groups, about half of them labeled 1, after a warm-up call:
+    np.union1d imports numpy.ma on first use, about 1 MB.
+
+    Per label-1 row, the conditional scores (8 B) and each group's distribution,
+    its atoms, counts and levels (24 B), are kept while the pair is measured.
+    wasserstein's level partition then peaks at its np.diff: the merged levels,
+    both groups' indices into them, the levels with 0 prepended and the widths
+    (40 B per piece, about one piece per label-1 row).  That is 72 B per
+    label-1 row, 36 B a row, and the 38 B bound leaves less room than one more
+    8-byte value per label-1 row (4 B), such as a kept copy of the merged levels.
+    """
+    n = 200_000
+    ds = two_equal_groups(n)
+    distributional_disparity(ds, TPR)
+    assert traced_peak(lambda: distributional_disparity(ds, TPR)) / n <= 38
 
 
 def test_expected_gap_bounded_by_max_gap_power(rng):

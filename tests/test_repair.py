@@ -20,7 +20,8 @@ from fairrepair import (
     wasserstein,
 )
 
-from conftest import UNIT, make_dataset, random_binary_dataset, random_distribution, traced_peak, two_equal_groups
+from conftest import (UNIT, group_shares, make_dataset, random_binary_dataset, random_distribution, traced_peak,
+                      two_equal_groups)
 
 BINARY = {"A": [0.2, 0.4, 0.6, 0.8], "B": [0.1, 0.2, 0.3, 0.4]}
 
@@ -56,9 +57,9 @@ def test_fit_four_groups():
 
 
 def test_group_weights_are_the_proportions(rng):
-    """Derived from the fitted counts, the group weights are ds.proportions bit for bit."""
+    """Derived from the fitted counts, the group weights are the groups' shares of the rows bit for bit."""
     ds = make_dataset({g: list(rng.random(n)) for g, n in zip("abc", (7, 300, 4001))})
-    assert fit_plan(ds).group_weights.tobytes() == ds.proportions.tobytes()
+    assert fit_plan(ds).group_weights.tobytes() == group_shares(ds).tobytes()
 
 
 def test_fit_is_label_free():
@@ -69,13 +70,13 @@ def test_fit_is_label_free():
         assert np.array_equal(p1.fitted[g].atoms, p2.fitted[g].atoms)
 
 
-# -- total repair and shift ------------------------------------------------------
+# -- total repair and the shift t(x) = T_g(x) - x ------------------------------------------------------
 
 
 def test_total_repair_binary_example():
     plan = binary_plan()
     assert plan.total_repair_score("A", 0.2) == pytest.approx(0.15)
-    assert plan.shift("A", 0.2) == pytest.approx(-0.05)
+    assert plan.total_repair_score("A", 0.2) - 0.2 == pytest.approx(-0.05)
 
 
 def test_total_repair_identity_for_identical_groups():
@@ -83,7 +84,7 @@ def test_total_repair_identity_for_identical_groups():
     plan = fit_plan(ds)
     for x in (0.2, 0.4, 0.6):
         assert plan.total_repair_score("A", x) == pytest.approx(x, abs=1e-15)
-        assert plan.shift("A", x) == pytest.approx(0.0, abs=1e-15)
+        assert plan.total_repair_score("A", x) - x == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dominant_group_barely_moves():
@@ -93,13 +94,13 @@ def test_dominant_group_barely_moves():
     ds = make_dataset({"H": heavy, "L": light})
     plan = fit_plan(ds)
     xs = np.asarray(heavy[10:990:100])
-    assert np.max(np.abs(plan.shift("H", xs))) < 0.01
+    assert np.max(np.abs(plan.total_repair_score("H", xs) - xs)) < 0.01
 
 
 def test_shift_bounded_by_domain_width():
     plan = binary_plan()
     xs = np.linspace(0, 1, 21)
-    assert np.all(np.abs(plan.shift("A", xs)) <= 1.0)
+    assert np.all(np.abs(plan.total_repair_score("A", xs) - xs) <= 1.0)
 
 
 def test_unknown_group_rejected():
@@ -144,7 +145,7 @@ def test_full_repair_stays_in_domain_when_weights_sum_above_one(domain):
     assert plan.group_weights.sum() > 1
     for g, scores in groups.items():
         assert plan.total_repair_score(g, scores).max() == domain.hi
-        assert plan.shift(g, domain.hi) == 0.0
+        assert plan.total_repair_score(g, domain.hi) - domain.hi == 0.0
 
 
 # -- apply -----------------------------------------------------------------------
@@ -480,6 +481,25 @@ def test_apply_memory_per_row():
     plan = fit_plan(ds).with_lambdas({"a": 0.3, "b": 0.7})
     plan.total_repair_score("a", [0.5])  # builds the table
     assert traced_peak(lambda: plan.apply(ds)) / n <= 30
+
+
+def test_full_repair_table_memory_per_row():
+    """tracemalloc peaks per row of the full-repair table's first use at 2e5
+    rows in two equal groups.
+
+    Each group's table is the clipped barycenter quantile at 0 and at the
+    group's levels: 8 B per its row, 4 B a row.  While the second group's is
+    built, the first's is kept (4 B), and the second's levels q (4 B) and the
+    running sum (4 B) are alive.  A group's quantile lookup then holds two more
+    arrays (8 B): the clipped levels and their index, the index and the atoms
+    gathered, or those atoms and their weighted copy; adding that copy to the
+    sum holds the same two, the copy and the new sum.  That is 20 B, and the
+    22 B bound leaves less room than one more 8-byte value per row of a group
+    (4 B), such as a kept copy of the levels.
+    """
+    n = 200_000
+    plan = fit_plan(two_equal_groups(n))
+    assert traced_peak(lambda: plan.total_repair_score("a", [0.5])) / n <= 22
 
 
 def test_load_plan_memory_per_atom(tmp_path):

@@ -507,6 +507,27 @@ def test_solution_json_fields():
     assert payload["method"] == "exact"
 
 
+def test_sweep_memory_per_row():
+    """tracemalloc peaks per row of a 101-step _sweep (TPR) at 2e5 rows in two
+    equal groups, about half of them labeled 1, after a warm-up call, as in
+    test_solve_exact_memory_per_row.
+
+    Per label-1 row the path keeps each group's atoms, counts, levels and full
+    repair T (32 B), and each piece's width, two atom indices and rate (32 B, about
+    one piece per label-1 row): 64 B.  An evaluation holds both groups' moved
+    atoms (8 B) and, in wasserstein, two more values per piece (16 B): the
+    gathered atoms while numpy subtracts into the first, then the difference and
+    its absolute value, or that and its p-th power.  That is 88 B per label-1 row,
+    44 B a row, and the 46 B bound leaves less room than one more 8-byte value
+    per label-1 row (4 B), such as a kept copy of the pieces' widths.
+    """
+    n = 200_000
+    ds = two_equal_groups(n)
+    plan, obj = fit_plan(ds), LambdaObjective(parse_combo("tpr"))
+    _sweep(plan, ds, obj, 101)
+    assert traced_peak(lambda: _sweep(plan, ds, obj, 101)) / n <= 46
+
+
 def test_solve_exact_memory_per_row():
     """tracemalloc peaks per row of solve_exact at 2e5 rows in two equal groups,
     about half of them labeled 1, after a warm-up call: that builds the

@@ -15,7 +15,7 @@ from fairrepair import (
     write_csv,
 )
 
-from conftest import UNIT, make_dataset
+from conftest import UNIT, group_shares, make_dataset
 
 
 def tiny_spec(label_prob=1.0):
@@ -78,6 +78,14 @@ def test_sample_error_names_the_sample():
         sample(two_group_spec(), 4, seed=0)
 
 
+def test_sample_counts_every_spec_group():
+    """A spec group that draws no row is reported, not dropped from the sample."""
+    spec = two_group_spec()
+    lopsided = JointSpec(spec.domain, spec.groups, np.array([0.999, 0.001]), spec.support, spec.pmf, spec.label1_prob)
+    with pytest.raises(DatasetError, match=re.escape("group 'b' has 0 row(s) in the sample, needs at least 2")):
+        sample(lopsided, 200, seed=0)
+
+
 def test_seed_determinism_byte_identical(tmp_path):
     spec = two_group_spec()
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -90,8 +98,9 @@ def test_seed_determinism_byte_identical(tmp_path):
 
 def test_group_proportions_converge():
     ds = sample(two_group_spec(), 100_000, seed=5)
-    assert abs(ds.proportions[0] - 0.4) <= 0.01
-    assert abs(ds.proportions[1] - 0.6) <= 0.01
+    shares = group_shares(ds)
+    assert abs(shares[0] - 0.4) <= 0.01
+    assert abs(shares[1] - 0.6) <= 0.01
 
 
 def test_conditional_means_converge_to_spec():
