@@ -1,6 +1,6 @@
 """Semantic exception hierarchy shared across the package."""
 
-__all__ = ["FairRepairError", "DatasetError", "SpecError", "SolverError", "LPError"]
+__all__ = ["FairRepairError", "DatasetError", "SpecError", "SolverError"]
 
 
 class FairRepairError(Exception):
@@ -17,7 +17,3 @@ class SpecError(FairRepairError, ValueError):
 
 class SolverError(FairRepairError, RuntimeError):
     """An optimization routine cannot produce a solution."""
-
-
-class LPError(SolverError):
-    """The linear-programming core failed (infeasible, unbounded, or stalled)."""

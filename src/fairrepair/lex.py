@@ -48,9 +48,9 @@ class LexProblem:
         return len(self.groups)
 
     def losses(self, lambdas: np.ndarray) -> np.ndarray:
-        """L_g = sum over other groups of |m_g - m_j|."""
-        m = self.base_means + np.asarray(lambdas, dtype=float) * self.mean_shifts
-        return np.abs(m[:, None] - m[None, :]).sum(axis=1)
+        """L_g = sum over other groups of |m_g - m_j|, with a_g - a_j formed first."""
+        a, shift = self.base_means, np.asarray(lambdas, dtype=float) * self.mean_shifts
+        return np.abs((a[:, None] - a[None, :]) + (shift[:, None] - shift[None, :])).sum(axis=1)
 
 
 def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexProblem:
@@ -89,25 +89,27 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     objective; block j < k's sum j*t_j + sum_g v_jg is bounded by eps_j.
     t_j >= 0 loses nothing because losses are nonnegative.
 
-    a, b and every eps_j are divided by the problem's scale s = ptp(a) + max|b|,
-    so every pair gap is at most 2, the simplex's absolute tolerance is relative
-    to s, and eps_stab pulls toward lambda = 0 by eps_stab * s in score units.
+    The pair gaps a_i - a_j, b and every eps_j are divided by the problem's
+    scale s = ptp(a) + max|b|, so every pair gap is at most 2, the simplex's
+    absolute tolerance is relative to s, and eps_stab pulls toward lambda = 0
+    by eps_stab * s in score units.  A gap is formed before it is divided, so
+    it rounds relative to itself, not to |a_i| (which an offset can make >> s).
     """
     n = prob.n
     first, second = np.triu_indices(n, 1)  # pairs (i, j) with i < j
     npairs = first.size
     signed = np.eye(n)[first] - np.eye(n)[second]  # pair-group incidence, +1 on i and -1 on j
     s = float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
-    a, b = prob.base_means / s, prob.mean_shifts / s
+    b = prob.mean_shifts / s
     nv = k * n
 
     # Columns: [lambdas (n) | t (k) | u (npairs) | v (k*n, block j's v_j in order)].
     # Ratio ties enter the smallest column, so the order steers the simplex; neither order wins
-    # on every input (fit-lex's 9 groups at seeds 0-3: 991-1197 pivots here, 1010-1087 reversed).
+    # on every input (fit-lex's 9 groups at seeds 0-3: 991-1200 pivots here, 1008-1134 reversed).
     # u_ij >= +-(m_i - m_j):  +-(b_i lam_i - b_j lam_j) - u_ij <= -+(a_i - a_j)
     u_cols = np.hstack([np.zeros((npairs, k)), -np.eye(npairs), np.zeros((npairs, nv))])
     u_rows = np.stack([np.hstack([signed * b, u_cols]), np.hstack([-signed * b, u_cols])], axis=1)
-    gap = a[first] - a[second]
+    gap = (prob.base_means[first] - prob.base_means[second]) / s
 
     # L_g = sum of u over the pairs that contain g;  v_jg >= L_g - t_j
     excess = np.hstack([
@@ -121,11 +123,12 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
         np.diag(np.arange(1.0, k + 1)), np.zeros((k, npairs)), np.kron(np.eye(k), np.ones(n)),
     ])
 
-    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.hstack([np.zeros((k - 1, n)), top[:-1]])])
-    rhs = np.concatenate([np.stack([-gap, gap], axis=1).ravel(), np.zeros(nv), np.divide(inherited, s)])
     cost = np.concatenate([np.full(n, prob.eps_stab), top[-1]])
-    upper = np.concatenate([np.ones(n), np.full(k + npairs + nv, np.inf)])
-    x = linprog(cost, A, rhs, upper)
+    # The last n rows are the bounds lam_g <= 1.
+    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.hstack([np.zeros((k - 1, n)), top[:-1]]),
+                   np.eye(n, cost.size)])
+    rhs = np.concatenate([np.stack([-gap, gap], axis=1).ravel(), np.zeros(nv), np.divide(inherited, s), np.ones(n)])
+    x = linprog(cost, A, rhs)
     return np.clip(x[:n], 0.0, 1.0)
 
 

@@ -1,6 +1,6 @@
 """Small dense linear-programming core: a one-phase dual simplex.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub  and  0 <= x <= upper,  with c >= 0, at the
+Solves  min c.x  s.t.  A_ub x <= b_ub  and  x >= 0,  with c >= 0, at the
 scale the lexicographic solver needs (hundreds of variables and constraints).
 Nonnegative costs make the all-slack basis dual feasible whatever the signs of
 b_ub, so Lemke's dual simplex (1954) reaches the optimum from it with no
@@ -16,43 +16,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LPError
+from .errors import SolverError
 
 __all__ = ["linprog"]
 
 _TOL = 1e-9
 
 
-def linprog(c, A_ub, b_ub, upper) -> np.ndarray:
-    """Exact minimizer of c.x subject to A_ub x <= b_ub and 0 <= x <= upper.
+def linprog(c, A_ub, b_ub) -> np.ndarray:
+    """Exact minimizer of c.x subject to A_ub x <= b_ub and x >= 0.
 
-    c must be nonnegative.  upper holds one bound per variable, inf for none;
-    each finite one becomes a row of the tableau.  Returns the optimal x;
-    raises :class:`LPError` on infeasible problems, and after
-    2000 + 200 * (rows + columns) pivots.
+    c must be nonnegative.  Returns the optimal x; raises :class:`SolverError`
+    on infeasible problems, and after 2000 + 200 * (rows + columns) pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
     if not np.all(c >= 0.0):
-        raise LPError("costs must be nonnegative")
+        raise SolverError("costs must be nonnegative")
     A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-    if b_ub.size != A_ub.shape[0]:
-        raise LPError("one b_ub entry per A_ub row required")
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    if upper.size != n or not np.all(upper > -np.inf):  # NaN included
-        raise LPError("one upper bound per variable, a number or inf, required")
-    capped = np.flatnonzero(upper < np.inf)
-    mu = A_ub.shape[0]
-    m = mu + capped.size
+    m = A_ub.shape[0]
+    if b_ub.size != m:
+        raise SolverError("one b_ub entry per A_ub row required")
 
     # Tableau [x | slacks | rhs] with the slacks basic; the bottom row holds
     # the reduced costs and, in its last entry, minus the objective.
     T = np.zeros((m + 1, n + m + 1))
-    T[:mu, :n] = A_ub
-    T[mu + np.arange(capped.size), capped] = 1.0
+    T[:m, :n] = A_ub
     T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:m, -1] = np.concatenate([b_ub, upper[capped]])
+    T[:m, -1] = b_ub
     T[m, :n] = c
     basis = n + np.arange(m)
     stalled = 0
@@ -69,14 +61,14 @@ def linprog(c, A_ub, b_ub, upper) -> np.ndarray:
         # Entering: least ratio c̄_j / -a_rj (within _TOL), then smallest column.
         cols = np.flatnonzero(T[row, :-1] < -_TOL)
         if not cols.size:
-            raise LPError("LP is infeasible")
+            raise SolverError("LP is infeasible")
         ratios = T[m, cols] / -T[row, cols]
         col = cols[np.flatnonzero(ratios <= ratios.min() + _TOL)[0]]
         # A zero reduced cost on the entering column leaves the objective unchanged.
         stalled = stalled + 1 if T[m, col] <= _TOL else 0
         _pivot(T, row, col)
         basis[row] = col
-    raise LPError("simplex iteration limit reached")
+    raise SolverError("simplex iteration limit reached")
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:

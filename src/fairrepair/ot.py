@@ -21,7 +21,6 @@ from .errors import DatasetError
 
 __all__ = ["EmpiricalDistribution", "wasserstein", "barycenter_quantile"]
 
-_TOL = 1e-12
 _MAX_TOTAL = 2**53  # every integer up to here is a float, so each level k/n rounds once
 
 
@@ -47,7 +46,7 @@ class EmpiricalDistribution:
             raise DatasetError("empirical distribution needs at least one atom")
         if not np.all(np.isfinite(atoms)):
             raise DatasetError("atoms must be finite")
-        if atoms.min() < -_TOL or atoms.max() > 1 + _TOL:
+        if atoms.min() < 0.0 or atoms.max() > 1.0:
             raise DatasetError("atoms must lie in [0, 1] (normalized scores)")
         if counts.dtype.kind not in "iu" or not np.all(counts > 0):
             raise DatasetError("counts must be positive integers")
@@ -59,7 +58,7 @@ class EmpiricalDistribution:
 
         # Each temporary is dropped once used: a constructor's peak is the peak of fit_plan and load_plan.
         order = np.argsort(atoms, kind="stable")
-        atoms = np.clip(atoms[order], 0.0, 1.0)
+        atoms = atoms[order]
         counts = counts.astype(np.int64, copy=False)[order]
         del order
         first = np.flatnonzero(np.concatenate(([True], atoms[1:] != atoms[:-1])))  # exact ties merge
@@ -117,10 +116,10 @@ class EmpiricalDistribution:
         a = 0 returns the smallest atom (infimum over the support).
         """
         a = np.asarray(a, dtype=float)
-        if not np.all((a >= -_TOL) & (a <= 1 + _TOL)):  # also rejects NaN
+        if not np.all((a >= 0.0) & (a <= 1.0)):  # also rejects NaN
             raise DatasetError("quantile level must lie in [0, 1]")
         # Levels are at most 1.0, the last breakpoint, so idx < n_atoms.
-        idx = np.searchsorted(self.breakpoints, np.clip(a, 0.0, 1.0), side="left")
+        idx = np.searchsorted(self.breakpoints, a, side="left")
         out = self.atoms[idx]
         return float(out) if out.ndim == 0 else out
 

@@ -317,6 +317,22 @@ def test_fit_lex_on_a_wide_domain(tmp_path):
     assert len(json.loads((tmp_path / "p.json.solution.json").read_text())["epsilons"]) == 4
 
 
+def test_fit_lex_near_a_large_common_offset(tmp_path):
+    """Four groups of 8 scores, half labeled 1, within 1 of lo on -1e10:1e10: their means share
+    an offset of -1e10 and differ by less than 1.  With each pair gap formed
+    after scaling, the gaps rounded relative to 1e10, and a later round's LP
+    was infeasible here (exit 3)."""
+    rng = np.random.default_rng(0)
+    lo = -1e10
+    groups = {g: lo + rng.random(8) for g in "abcd"}
+    data = write_dataset(tmp_path, groups=groups, labels=dict.fromkeys(groups, [1, 0] * 4),
+                         domain=ScoreDomain(lo, 1e10))
+    assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--solver", "lex", "--metric", "tpr",
+               f"--domain={lo!r}:1e10") == 0
+    epsilons = json.loads((tmp_path / "p.json.solution.json").read_text())["epsilons"]
+    assert len(epsilons) == 4 and all(map(math.isfinite, epsilons))
+
+
 # Before build_problem checked its sums, lex and maxmin exited 0 with bare NaN
 # tokens in the sidecar, probabilistic exited 0 with lambda 0 and "clamped",
 # and all three printed numpy's "overflow encountered in reduce".
@@ -793,6 +809,11 @@ BAD_PLAN_ATOMS = {
     "inf": (_edit_packed("atoms", "<f8", _head(np.inf)), "plan fitted entry 'A': atoms must be finite"),
     "above-one": (_edit_packed("atoms", "<f8", _head(1.5)), "plan fitted entry 'A': atoms must lie in [0, 1]"),
     "negative": (_edit_packed("atoms", "<f8", _head(-0.5)), "plan fitted entry 'A': atoms must lie in [0, 1]"),
+    # One ulp past either end: the range check has no tolerance.
+    "one-ulp-above-one": (_edit_packed("atoms", "<f8", _head(1 + 2**-52)),
+                          "plan fitted entry 'A': atoms must lie in [0, 1]"),
+    "one-ulp-below-zero": (_edit_packed("atoms", "<f8", _head(-5e-324)),
+                           "plan fitted entry 'A': atoms must lie in [0, 1]"),
 }
 
 

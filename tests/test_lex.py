@@ -143,20 +143,21 @@ def test_frozen_shifts_give_constant_loss():
 
 
 def test_lp_size_per_round(monkeypatch):
-    """Round k of an n-group solve has 2*C(n,2) + k*n + (k-1) rows (the u
-    rows, k blocks of n excess rows, one bound per earlier round) over
-    n + C(n,2) + k*(n+1) columns (lambdas, u, k blocks of t_j and v_j)."""
+    """Round k of an n-group solve has 2*C(n,2) + k*n + (k-1) + n rows (the u
+    rows, k blocks of n excess rows, one bound per earlier round, and the n
+    bounds lambda_g <= 1) over n + C(n,2) + k*(n+1) columns (lambdas, u, k
+    blocks of t_j and v_j)."""
     import fairrepair.lex as lex
 
     shapes = []
 
-    def recording_linprog(c, A_ub, b_ub, upper):
+    def recording_linprog(c, A_ub, b_ub):
         shapes.append(A_ub.shape)
-        return linprog(c, A_ub, b_ub, upper)
+        return linprog(c, A_ub, b_ub)
 
     monkeypatch.setattr(lex, "linprog", recording_linprog)
     solve_lexicographic(synthetic_problem([0.3, 0.5, 0.6, 0.9], [0.2, 0.0, -0.1, -0.3]))
-    assert shapes == [(16, 15), (21, 20), (26, 25), (31, 30)]
+    assert shapes == [(20, 15), (25, 20), (30, 25), (35, 30)]
 
 
 def test_thirteen_groups_accepted():
@@ -219,14 +220,18 @@ def test_round_optima_match_subset_encoding(rng):
             assert ours == pytest.approx(subset_round_optimum(prob, k, sol.epsilons[:k - 1]), abs=1e-9)
 
 
-def test_lex_epsilons_are_the_candidate_profile():
+@pytest.mark.parametrize("offset", [0.0, 1e10])
+def test_lex_epsilons_are_the_candidate_profile(offset):
     """Each epsilon_k is the top-k sum of the exact least clip-form profile
     (rational.lex_candidate_profile), to 1e-9 of the problem's scale, on seeded
-    2-7-group problems, a third of them with a tied pair of groups."""
+    2-7-group problems, a third of them with a tied pair of groups, with and
+    without a common offset of 1e10 in a.  With the pair gaps formed after
+    scaling, the offset rounded them relative to 1e10, and most of the offset
+    solves ended in "LP is infeasible"."""
     rng = np.random.default_rng(33)
     for case in range(30):
         n = int(rng.integers(2, 8))
-        a, b = rng.random(n), rng.normal(scale=0.3, size=n)
+        a, b = rng.random(n) + offset, rng.normal(scale=0.3, size=n)
         if case % 3 == 1:
             a[1], b[1] = a[0], b[0]
         prob = synthetic_problem(a, b)
@@ -365,7 +370,7 @@ def test_lex_three_group_keeps_the_maxmin_optimum():
 def test_lex_keeps_every_bound_at_any_scale(exponent):
     """Seeded 3-9-group problems of width 10^exponent, a third with a tied
     pair of groups and a third with a common offset of 1e3 widths in a: the
-    solve raises no LPError, the final losses keep every epsilon_j, and the
+    solve raises no SolverError, the final losses keep every epsilon_j, and the
     worst loss is max-min's epsilon_1, each to 1e-9 of the problem's scale.
     With a slack of 1e-4 score units on the inherited bounds, narrow problems
     broke the bounds and wide ones ended in an infeasible LP."""

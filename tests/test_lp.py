@@ -3,12 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from fairrepair import LPError, lex, lp, solve_lexicographic
+from fairrepair import SolverError, lex, lp, solve_lexicographic
 from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
 
 ROW_SPARSE_PIVOT = lp._pivot
 INF = np.inf
+
+
+def _capped(A, b, upper):
+    """``(A, b)`` with a row x_i <= upper_i appended for each finite cap."""
+    upper = np.asarray(upper, dtype=float)
+    capped = np.flatnonzero(upper < INF)
+    A = np.vstack([np.reshape(A, (-1, upper.size)), np.eye(upper.size)[capped]])
+    return A, np.concatenate([np.reshape(b, -1), upper[capped]])
 
 
 def _feasible(x, A, b, upper, tol=1e-7):
@@ -23,7 +31,7 @@ def test_box_corner():
     A = [[-1.0, -1.0]]
     b = [-1.0]
     upper = [0.7, 0.8]
-    x = linprog(c, A, b, upper)
+    x = linprog(c, *_capped(A, b, upper))
     _feasible(x, A, b, upper)
     assert np.allclose(x, [0.7, 0.3], atol=1e-9)
 
@@ -34,7 +42,7 @@ def test_classic_two_variable():
     c = [4.0, 12.0, 18.0]
     A = [[-1.0, 0.0, -3.0], [0.0, -2.0, -2.0]]
     b = [-3.0, -5.0]
-    x = linprog(c, A, b, [INF] * 3)
+    x = linprog(c, A, b)
     assert np.allclose(x, [0.0, 1.5, 1.0], atol=1e-9)
     assert float(np.dot(c, x)) == pytest.approx(36.0, abs=1e-9)
 
@@ -46,17 +54,17 @@ def test_negative_rhs_row_leaves_the_basis():
     A = [[-1.0, -1.0]]
     b = [-2.0]
     upper = [3.0, 3.0]
-    x = linprog(c, A, b, upper)
+    x = linprog(c, *_capped(A, b, upper))
     _feasible(x, A, b, upper)
     assert np.allclose(x, [2.0, 0.0], atol=1e-9)
 
 
 def test_infeasible_detected():
-    with pytest.raises(LPError, match="infeasible"):
-        linprog([0.0], [[1.0]], [-1.0], upper=[INF])
-    with pytest.raises(LPError, match="infeasible"):
+    with pytest.raises(SolverError, match="infeasible"):
+        linprog([0.0], [[1.0]], [-1.0])
+    with pytest.raises(SolverError, match="infeasible"):
         # x >= 2 and x <= 1
-        linprog([1.0], [[-1.0], [1.0]], [-2.0, 1.0], upper=[INF])
+        linprog([1.0], [[-1.0], [1.0]], [-2.0, 1.0])
 
 
 def test_degenerate_cycling_guard():
@@ -71,9 +79,8 @@ def test_degenerate_cycling_guard():
     ]
     b = [0.0, 0.0, 1.0]
     A_dual = -np.array(A).T
-    upper = [INF] * 3
-    y = linprog(b, A_dual, c, upper)
-    _feasible(y, A_dual, c, upper)
+    y = linprog(b, A_dual, c)
+    _feasible(y, A_dual, c, [INF] * 3)
     assert float(np.dot(b, y)) == pytest.approx(0.05, abs=1e-9)
 
 
@@ -88,7 +95,7 @@ def test_epigraph_max_reduction(rng):
         c = [0.0, 1.0]
         A = [[bi, -1.0] for bi in bb]
         rhs = [-ai - shift for ai in a]
-        x = linprog(c, A, rhs, upper=[1.0, INF])
+        x = linprog(c, *_capped(A, rhs, [1.0, INF]))
         zs = np.linspace(0, 1, 20001)
         oracle = np.min(np.max(a[:, None] + bb[:, None] * zs[None, :], axis=0))
         assert x[1] - shift == pytest.approx(oracle, abs=1e-4)
@@ -122,10 +129,10 @@ def test_random_lps_against_vertex_enumeration(rng):
                 best = min(best, float(c @ v))
         outcomes.add(np.isfinite(best))
         if not np.isfinite(best):
-            with pytest.raises(LPError, match="infeasible"):
-                linprog(c, A, b, upper)
+            with pytest.raises(SolverError, match="infeasible"):
+                linprog(c, *_capped(A, b, upper))
             continue
-        x = linprog(c, A, b, upper)
+        x = linprog(c, *_capped(A, b, upper))
         _feasible(x, A, b, upper)
         assert float(c @ x) == pytest.approx(best, abs=1e-7)
     assert outcomes == {True, False}  # both kinds of draw occurred
@@ -157,10 +164,10 @@ def test_against_highs(rng):
         assert res.status in (0, 2), res.message
         outcomes.append(res.status)
         if res.status == 2:
-            with pytest.raises(LPError, match="infeasible"):
-                linprog(c, A, b, upper)
+            with pytest.raises(SolverError, match="infeasible"):
+                linprog(c, *_capped(A, b, upper))
             continue
-        x = linprog(c, A, b, upper)
+        x = linprog(c, *_capped(A, b, upper))
         _feasible(x, A, b, upper)
         assert float(c @ x) == pytest.approx(res.fun, abs=1e-9)
     assert 0 < outcomes.count(2) < len(outcomes)  # both kinds of problem occurred
@@ -169,21 +176,18 @@ def test_against_highs(rng):
 def test_duplicate_negative_rhs_rows():
     # Two identical x >= 1 rows: once one leaves the basis, the other's
     # slack is basic at zero, and no row needs to be dropped.
-    x = linprog([1.0], [[-1.0], [-1.0], [1.0]], [-1.0, -1.0, 1.0], upper=[INF])
+    x = linprog([1.0], [[-1.0], [-1.0], [1.0]], [-1.0, -1.0, 1.0])
     assert x.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("c, A, b, upper, message", [
-    ([1.0], [[1.0]], [1.0, 2.0], [INF], "one b_ub entry per A_ub row"),
-    ([1.0], [[1.0]], [1.0], [INF, INF], "one upper bound per variable"),
-    ([1.0], [[1.0]], [1.0], [np.nan], "one upper bound per variable, a number or inf"),
-    ([1.0], [[1.0]], [1.0], [-INF], "one upper bound per variable, a number or inf"),
-    ([-1.0], [[1.0]], [1.0], [INF], "costs must be nonnegative"),
-    ([np.nan], [[1.0]], [1.0], [INF], "costs must be nonnegative"),
-], ids=["b_ub_length", "bounds_length", "nan_upper", "minus_inf_upper", "negative_cost", "nan_cost"])
-def test_malformed_problem_rejected(c, A, b, upper, message):
-    with pytest.raises(LPError, match=message):
-        linprog(c, A, b, upper)
+@pytest.mark.parametrize("c, A, b, message", [
+    ([1.0], [[1.0]], [1.0, 2.0], "one b_ub entry per A_ub row"),
+    ([-1.0], [[1.0]], [1.0], "costs must be nonnegative"),
+    ([np.nan], [[1.0]], [1.0], "costs must be nonnegative"),
+], ids=["b_ub_length", "negative_cost", "nan_cost"])
+def test_malformed_problem_rejected(c, A, b, message):
+    with pytest.raises(SolverError, match=message):
+        linprog(c, A, b)
 
 
 def _dense_pivot(T, row, col):

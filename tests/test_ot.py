@@ -77,6 +77,12 @@ def test_quantile_rejects_out_of_range():
             dist(D_LOW).quantile(level)
         with pytest.raises(DatasetError, match="must lie in"):
             barycenter_quantile([dist(D_LOW), dist(D_HIGH)], [0.5, 0.5], level)
+    # Nor is a level one ulp outside it: the check has no tolerance.
+    for level in (1 + 2**-52, -5e-324):
+        with pytest.raises(DatasetError, match="must lie in"):
+            dist(D_LOW).quantile(level)
+        with pytest.raises(DatasetError, match="must lie in"):
+            barycenter_quantile([dist(D_LOW), dist(D_HIGH)], [0.5, 0.5], level)
 
 
 def test_quantile_nondecreasing(rng):
@@ -116,6 +122,9 @@ def test_constructor_contracts():
         EmpiricalDistribution([0.2, 0.4], [True, True])
     with pytest.raises(DatasetError):
         EmpiricalDistribution([0.2, 1.4], [1, 1])  # atom outside [0, 1]
+    for atom in (1 + 2**-52, -5e-324):  # one ulp outside [0, 1], no tolerance
+        with pytest.raises(DatasetError, match=r"lie in \[0, 1\]"):
+            EmpiricalDistribution([0.2, atom], [1, 1])
     for counts in ([1, -1], [1, 0], [1.0, float("nan")]):
         with pytest.raises(DatasetError, match="positive integers"):
             EmpiricalDistribution([0.2, 0.4], counts)
