@@ -38,8 +38,9 @@ labeled, holdout = split(ds, 0.5, seed=1)
 plan = fit_plan(labeled)
 prob = build_problem(plan, labeled, TPR)
 
-print("\nconditional means (unrepaired):", prob.base_means.round(1))
-print("mean shifts at full repair:    ", prob.mean_shifts.round(1))
+# The mean model works in normalized units: scores mapped from 0-100 onto [0, 1].
+print("\nnormalized conditional means (unrepaired):", prob.base_means.round(3))
+print("normalized mean shifts at full repair:    ", prob.mean_shifts.round(3))
 
 ##############################################################################
 # Solve both ways and compare against no repair and full repair.
@@ -53,9 +54,9 @@ rows = {
     "Max-min": prob.losses([maxmin.lambdas[g] for g in prob.groups]),
     "Lexicographic": prob.losses([lex.lambdas[g] for g in prob.groups]),
 }
-print(f"\n{'method':<14}" + "".join(f"{g:>10}" for g in prob.groups))
+print(f"\nnormalized losses\n{'method':<14}" + "".join(f"{g:>10}" for g in prob.groups))
 for name, losses in rows.items():
-    print(f"{name:<14}" + "".join(f"{l:>10.2f}" for l in losses))
+    print(f"{name:<14}" + "".join(f"{l:>10.4f}" for l in losses))
 
 print("\nlex lambdas:  ", {g: round(l, 3) for g, l in lex.lambdas.items()})
 print("round bounds: ", [round(e, 4) for e in lex.epsilons])

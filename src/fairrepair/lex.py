@@ -31,15 +31,15 @@ __all__ = ["LexProblem", "LexSolution", "build_problem", "solve_maxmin", "solve_
 
 @dataclass(frozen=True)
 class LexProblem:
-    """Affine conditional-mean model of a repair problem, original units.
+    """Affine conditional-mean model of a repair problem, normalized units.
 
     ``LexProblem(groups, base_means, mean_shifts)``; :func:`build_problem`
     computes the coefficients from a plan and a labeled dataset.
     """
 
     groups: tuple[str, ...]
-    base_means: np.ndarray   # a_g = E[score | condition, g]
-    mean_shifts: np.ndarray  # b_g = E[t(score) | condition, g]
+    base_means: np.ndarray   # a_g = E[z | condition, g], z the score normalized onto [0, 1]
+    mean_shifts: np.ndarray  # b_g = E[T_g(z) - z | condition, g]
     # A pull toward lambda = 0, per unit of the problem's scale: flat optima are deterministic.
     eps_stab: ClassVar[float] = 1e-6
 
@@ -57,14 +57,10 @@ def build_problem(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LexP
     """The ``kind``-conditioned means and mean shifts of ``ds``'s groups under ``plan``."""
     if len(ds.groups) < 2:
         raise DatasetError("need at least 2 groups")
-    scores = _conditional_scores(ds, kind, min_rows=1)  # subset_by_label rejects an empty group
-    with np.errstate(over="ignore", invalid="ignore"):  # a mean's sum can overflow
-        a = np.array([x.mean() for x in scores])
-        b = np.array([(plan.total_repair_score(g, x) - x).mean() for g, x in zip(ds.groups, scores)])
-        top = len(a) ** 2 * (np.ptp(a) + np.max(np.abs(b)))  # bounds every sum of losses
-    if not np.isfinite(top):  # also when a mean or a shift is not finite
-        raise DatasetError(f"score domain [{ds.domain.lo}, {ds.domain.hi}] is too wide for {len(a)} "
-                           "groups: their means or losses overflow in score units")
+    # subset_by_label rejects an empty group; z = normalize(x) lies in [0, 1], so no sum overflows.
+    z = [plan.domain.normalize(x) for x in _conditional_scores(ds, kind, min_rows=1)]
+    a = np.array([x.mean() for x in z])
+    b = np.array([(plan._full_repair(g, x) - x).mean() for g, x in zip(ds.groups, z)])
     return LexProblem(ds.groups, a, b)
 
 
@@ -92,8 +88,9 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     The pair gaps a_i - a_j, b and every eps_j are divided by the problem's
     scale s = ptp(a) + max|b|, so every pair gap is at most 2, the simplex's
     absolute tolerance is relative to s, and eps_stab pulls toward lambda = 0
-    by eps_stab * s in score units.  A gap is formed before it is divided, so
-    it rounds relative to itself, not to |a_i| (which an offset can make >> s).
+    by eps_stab * s in normalized units.  A gap is formed before it is
+    divided, so it rounds relative to itself, not to |a_i| (which an offset
+    can make >> s).
     """
     n = prob.n
     first, second = np.triu_indices(n, 1)  # pairs (i, j) with i < j

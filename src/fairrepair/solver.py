@@ -151,16 +151,16 @@ def solve_exact(plan: RepairPlan, ds: ScoredDataset, obj: LambdaObjective,
 def solve_probabilistic(plan: RepairPlan, ds: ScoredDataset, kind: MetricKind) -> LambdaSolution:
     """Closed-form lambda equalizing the label-conditioned mean scores.
 
-    With means a_g and mean shifts b_g, the repaired mean gap is affine in a
-    shared lambda, so lambda = (a_g' - a_g) / (b_g - b_g') zeroes it exactly.
-    The raw value is clamped to [0, 1] with a flag when it falls outside; the
-    reported objective is the disparity of the clamped solution.
+    With normalized means a_g and mean shifts b_g, the repaired mean gap is
+    affine in a shared lambda, so lambda = (a_g' - a_g) / (b_g - b_g')
+    zeroes it exactly.  The raw value is clamped to [0, 1] with a flag when it
+    falls outside; the reported objective is the disparity of the clamped solution.
     """
     _binary_groups(ds)
     prob = build_problem(plan, ds, kind)
     a, b = prob.base_means, prob.mean_shifts
     denom = float(b[0] - b[1])
-    if abs(denom) <= 1e-12 * np.ptp(ds.scores):  # 1e-12 of the scores' spread
+    if abs(denom) <= 1e-12 * np.ptp(ds.scores) / plan.domain.width:  # 1e-12 of the normalized spread
         raise SolverError("groups are equally shifted on average; the closed-form lambda is undefined")
     raw = float(a[1] - a[0]) / denom
     lam = min(1.0, max(0.0, raw))

@@ -286,9 +286,9 @@ def test_criterion_9_table_ordering_on_bundled_spec():
         ok &= seed_ok
         if seed == 1:
             details.append(
-                f"seed 1 losses: unrepaired {np.round(unrep, 1).tolist()}, "
-                f"full {np.round(full, 1).tolist()}, maxmin {np.round(mm, 2).tolist()}, "
-                f"lex {np.round(lx, 2).tolist()}"
+                f"seed 1 normalized losses: unrepaired {np.round(unrep, 3).tolist()}, "
+                f"full {np.round(full, 3).tolist()}, maxmin {np.round(mm, 4).tolist()}, "
+                f"lex {np.round(lx, 4).tolist()}"
             )
     _report(9, ok, "; ".join(details) + "; ordering held on seeds 1-10")
 

@@ -292,16 +292,45 @@ def test_fit_solver_error_exits_three(tmp_path, capsys):
     assert "equally shifted" in capsys.readouterr().err
 
 
-# On the wider domains the degeneracy test once scaled with the domain's width
-# and refused this lambda (exit 3), although the denominator is -0.2 on all three.
 @pytest.mark.parametrize("domain", ["0:1", "0:1e308", "-1e308:1"])
-def test_probabilistic_lambda_does_not_depend_on_the_domain(tmp_path, domain):
-    data = write_dataset(tmp_path, groups={"a": [0.1, 0.5, 0.9], "b": [0.2, 0.3, 0.4]},
-                         labels={"a": [1, 1, 1], "b": [1, 1, 1]})
-    plan_path = tmp_path / "p.json"
-    assert run("fit", "--input", data, "--output", plan_path, "--solver", "probabilistic",
-               "--metric", "tpr", f"--domain={domain}") == 0
-    assert json.loads((tmp_path / "p.json.solution.json").read_text())["lambda"] == 1.0
+def test_probabilistic_lambda_does_not_depend_on_the_domain(tmp_path, capsys, domain):
+    """The closed form reads normalized means, as every other solver does, and
+    its degeneracy tolerance scales with the scores' normalized spread.
+
+    On 0:1e308 each score x normalizes to a subnormal z = x / 1e308, a
+    multiple of u = 2**-1074.  Each group's mean a_g = sum(z) / 3 rounds once
+    (the sum of subnormals is exact): off by at most u/2.  Each full-repair
+    target 0.5 * q_a + 0.5 * q_b rounds each half by at most u/2, and the
+    shift b_g = sum(T - z) / 3 rounds once more, so b_g is off by at most 3u/2.
+    On the rounded scores the barycenter property is exact: a_0 + b_0 =
+    a_1 + b_1, so with D = a_1 - a_0 = b_0 - b_1 the closed form is D / D = 1.
+    Rounded, the numerator is off by at most u and the denominator by 3u,
+    |D| >= 0.2 / 1e308 - u, and the last division rounds by 2**-53: that
+    bounds |lambda - 1|.
+
+    On -1e308:1 every score normalizes to 1.0: the groups are equal on the
+    normalized axis, so the closed form is undefined (exit 3), evaluate reads
+    no gap, and the exact solver returns lambda = 0.
+    """
+    groups, labels = {"a": [0.1, 0.5, 0.9], "b": [0.2, 0.3, 0.4]}, {"a": [1, 1, 1], "b": [1, 1, 1]}
+    data = write_dataset(tmp_path, groups=groups, labels=labels)
+    flags = ("--input", data, "--metric", "tpr", f"--domain={domain}")
+    sidecar = tmp_path / "p.json.solution.json"
+    code = run("fit", *flags, "--output", tmp_path / "p.json", "--solver", "probabilistic")
+    if domain == "0:1":
+        assert code == 0 and json.loads(sidecar.read_text())["lambda"] == 1.0
+    elif domain == "0:1e308":
+        u = 2.0 ** -1074
+        d = 0.2 / 1e308 - u
+        assert code == 0
+        assert abs(json.loads(sidecar.read_text())["lambda"] - 1.0) <= 4 * u / (d - 3 * u) + 2.0 ** -53
+    else:
+        assert code == 3 and "equally shifted" in capsys.readouterr().err
+        assert run("evaluate", *flags, "--output", tmp_path / "r.json") == 0
+        report = json.loads((tmp_path / "r.json").read_text())["reports"][0]
+        assert report["exact_gap"] == report["max_gap"] == 0.0
+        assert run("fit", *flags, "--output", tmp_path / "p.json", "--solver", "exact") == 0
+        assert json.loads(sidecar.read_text())["lambda"] == 0.0
 
 
 def test_fit_lex_on_a_wide_domain(tmp_path):
@@ -333,21 +362,23 @@ def test_fit_lex_near_a_large_common_offset(tmp_path):
     assert len(epsilons) == 4 and all(map(math.isfinite, epsilons))
 
 
-# Before build_problem checked its sums, lex and maxmin exited 0 with bare NaN
-# tokens in the sidecar, probabilistic exited 0 with lambda 0 and "clamped",
-# and all three printed numpy's "overflow encountered in reduce".
+# In score units these means and losses overflowed: lex and maxmin once exited
+# 0 with bare NaN tokens in the sidecar, and later every solver refused the
+# domain (exit 2).  In normalized units every number lies in [0, 1].
 @pytest.mark.parametrize("solver, n_groups", [("lex", 3), ("maxmin", 3), ("probabilistic", 2)])
-def test_mean_model_overflow_is_validation_error(tmp_path, capsys, solver, n_groups):
+def test_mean_model_fits_on_the_widest_domain(tmp_path, capsys, solver, n_groups):
     lo = -1.7976931348623157e308
     domain = ScoreDomain(lo, 0.5)
     groups = {f"g{i}": lo * np.linspace(1.0, 0.0, 20) ** (i + 1) for i in range(n_groups)}
     data = write_dataset(tmp_path, groups=groups, labels=dict.fromkeys(groups, [1, 0] * 10), domain=domain)
     capsys.readouterr()
     assert run("fit", "--input", data, "--output", tmp_path / "p.json", "--solver", solver, "--metric", "tpr",
-               f"--domain={lo!r}:0.5") == 2
-    assert capsys.readouterr().err == (f"fairrepair: error: score domain [{lo}, 0.5] is too wide for {n_groups} "
-                                       "groups: their means or losses overflow in score units\n")
-    assert not list(tmp_path.glob("p.json*"))
+               f"--domain={lo!r}:0.5") == 0
+    assert capsys.readouterr().err == ""
+    floats = []  # every float token in the sidecar, NaN and Infinity included
+    json.loads((tmp_path / "p.json.solution.json").read_text(),
+               parse_float=lambda v: floats.append(float(v)), parse_constant=lambda v: floats.append(float(v)))
+    assert floats and all(map(math.isfinite, floats))
 
 
 def test_domain_with_fewer_floats_than_grid_points_is_validation_error(tmp_path, capsys):
@@ -1152,7 +1183,10 @@ def test_domain_width_must_be_finite(tmp_path, capsys, case):
 
 def test_extreme_domains_keep_exit_code_contract(tmp_path):
     """Every command on domains with bounds up to the largest float: exit 0/2/3/4,
-    at most one error line, no warning, and no NaN or Infinity in any written file."""
+    at most one error line, no warning, and no NaN or Infinity in any written file.
+    A fit fails only where a group has too few rows (exit 2, naming the count),
+    or where probabilistic's closed form is undefined (exit 3) because the groups
+    are equal on the normalized axis: evaluate reads no gap and exact returns 0."""
     rng = np.random.default_rng(13)
     bounds = [s * v for v in (1.7976931348623157e308, 1e308, 1e300, 1e10, 1.0) for s in (1, -1)] + [0.0, 0.5, 1e-300]
     domains = [ScoreDomain(lo, hi) for lo in bounds for hi in bounds if lo < hi and math.isfinite(hi - lo)]
@@ -1185,6 +1219,13 @@ def test_extreme_domains_keep_exit_code_contract(tmp_path):
             assert not caught, (argv, [str(w.message) for w in caught])
             lines = err.getvalue().splitlines()
             assert lines == [] or (len(lines) == 1 and lines[0].startswith("fairrepair: error: ")), (argv, lines)
+            if argv[0] == "fit" and code != 0:
+                if code == 3 and "probabilistic" in argv:
+                    report = json.loads((out / "report.json").read_text())["reports"][0]
+                    assert report["exact_gap"] == report["max_gap"] == 0.0, (domain, report)
+                    assert json.loads((out / "exact.json.solution.json").read_text())["lambda"] == 0.0
+                else:
+                    assert code == 2 and re.search(r"group '\w' has \d+ row\(s\)", lines[0]), (argv, lines)
         for path in out.iterdir():
             assert not non_finite.search(path.read_text()), (domain, path.name)
 

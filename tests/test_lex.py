@@ -9,6 +9,7 @@ from fairrepair import (
     TPR,
     DatasetError,
     ScoreDomain,
+    ScoredDataset,
     bundled_spec,
     build_problem,
     fit_plan,
@@ -112,12 +113,30 @@ def test_build_problem_three_group_loss_sum():
     assert losses == pytest.approx([0.5, 0.3 + 0.1, 0.2 + 0.1])
 
 
-def test_build_problem_means_in_original_units():
+def test_build_problem_means_in_normalized_units():
     ds = make_dataset({"A": [20.0, 40.0], "B": [50.0, 70.0]}, domain=ScoreDomain(0.0, 100.0))
     prob = build_problem(fit_plan(ds), ds, PR)
-    assert prob.base_means == pytest.approx([30.0, 60.0])
-    assert prob.mean_shifts == pytest.approx([15.0, -15.0])  # onto the barycenter {35, 55}
-    assert prob.losses(np.zeros(2)) == pytest.approx([30.0, 30.0])
+    assert prob.base_means == pytest.approx([0.3, 0.6])
+    assert prob.mean_shifts == pytest.approx([0.15, -0.15])  # onto the barycenter {0.35, 0.55}
+    assert prob.losses(np.zeros(2)) == pytest.approx([0.3, 0.3])
+
+
+@pytest.mark.parametrize("domain", [ScoreDomain(0.0, 100.0), ScoreDomain(-3.0, 5.0), ScoreDomain(-1e10, 1e10)],
+                         ids=lambda d: f"{d.lo:g}:{d.hi:g}")
+def test_mean_model_has_one_unit(domain):
+    """A seeded 4-group dataset and its copy rescaled by ``normalize`` onto
+    0:1 give bit-identical means, shifts and lex lambdas: the mean model
+    reads normalized scores, as the plan and the binary solvers do."""
+    rng = np.random.default_rng(36)
+    groups = np.repeat(list("abcd"), [30, 40, 50, 60]).tolist()
+    u = np.concatenate([rng.beta(2, 5 - k, n) for k, n in enumerate([30, 40, 50, 60])])
+    scores, labels = np.clip(domain.lo + u * domain.width, domain.lo, domain.hi), (rng.random(u.size) < u).astype(int)
+    wide = ScoredDataset(scores, groups, labels, domain)
+    unit = ScoredDataset(domain.normalize(scores), groups, labels, ScoreDomain(0.0, 1.0))
+    probs = [build_problem(fit_plan(ds), ds, TPR) for ds in (wide, unit)]
+    assert np.array_equal(probs[0].base_means, probs[1].base_means)
+    assert np.array_equal(probs[0].mean_shifts, probs[1].mean_shifts)
+    assert solve_lexicographic(probs[0]).lambdas == solve_lexicographic(probs[1]).lambdas
 
 
 def test_affine_mean_model_matches_applied_scores(rng):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -118,3 +119,35 @@ def openblas_pool():
 def test_cli_loads_numpy_with_one_blas_thread(openblas_pool, code, env, threads):
     count = int(fresh_python("-c", THREADS.format(code), **env).stdout)
     assert count > 1 if threads is None else count == threads
+
+
+# -- optional test dependencies -------------------------------------------------
+
+
+def optional_imports(source: str) -> list[int]:
+    """The lines of ``source`` that import hypothesis or scipy other than
+    through pytest.importorskip: an import statement, ``__import__`` or
+    ``importlib.import_module``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+              and (getattr(node.func, "id", None) == "__import__"
+                   or getattr(node.func, "attr", None) == "import_module")):
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        lines += [node.lineno for name in names if name.partition(".")[0] in {"hypothesis", "scipy"}]
+    return lines
+
+
+def test_tests_reach_hypothesis_and_scipy_only_through_importorskip():
+    """So the numpy-and-pytest CI leg skips every test that needs one, rather than failing to collect it."""
+    assert optional_imports("import scipy.optimize\nfrom hypothesis import given\n"
+                            "importlib.import_module('scipy')\npytest.importorskip('scipy')") == [1, 2, 3]
+    found = {str(path.relative_to(ROOT)): optional_imports(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "tests").rglob("*.py")}
+    assert not {name: lines for name, lines in found.items() if lines}
