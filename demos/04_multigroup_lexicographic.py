@@ -5,8 +5,10 @@ Beyond two groups: max-min and lexicographically fair repair vectors
 With n groups each getting its own repair amount, "minimize the disparity"
 stops being one number.  Max-min fairness minimizes the worst group's loss;
 lexicographic fairness keeps going: fix the worst, then the second worst
-subject to the first bound, and so on.  Each round is an exact LP because the
-label-conditioned mean of each group is affine in its own lambda.
+subject to the first bound, and so on.  Max-min is an exact LP because the
+label-conditioned mean of each group is affine in its own lambda; the later
+rounds search the points where every group's mean is as near one common point
+as its lambda lets it be, and every lexicographic optimum is one of those.
 
 The scenario mirrors a credit-score setting: four groups on a 0-100 axis
 whose score distributions AND score-to-outcome relationships differ, so full

@@ -2,16 +2,27 @@
 
 The group loss is the sum of absolute gaps between label-conditioned mean
 scores, and each group's mean is exactly affine in its own repair amount:
-m_g(lam_g) = a_g + lam_g * b_g.  Every loss and constraint is therefore
-piecewise linear, which lets each optimization round be posed as an exact LP:
-round k minimizes the sum of the k largest group losses subject to the bounds
-inherited from earlier rounds.  Every such top-j sum takes the epigraph form
-of Ogryczak & Tamir (Inf. Proc. Letters 85, 2003): the sum of the j largest
-L_g is at most eps exactly when j*t + sum_g v_g <= eps for some t, v >= 0 with
-v_g >= L_g - t, so a round LP has polynomially many rows for any number of
-groups.  Round 1 alone is max-min fairness.  Later rounds keep the earlier
-optima as exact bounds, and every round is solved on the problem's own scale,
-so the lambdas do not depend on the units of the scores.
+m_g(lam_g) = a_g + lam_g * b_g, a point of the interval I_g between a_g and
+a_g + b_g.  Round k minimizes the sum of the k largest losses subject to the
+earlier rounds' optima.  Round 1 alone is max-min fairness, an exact LP in the
+epigraph form of Ogryczak & Tamir (Inf. Proc. Letters 85, 2003).  Its tie
+rule, a pull toward lambda = 0, picks the least sum of lambdas among all
+max-min optima, often a point not of the clip form below, so it stays an LP.
+
+Rounds 2..n search the clip-form points m_g = clip(c, I_g), one common c;
+every lexicographic optimum has that form.  Sketch: m has it unless some
+m_g < m_h with m_g free to rise and m_h free to fall.  Move such a pair
+together by a small d.  A group at or below m_g, or at or above m_h, keeps its
+loss, one between loses 2d, and L_g, L_h change by d(P - Q - M - 2) and
+d(Q - P - M - 2): P other groups lie at or below m_g, Q at or above m_h and M
+between.  The changes sum to -2d(M + 2), so at most one rises.  If L_g does,
+P >= Q + M + 2, so x -> sum_j |x - m_j| rises strictly from m_g to m_h: L_h,
+which falls, exceeds L_g and every loss between, and no other loss moves.
+Either way the sorted losses fall lexicographically.  Between consecutive
+interval ends every L_g and lam_g is affine in c, so each round's optimum, and
+among those the least sum of lambdas, lies at an end or where two losses
+cross: O(n^3) candidates at most.  Every round is solved on the problem's own
+scale, so the lambdas do not depend on the units of the scores.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ class LexProblem:
     groups: tuple[str, ...]
     base_means: np.ndarray   # a_g = E[z | condition, g], z the score normalized onto [0, 1]
     mean_shifts: np.ndarray  # b_g = E[T_g(z) - z | condition, g]
-    # A pull toward lambda = 0, per unit of the problem's scale: flat optima are deterministic.
+    # Max-min's pull toward lambda = 0, per unit of the problem's scale: flat optima are deterministic.
     eps_stab: ClassVar[float] = 1e-6
 
     @property
@@ -76,17 +87,15 @@ class LexSolution:
         return asdict(self)
 
 
-def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
-    """One optimization round: minimize the sum of the k largest losses.
+def _maxmin_lp(prob: LexProblem) -> np.ndarray:
+    """Round 1: minimize the largest loss, plus eps_stab per unit of lambda.
 
     Variables: lambdas (n, in [0,1]), u_pair >= |m_i - m_j| per unordered
-    pair, and for each round j = 1..k a top-j epigraph block: t_j >= 0 and
-    excesses v_jg >= L_g - t_j.  Block k's sum k*t_k + sum_g v_kg is the
-    objective; block j < k's sum j*t_j + sum_g v_jg is bounded by eps_j.
-    t_j >= 0 loses nothing because losses are nonnegative.
+    pair, t >= 0 and excesses v_g >= L_g - t; the objective is t + sum_g v_g.
+    t >= 0 loses nothing because losses are nonnegative.
 
-    The pair gaps a_i - a_j, b and every eps_j are divided by the problem's
-    scale s = ptp(a) + max|b|, so every pair gap is at most 2, the simplex's
+    The pair gaps a_i - a_j and b are divided by the problem's scale
+    s = ptp(a) + max|b|, so every pair gap is at most 2, the simplex's
     absolute tolerance is relative to s, and eps_stab pulls toward lambda = 0
     by eps_stab * s in normalized units.  A gap is formed before it is
     divided, so it rounds relative to itself, not to |a_i| (which an offset
@@ -98,41 +107,57 @@ def _round_lp(prob: LexProblem, k: int, inherited: list[float]) -> np.ndarray:
     signed = np.eye(n)[first] - np.eye(n)[second]  # pair-group incidence, +1 on i and -1 on j
     s = float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
     b = prob.mean_shifts / s
-    nv = k * n
 
-    # Columns: [lambdas (n) | t (k) | u (npairs) | v (k*n, block j's v_j in order)].
-    # Ratio ties enter the smallest column, so the order steers the simplex; neither order wins
-    # on every input (fit-lex's 9 groups at seeds 0-3: 991-1200 pivots here, 1008-1134 reversed).
+    # Columns: [lambdas (n) | t | u (npairs) | v (n)].
     # u_ij >= +-(m_i - m_j):  +-(b_i lam_i - b_j lam_j) - u_ij <= -+(a_i - a_j)
-    u_cols = np.hstack([np.zeros((npairs, k)), -np.eye(npairs), np.zeros((npairs, nv))])
+    u_cols = np.hstack([np.zeros((npairs, 1)), -np.eye(npairs), np.zeros((npairs, n))])
     u_rows = np.stack([np.hstack([signed * b, u_cols]), np.hstack([-signed * b, u_cols])], axis=1)
     gap = (prob.base_means[first] - prob.base_means[second]) / s
-
-    # L_g = sum of u over the pairs that contain g;  v_jg >= L_g - t_j
-    excess = np.hstack([
-        np.zeros((nv, n)),
-        -np.kron(np.eye(k), np.ones((n, 1))),
-        np.tile(np.abs(signed).T, (k, 1)),
-        -np.eye(nv),
-    ])
-    # Row j - 1 is block j's sum j*t_j + sum_g v_jg, over the columns after the lambdas.
-    top = np.hstack([
-        np.diag(np.arange(1.0, k + 1)), np.zeros((k, npairs)), np.kron(np.eye(k), np.ones(n)),
-    ])
-
-    cost = np.concatenate([np.full(n, prob.eps_stab), top[-1]])
+    # L_g = sum of u over the pairs that contain g;  v_g >= L_g - t
+    excess = np.hstack([np.zeros((n, n)), -np.ones((n, 1)), np.abs(signed).T, -np.eye(n)])
+    cost = np.concatenate([np.full(n, prob.eps_stab), [1.0], np.zeros(npairs), np.ones(n)])
     # The last n rows are the bounds lam_g <= 1.
-    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.hstack([np.zeros((k - 1, n)), top[:-1]]),
-                   np.eye(n, cost.size)])
-    rhs = np.concatenate([np.stack([-gap, gap], axis=1).ravel(), np.zeros(nv), np.divide(inherited, s), np.ones(n)])
-    x = linprog(cost, A, rhs)
-    return np.clip(x[:n], 0.0, 1.0)
+    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.eye(n, cost.size)])
+    rhs = np.concatenate([np.stack([-gap, gap], axis=1).ravel(), np.zeros(n), np.ones(n)])
+    return np.clip(linprog(cost, A, rhs)[:n], 0.0, 1.0)
 
 
-def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
+def _clip_rounds(prob: LexProblem) -> np.ndarray:
+    """Row k - 1 is round k's lambdas: of the clip-form candidates least on the
+    k largest losses, the one with the least sum of lambdas.  Means are taken
+    relative to the least a_g before they are divided by s, as the LP's gaps."""
+    n = prob.n
+    s = float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
+    a, b = (prob.base_means - prob.base_means.min()) / s, prob.mean_shifts / s
+    lo, hi = np.minimum(a, a + b), np.maximum(a, a + b)
+    # A repeated end adds an empty segment with no crossing; np.unique's first call imports numpy.ma (10 ms).
+    ends = np.sort(np.concatenate([lo, hi]))
+    at_ends = np.array([np.abs(m[:, None] - m).sum(axis=1) for m in np.clip(ends[:, None], lo, hi)])
+    first, second = np.triu_indices(n, 1)
+    diff = at_ends[:, first] - at_ends[:, second]  # L_g - L_h of every pair at every end
+    seg, pair = np.nonzero(diff[:-1] * diff[1:] < 0)  # L_g - L_h changes sign inside a segment
+    frac = np.concatenate([np.zeros(ends.size), diff[seg, pair] / (diff[seg, pair] - diff[seg + 1, pair])])
+    seg = np.concatenate([np.arange(ends.size), seg])
+    # Every loss is affine on a segment; the last end is a candidate with a zero step.
+    step = np.diff(at_ends, axis=0, append=at_ends[-1:])
+    profile = -np.sort(-(at_ends[seg] + frac[:, None] * step[seg]), axis=1)
+    c = ends[seg] + frac * np.diff(ends, append=ends[-1])[seg]
+    # (c - a) / b is -0.0 where c = a and b < 0; adding 0.0 makes it 0.0, so no sidecar reads -0.0.
+    lam = np.clip(np.divide(c[:, None] - a, b, out=np.zeros((c.size, n)), where=b != 0), 0.0, 1.0) + 0.0
+    # Tie tolerance, in units of s: a loss sums n - 1 gaps of at most 2, so each of the fewer than
+    # 2n roundings in forming it and reading it at a crossing is at most n * eps.  A computed loss
+    # is within 2n^2 * eps of its exact value, and two equal in exact arithmetic within 4n^2 * eps.
+    tol = 4.0 * n * n * np.finfo(float).eps
+    rounds, alive = [], np.ones(c.size, dtype=bool)
+    for k in range(n):
+        alive &= profile[:, k] <= profile[alive, k].min() + tol
+        rounds.append(lam[alive][np.argmin(lam[alive].sum(axis=1))])
+    return np.array(rounds)
+
+
+def _solution(prob: LexProblem, rounds, method: str) -> LexSolution:
     epsilons, trace = [], []
-    for k in range(1, n_rounds + 1):
-        lam = _round_lp(prob, k, epsilons)
+    for k, lam in enumerate(rounds, start=1):
         loss = prob.losses(lam)
         eps_k = float(np.sort(loss)[::-1][:k].sum())  # sum of k largest
         epsilons.append(eps_k)
@@ -144,15 +169,14 @@ def _solve_rounds(prob: LexProblem, n_rounds: int, method: str) -> LexSolution:
 
 def solve_maxmin(prob: LexProblem) -> LexSolution:
     """Minimize the worst group loss (one round; epsilon_1 is its optimum)."""
-    return _solve_rounds(prob, 1, "maxmin")
+    return _solution(prob, [_maxmin_lp(prob)], "maxmin")
 
 
 def solve_lexicographic(prob: LexProblem) -> LexSolution:
-    """n rounds of constrained minimization; round 1 equals max-min.
+    """n rounds; round 1 is max-min's LP, rounds 2..n the clip-form search.
 
-    Each round k minimizes the total loss of the k worst-off groups subject
-    to the j worst-off groups' total respecting eps_j exactly, for every
-    earlier round j, then records eps_k as the realized sum of the k largest
-    losses.
+    Round k's lambdas are lexicographically least on the k largest losses,
+    so the total loss of the j worst-off groups keeps eps_j for every earlier
+    round j; eps_k is the realized sum of the k largest losses.
     """
-    return _solve_rounds(prob, prob.n, "lexicographic")
+    return _solution(prob, [_maxmin_lp(prob), *_clip_rounds(prob)[1:]], "lexicographic")

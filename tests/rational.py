@@ -138,16 +138,20 @@ def binary_minimizer_p2(terms) -> tuple[Fraction, Fraction, Fraction]:
     return lam, g0 + curvature * lam, curvature
 
 
-def lex_candidate_profile(a, b) -> list[Fraction]:
-    """The lexicographically least descending loss vector over the clip-form points.
+def lex_candidates(a, b) -> list[tuple[list[Fraction], list[Fraction]]]:
+    """(descending losses, lambdas) at every clip-form candidate point.
 
     Group g's mean m_g = clip(c, I_g) for one common point c, I_g the interval
     between a_g and a_g + b_g, and L_g = sum over j of |m_g - m_j|.  Between
     consecutive interval endpoints every m_g, so every L_g, is affine in c; the
     sorted vector is then affine between the points where two losses cross, and
-    its lexicographic least on the segment lies at one of those points or an end.
+    its lexicographic least on the segment lies at one of those points or an
+    end.  So does the least sum of lambdas among the points that share that
+    least, as every lambda_g = (m_g - a_g) / b_g is affine there too; a group
+    with b_g = 0 cannot move, and its lambda is 0.
     """
-    intervals = [sorted((Fraction(x), Fraction(x) + Fraction(y))) for x, y in zip(a, b)]
+    a, b = [Fraction(x) for x in a], [Fraction(y) for y in b]
+    intervals = [sorted((x, x + y)) for x, y in zip(a, b)]
     ends = sorted({e for interval in intervals for e in interval})
 
     def losses(c):
@@ -161,4 +165,18 @@ def lex_candidate_profile(a, b) -> list[Fraction]:
             d_lo, d_hi = at_lo[g] - at_lo[h], at_hi[g] - at_hi[h]
             if d_lo * d_hi < 0:  # L_g - L_h changes sign inside the segment
                 candidates.add(lo + (hi - lo) * d_lo / (d_lo - d_hi))
-    return min(sorted(losses(c), reverse=True) for c in candidates)
+    return [(sorted(losses(c), reverse=True),
+             [(min(max(c, lo), hi) - x) / y if y else Fraction(0) for (lo, hi), x, y in zip(intervals, a, b)])
+            for c in sorted(candidates)]
+
+
+def lex_candidate_profile(a, b) -> list[Fraction]:
+    """The lexicographically least descending loss vector over the clip-form points."""
+    return min(profile for profile, _ in lex_candidates(a, b))
+
+
+def lex_candidate_rounds(a, b) -> list[list[Fraction]]:
+    """Round k's lambdas, k = 1..n: among the clip-form points that are
+    lexicographically least on the k largest losses, the least sum of lambdas."""
+    candidates = lex_candidates(a, b)
+    return [min(candidates, key=lambda cand: (cand[0][:k], sum(cand[1])))[1] for k in range(1, len(a) + 1)]

@@ -203,13 +203,13 @@ def test_criterion_7_exact_solver_vs_fine_grid():
 
 
 def test_criterion_8_lexicographic_vs_brute_force():
-    """Round-by-round LP optima vs a 41^3 grid; lex profile dominates max-min.
+    """Round-by-round optima vs a 41^3 grid; lex profile dominates max-min.
 
-    Two one-sided checks at the 1e-3 tolerance (the exact LP may strictly beat
-    a 1/40-resolution grid, so equality cannot be demanded): (a) the LP never
-    does worse than the grid running the same round-by-round procedure with
-    its own bounds; (b) no grid point that satisfies the LP's inherited
-    constraints beats the LP's round value.
+    Two one-sided checks at the 1e-3 tolerance (the exact solve may strictly
+    beat a 1/40-resolution grid, so equality cannot be demanded): (a) the solve
+    never does worse than the grid running the same round-by-round procedure
+    with its own bounds; (b) no grid point that satisfies the solve's inherited
+    constraints beats the solve's round value.
     """
     grid = np.linspace(0.0, 1.0, 41)
     worst_vs_grid_lex = -np.inf
@@ -257,8 +257,8 @@ def test_criterion_8_lexicographic_vs_brute_force():
                 break
     ok = worst_vs_grid_lex <= 1e-3 and worst_vs_feasible <= 1e-3 and dominance_ok
     _report(8, ok,
-            f"max (LP - grid-lex oracle) = {worst_vs_grid_lex:.2e}, "
-            f"max (LP - feasible-grid best) = {worst_vs_feasible:.2e} (tol 1e-3), "
+            f"max (solve - grid-lex oracle) = {worst_vs_grid_lex:.2e}, "
+            f"max (solve - feasible-grid best) = {worst_vs_feasible:.2e} (tol 1e-3), "
             f"lex profile dominates max-min: {dominance_ok}")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from fairrepair import (
     subset_by_label,
     validate_dataset,
 )
+from fairrepair import lex
 from fairrepair.lex import LexProblem
 from fairrepair.lp import linprog
 
 import rational
-from conftest import conditional_means, make_dataset, random_binary_dataset
+from conftest import conditional_means, make_dataset, random_binary_dataset, traced_peak
 
 
 def synthetic_problem(a, b, groups=None):
@@ -162,12 +164,13 @@ def test_frozen_shifts_give_constant_loss():
 
 
 def test_lp_size_per_round(monkeypatch):
-    """Round k of an n-group solve has 2*C(n,2) + k*n + (k-1) + n rows (the u
-    rows, k blocks of n excess rows, one bound per earlier round, and the n
-    bounds lambda_g <= 1) over n + C(n,2) + k*(n+1) columns (lambdas, u, k
-    blocks of t_j and v_j)."""
-    import fairrepair.lex as lex
-
+    """A 4-group lexicographic solve calls ``lex.linprog`` once, for round 1:
+    2*C(n,2) + n + n rows (the u rows, n excess rows and the n bounds
+    lambda_g <= 1) over n + 1 + C(n,2) + n columns (lambdas, t, u and v).
+    Rounds 2..n are the clip-form search.  perfbench's fit-lex and
+    apply-holdout workloads expect the ``lp.linprog`` boundary to be reached
+    and drop the ``lp.*`` metrics of a run that solves no LP, so a lex solve
+    that stops calling the LP fails here first."""
     shapes = []
 
     def recording_linprog(c, A_ub, b_ub):
@@ -176,7 +179,7 @@ def test_lp_size_per_round(monkeypatch):
 
     monkeypatch.setattr(lex, "linprog", recording_linprog)
     solve_lexicographic(synthetic_problem([0.3, 0.5, 0.6, 0.9], [0.2, 0.0, -0.1, -0.3]))
-    assert shapes == [(20, 15), (25, 20), (30, 25), (35, 30)]
+    assert shapes == [(20, 15)]
 
 
 def test_thirteen_groups_accepted():
@@ -191,12 +194,12 @@ def problem_scale(prob):
     return float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
 
 
-def subset_round_optimum(prob, k, inherited):
+def subset_round_optimum(prob, k, inherited, pull):
     """Round k's optimum through the subset encoding, solved by HiGHS.
 
     Variables: lambdas, u per pair, a free t and v_g >= L_g - t; each earlier
     round j bounds the summed loss of every subset of j groups by eps_j.  The
-    lambdas cost eps_stab * s: the round LP's pull, in score units.
+    lambdas cost ``pull`` each, in score units.
     """
     optimize = pytest.importorskip("scipy.optimize")
     n = prob.n
@@ -218,7 +221,6 @@ def subset_round_optimum(prob, k, inherited):
         for subset in itertools.combinations(range(n), j):
             rows.append(loss[list(subset)].sum(axis=0))
             rhs.append(eps)
-    pull = prob.eps_stab * problem_scale(prob)
     cost = np.concatenate([np.full(n, pull), np.zeros(len(pairs)), [float(k)], np.ones(n)])
     bounds = [(0, 1)] * n + [(0, None)] * len(pairs) + [(None, None)] + [(0, None)] * n
     # HiGHS's default 1e-7 feasibility tolerances can stop it 3e-8 short of the optimum.
@@ -229,14 +231,21 @@ def subset_round_optimum(prob, k, inherited):
 
 
 def test_round_optima_match_subset_encoding(rng):
-    """Each round's optimum (its epsilon plus the stabilization pull) equals
-    the HiGHS optimum of the same round in the explicit subset encoding."""
+    """Each round's optimum equals the HiGHS optimum of the same round in the
+    explicit subset encoding.  Rounds 1 and n count the round-1 LP's pull
+    toward lambda = 0 (eps_stab * s per unit of lambda) on both sides; rounds
+    2..n-1 compare epsilon alone with a HiGHS optimum that has no pull, since
+    the search breaks their ties by the least sum of lambdas, and a pull would
+    trade some loss for a smaller sum (by up to 1.4e-6 here)."""
     for n in range(3, 8):
         prob = synthetic_problem(rng.random(n), rng.normal(scale=0.3, size=n))
         sol = solve_lexicographic(prob)
+        pull = prob.eps_stab * problem_scale(prob)
         for k, rnd in enumerate(sol.rounds, start=1):
-            ours = rnd["epsilon"] + prob.eps_stab * problem_scale(prob) * sum(rnd["lambdas"].values())
-            assert ours == pytest.approx(subset_round_optimum(prob, k, sol.epsilons[:k - 1]), abs=1e-9)
+            weight = pull if k in (1, n) else 0.0
+            ours = rnd["epsilon"] + weight * sum(rnd["lambdas"].values())
+            want = subset_round_optimum(prob, k, sol.epsilons[:k - 1], weight)
+            assert ours == pytest.approx(want, abs=1e-9), (n, k)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e10])
@@ -256,6 +265,66 @@ def test_lex_epsilons_are_the_candidate_profile(offset):
         prob = synthetic_problem(a, b)
         profile = np.cumsum([float(v) for v in rational.lex_candidate_profile(a, b)])
         assert solve_lexicographic(prob).epsilons == pytest.approx(profile, abs=1e-9 * problem_scale(prob)), case
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e10])
+def test_lex_rounds_are_the_least_clip_form_point(offset):
+    """Rounds 2..n's lambdas are the exact clip-form point that is least on the
+    k largest losses and, among those, has the least sum of lambdas
+    (rational.lex_candidate_rounds), to 1e-12 of the problem's scale, on
+    seeded 2-7-group problems: a third with a tied pair of groups, a third
+    with an unshifted group, with and without a common offset of 1e10 in a.
+    No lambda is -0.0, which the sidecar would print as such.  Round 1 is the
+    max-min LP, whose least sum ranges over every lambda."""
+    rng = np.random.default_rng(37)
+    for case in range(30):
+        n = int(rng.integers(2, 8))
+        a, b = rng.random(n) + offset, rng.normal(scale=0.3, size=n)
+        if case % 3 == 1:
+            a[1], b[1] = a[0], b[0]
+        if case % 3 == 2:
+            b[-1] = 0.0
+        prob = synthetic_problem(a, b)
+        rounds = solve_lexicographic(prob).rounds
+        for k, exact in enumerate(rational.lex_candidate_rounds(a, b)[1:], start=2):
+            got = list(rounds[k - 1]["lambdas"].values())
+            assert got == pytest.approx([float(v) for v in exact], abs=1e-12 * problem_scale(prob)), (case, k)
+            assert not np.any(np.signbit(got)), (case, k)
+
+
+def test_lex_solves_32_groups():
+    """A random 32-group lexicographic solve takes under 2 s, most of it the
+    round-1 LP, and the clip-form search of rounds 2..n under 0.1 s.  Solved
+    as 32 LP rounds, it had not finished after 13 minutes."""
+    rng = np.random.default_rng(32)
+    prob = synthetic_problem(rng.random(32), rng.normal(scale=0.3, size=32))
+    start = time.perf_counter()
+    sol = solve_lexicographic(prob)
+    solve_s = time.perf_counter() - start
+    start = time.perf_counter()
+    lex._clip_rounds(prob)
+    search_s = time.perf_counter() - start
+    assert solve_s < 2.0 and search_s < 0.1, (solve_s, search_s)
+    final = np.sort(list(sol.losses.values()))[::-1]
+    assert np.all(np.cumsum(final) <= np.array(sol.epsilons) + 1e-9 * problem_scale(prob))
+
+
+def test_clip_search_memory_at_64_groups():
+    """tracemalloc peaks in the clip-form search of a random 64-group problem
+    at under 26 B per interval end and pair of groups.
+
+    The search forms every pair's loss difference at each of the 2 * 64
+    interval ends from two gathered copies of the ends' losses: three arrays
+    of 8 B per end and pair, 6.19 MB for 128 ends and C(64, 2) = 2016 pairs,
+    alive at once.  The rest is smaller: the ends' losses and the pair
+    indices (0.1 MB), and later, with only the differences kept, a few arrays
+    of 1173 candidates by 64 losses or lambdas (0.6 MB each).  That is 24.4 B,
+    and the 26 B bound leaves less room than one more 8-byte array per end and
+    pair, such as forming the ends' losses from a 128 x 64 x 64 array of gaps.
+    """
+    rng = np.random.default_rng(64)
+    prob = synthetic_problem(rng.random(64), rng.normal(scale=0.3, size=64))
+    assert traced_peak(lambda: lex._clip_rounds(prob)) / (128 * 2016) <= 26
 
 
 # -- max-min ---------------------------------------------------------------------

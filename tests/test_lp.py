@@ -214,8 +214,9 @@ def _lex_under(pivot, prob, monkeypatch):
 
 def test_row_sparse_pivots_match_dense_ones_bit_for_bit(rng, monkeypatch):
     """Updating only the rows with a nonzero in the pivot column takes the same
-    pivots and returns the same bytes as updating the whole tableau."""
-    for trial in range(24):
+    pivots and returns the same bytes as updating the whole tableau, on 120
+    max-min LPs (a lexicographic solve poses one)."""
+    for trial in range(120):
         n = int(rng.integers(3, 8))
         a, b = rng.random(n), rng.normal(scale=0.3, size=n)
         if trial % 3 == 0:  # tied means and unshifted groups: degenerate rounds
@@ -223,5 +224,5 @@ def test_row_sparse_pivots_match_dense_ones_bit_for_bit(rng, monkeypatch):
         prob = LexProblem(tuple(f"g{i}" for i in range(n)), a, b)
         sparse = _lex_under(ROW_SPARSE_PIVOT, prob, monkeypatch)
         dense = _lex_under(_dense_pivot, prob, monkeypatch)
-        assert len(sparse[1]) == n
+        assert len(sparse[1]) == 1
         assert sparse == dense

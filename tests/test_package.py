@@ -1,11 +1,13 @@
 import argparse
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairrepair
@@ -66,13 +68,13 @@ def test_readme_flag_lists_match_the_parser():
 # -- import cost ----------------------------------------------------------------
 
 
-def fresh_python(*args, **env) -> subprocess.CompletedProcess:
+def fresh_python(*args, status=0, **env) -> subprocess.CompletedProcess:
     """``python *args`` on src/ in a fresh interpreter, with no BLAS thread
-    variable set but those in ``env``; fails unless it exits 0."""
+    variable set but those in ``env``; fails unless it exits ``status``."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | env
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
     return proc
 
 
@@ -119,6 +121,47 @@ def openblas_pool():
 def test_cli_loads_numpy_with_one_blas_thread(openblas_pool, code, env, threads):
     count = int(fresh_python("-c", THREADS.format(code), **env).stdout)
     assert count > 1 if threads is None else count == threads
+
+
+def test_cli_workflow_in_fresh_interpreters(tmp_path):
+    """The CLI sequence of CI's packaging smoke step, each command a fresh
+    ``python -m fairrepair.cli``: generate from the bundled spec, an auto fit
+    (lexicographic at 4 groups), apply and evaluate; apply at lambda = 1 is
+    T_g(x) for every row, bit for bit; a 2-group auto fit takes the exact
+    route; and fit rejects ``--tol`` with exit 2, writing nothing.  The smoke
+    step keeps only what needs an install: the console script and the spec
+    bundled as package data.  The lazy import and the one BLAS thread are
+    checked above, by test_import_loads_no_numpy and
+    test_cli_loads_numpy_with_one_blas_thread."""
+    def cli(*argv, status=0):
+        fresh_python("-m", "fairrepair.cli", *argv, status=status)
+
+    labeled, holdout, plan = tmp_path / "smoke_labeled.csv", tmp_path / "smoke_holdout.csv", tmp_path / "plan.json"
+    cli("generate", "--output", tmp_path / "smoke", "--n", 200)
+    cli("fit", "--input", labeled, "--output", plan, "--domain", "0:100", "--metric", "tpr")
+    assert json.loads((tmp_path / "plan.json.solution.json").read_text())["method"] == "lexicographic"
+    cli("apply", "--input", holdout, "--plan", plan, "--output", tmp_path / "repaired.csv")
+    cli("evaluate", "--input", tmp_path / "repaired.csv", "--output", tmp_path / "after.json",
+        "--domain", "0:100", "--metric", "tpr")
+    assert (tmp_path / "after.curves.csv").stat().st_size
+
+    cli("fit", "--input", labeled, "--output", tmp_path / "full.json", "--domain", "0:100", "--solver", "none")
+    cli("apply", "--input", labeled, "--plan", tmp_path / "full.json", "--output", tmp_path / "full.csv")
+    full = fairrepair.load_plan(tmp_path / "full.json")
+    before, after = (fairrepair.load_csv(path, full.domain) for path in (labeled, tmp_path / "full.csv"))
+    assert before.groups == after.groups == full.groups
+    for k, g in enumerate(full.groups):
+        rows = before.group_indices == k
+        assert rows.any() and np.array_equal(after.scores[rows], full.total_repair_score(g, before.scores[rows])), g
+
+    rng = np.random.default_rng(0)
+    duo = tmp_path / "duo.csv"
+    duo.write_text("score,group,label\n" + "".join(f"{x},{g},{y}\n" for g in "ab"
+                                                     for x, y in zip(rng.random(50), rng.integers(0, 2, 50))))
+    cli("fit", "--input", duo, "--output", tmp_path / "duo.json", "--metric", "tpr")
+    assert json.loads((tmp_path / "duo.json.solution.json").read_text())["method"] == "exact"
+    cli("fit", "--input", duo, "--output", tmp_path / "tol.json", "--tol", "1e-6", status=2)
+    assert not (tmp_path / "tol.json").exists()
 
 
 # -- optional test dependencies -------------------------------------------------
