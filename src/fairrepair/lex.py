@@ -130,7 +130,7 @@ def _clip_rounds(prob: LexProblem) -> np.ndarray:
     s = float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
     a, b = (prob.base_means - prob.base_means.min()) / s, prob.mean_shifts / s
     lo, hi = np.minimum(a, a + b), np.maximum(a, a + b)
-    # A repeated end adds an empty segment with no crossing; np.unique's first call imports numpy.ma (10 ms).
+    # A repeated end adds an empty segment with no crossing, so no dedupe: np.unique imports numpy.ma (ot._union).
     ends = np.sort(np.concatenate([lo, hi]))
     at_ends = np.array([np.abs(m[:, None] - m).sum(axis=1) for m in np.clip(ends[:, None], lo, hi)])
     first, second = np.triu_indices(n, 1)

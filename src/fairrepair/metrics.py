@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import MetricKind, ScoreDomain, ScoredDataset, _conditional_scores, _quote
 from .errors import DatasetError
-from .ot import EmpiricalDistribution, wasserstein
+from .ot import EmpiricalDistribution, _union, wasserstein
 
 __all__ = [
     "ThresholdGrid",
@@ -163,7 +163,7 @@ def distributional_disparity(
     pairs = []
     for (a, da), (b, db) in itertools.combinations(dists.items(), 2):
         exact = wasserstein(da, db, p)  # rejects a bad p before gap**p
-        u = np.union1d(da.atoms, db.atoms)
+        u = _union(da.atoms, db.atoms)
         gap = np.abs(da.cdf(u) - db.cdf(u))  # on [u_i, u_{i+1}); 0 past the last score
         pairs.append(PairGap(a, b, float((np.diff(u) * gap[:-1] ** p).sum()), exact, float(gap.max())))
 

@@ -156,8 +156,14 @@ class _Levels(NamedTuple):
     i2: np.ndarray
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy's sorted set union of two sorted, nonempty, NaN-free arrays; ``np.unique`` imports numpy.ma."""
+    u = np.sort(np.concatenate([a, b]), kind="stable")  # two sorted runs: one merge
+    return u[np.concatenate([[True], u[1:] != u[:-1]])]
+
+
 def _levels(d1: EmpiricalDistribution, d2: EmpiricalDistribution) -> _Levels:
-    q = np.union1d(d1.breakpoints, d2.breakpoints)
+    q = _union(d1.breakpoints, d2.breakpoints)
     # Same lookup as quantile(): the last level is 1.0, so every index is in range.
     i1 = np.searchsorted(d1.breakpoints, q, side="left")
     i2 = np.searchsorted(d2.breakpoints, q, side="left")

@@ -214,6 +214,34 @@ def test_wasserstein_point_masses():
     assert wasserstein(dist([0.0, 0.0]), dist([1.0, 1.0]), 1.0) == 1.0
 
 
+@pytest.mark.parametrize("a, b", [
+    ([0.1, 0.1, 0.3], [0.1, 0.2, 0.2]),  # ties within and across the arrays
+    ([0.0, 0.5, 1.0], [0.0, 0.7, 1.0]),  # equal ends
+    ([0.1, 0.2], [0.3, 0.4]),  # disjoint
+    ([0.3, 0.4], [0.1, 0.2]),
+    ([0.0, 1.0], [0.2, 0.4, 0.6]),  # nested
+    ([0.5], [0.5]),  # one element each
+    ([0.5], [0.2, 0.5, 0.9]),
+    ([-0.0, 0.5], [0.0, 0.5]),
+], ids=["ties", "equal-ends", "disjoint", "disjoint-reversed", "nested", "one-equal", "one-in-three", "signed-zero"])
+def test_union_is_numpys_sorted_set_union(a, b):
+    a, b = np.array(a), np.array(b)
+    assert_union_is_numpys(a, b)
+    assert_union_is_numpys(b, a)
+
+
+def test_union_is_numpys_on_random_sorted_arrays(rng):
+    for _ in range(200):
+        # Few distinct values, so ties within and across the arrays are common.
+        a, b = (np.sort(rng.choice(rng.random(8), rng.integers(1, 12))) for _ in range(2))
+        assert_union_is_numpys(a, b)
+
+
+def assert_union_is_numpys(a, b):
+    got, want = ot._union(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_wasserstein_reuses_levels_only_for_their_breakpoints(rng):
     d1 = EmpiricalDistribution(*random_distribution(rng))
     d2 = EmpiricalDistribution(*random_distribution(rng))

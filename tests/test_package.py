@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import json
 import os
 import re
@@ -162,6 +163,77 @@ def test_cli_workflow_in_fresh_interpreters(tmp_path):
     assert json.loads((tmp_path / "duo.json.solution.json").read_text())["method"] == "exact"
     cli("fit", "--input", duo, "--output", tmp_path / "tol.json", "--tol", "1e-6", status=2)
     assert not (tmp_path / "tol.json").exists()
+
+
+@pytest.fixture(scope="module")
+def duo(tmp_path_factory):
+    """A labeled 2-group CSV and a plan fitted on it."""
+    d = tmp_path_factory.mktemp("duo")
+    rng = np.random.default_rng(1)
+    (d / "duo.csv").write_text("score,group,label\n" + "".join(
+        f"{x},{g},{y}\n" for g in "ab" for x, y in zip(rng.random(40), rng.integers(0, 2, 40))))
+    assert cli.main(["fit", "--input", str(d / "duo.csv"), "--output", str(d / "plan.json"), "--solver", "none"]) == 0
+    return d
+
+
+# Runs cli.main on argv; prints whether numpy.ma was loaded after the import and after main.
+MA_PROBE = ("import sys; from fairrepair import cli; before = 'numpy.ma' in sys.modules\n"
+            "assert cli.main(sys.argv[1:]) == 0; print(before, 'numpy.ma' in sys.modules)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--metric", "tpr"],
+    *(["fit", "--solver", solver, "--metric", "tpr"] for solver in ("exact", "probabilistic", "lex", "maxmin", "none")),
+    ["apply"],
+    ["lambda-sweep", "--metric", "tpr"],
+    ["generate", "--n", "200"],
+], ids=["evaluate", "fit-exact", "fit-probabilistic", "fit-lex", "fit-maxmin", "fit-none", "apply", "lambda-sweep",
+        "generate"])
+def test_cli_never_loads_numpy_ma(duo, tmp_path, argv):
+    """Under numpy 2, ``np.unique`` (so ``np.union1d``) imports numpy.ma on its
+    first call, about 8 ms a process; numpy 1.x loads it with numpy itself."""
+    argv = [*argv, "--output", tmp_path / "out"]
+    if argv[0] != "generate":
+        argv += ["--input", duo / "duo.csv"]
+    if argv[0] == "apply":
+        argv += ["--plan", duo / "plan.json"]
+    before, after = fresh_python("-c", MA_PROBE, *argv).stdout.split()
+    if before == "True":
+        pytest.skip("this numpy loads numpy.ma as it loads")
+    assert after == "False"
+
+
+# python -m fairrepair.cli, with an atexit hook that reports the collector's freeze count.
+EXIT_PROBE = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print('frozen' if gc.get_freeze_count() else 'not frozen'))\n"
+              "sys.argv[0] = 'fairrepair'; runpy.run_module('fairrepair.cli', run_name='__main__', alter_sys=True)")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["generate", "--n", "200"], 0),
+    (["generate", "--n", "200", "--bogus"], 2),
+    (["fit", "--solver", "probabilistic", "--metric", "tpr", "--input", "{d}/equal.csv"], 3),
+    (["evaluate", "--input", "{d}/missing.csv"], 4),
+], ids=["ok", "validation", "solver", "io"])
+def test_cli_process_exits_with_mains_code_and_the_collector_frozen(tmp_path, argv, status):
+    """The process entry freezes the collector after ``main``, so the
+    interpreter's final collection skips every live object; atexit handlers
+    still run, and ``main``'s exit code comes through unchanged.  The console
+    script names the same entry."""
+    (tmp_path / "equal.csv").write_text("score,group,label\n0.2,A,1\n0.4,A,0\n0.2,B,1\n0.4,B,0\n")
+    argv = [a.format(d=tmp_path) for a in argv]
+    proc = fresh_python("-c", EXIT_PROBE, *argv, "--output", tmp_path / "out", status=status)
+    assert proc.stdout == "frozen\n"
+    script = re.search(r'^fairrepair = "fairrepair\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert getattr(cli, script.group(1)) is cli.entry
+
+
+def test_cli_main_in_process_leaves_the_collector_unfrozen(tmp_path):
+    """Tests and the benchmark's traced run call ``main`` in-process."""
+    frozen = gc.get_freeze_count()
+    assert cli.main(["generate", "--n", "200", "--output", str(tmp_path / "x")]) == 0
+    assert cli.main(["generate", "--bogus"]) == 2
+    assert gc.get_freeze_count() == frozen
 
 
 # -- optional test dependencies -------------------------------------------------
