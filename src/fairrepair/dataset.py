@@ -256,7 +256,7 @@ def parse_metric(name: str) -> MetricKind:
 
 @dataclass(frozen=True)
 class MetricCombo:
-    """Nonnegatively weighted combination of metric kinds; the weights have a positive sum."""
+    """Nonnegatively weighted combination of distinct metric kinds; the weights have a positive sum."""
 
     terms: tuple[tuple[MetricKind, float], ...]
 
@@ -264,7 +264,9 @@ class MetricCombo:
         if not self.terms:
             raise DatasetError("metric combination needs at least one term")
         total = 0.0
-        for kind, w in self.terms:
+        for i, (kind, w) in enumerate(self.terms):
+            if kind in self.kinds[:i]:
+                raise DatasetError(f"metric '{kind}' is named twice in '{self}'")
             if not (math.isfinite(w) and w >= 0):
                 raise DatasetError(f"weight for {kind} must be finite and >= 0")
             total += w

@@ -4,9 +4,8 @@ The group loss is the sum of absolute gaps between label-conditioned mean
 scores, and each group's mean is exactly affine in its own repair amount:
 m_g(lam_g) = a_g + lam_g * b_g, a point of the interval I_g between a_g and
 a_g + b_g.  Round k minimizes the sum of the k largest losses subject to the
-earlier rounds' optima.  Round 1 alone is max-min fairness, an exact LP in the
-epigraph form of Ogryczak & Tamir (Inf. Proc. Letters 85, 2003).  Its tie
-rule, a pull toward lambda = 0, picks the least sum of lambdas among all
+earlier rounds' optima.  Round 1 alone is max-min fairness, an exact LP whose
+tie rule, a pull toward lambda = 0, picks the least sum of lambdas among all
 max-min optima, often a point not of the clip form below, so it stays an LP.
 
 Rounds 2..n search the clip-form points m_g = clip(c, I_g), one common c;
@@ -28,7 +27,6 @@ scale, so the lambdas do not depend on the units of the scores.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -51,8 +49,6 @@ class LexProblem:
     groups: tuple[str, ...]
     base_means: np.ndarray   # a_g = E[z | condition, g], z the score normalized onto [0, 1]
     mean_shifts: np.ndarray  # b_g = E[T_g(z) - z | condition, g]
-    # Max-min's pull toward lambda = 0, per unit of the problem's scale: flat optima are deterministic.
-    eps_stab: ClassVar[float] = 1e-6
 
     @property
     def n(self) -> int:
@@ -87,19 +83,20 @@ class LexSolution:
         return asdict(self)
 
 
-def _maxmin_lp(prob: LexProblem) -> np.ndarray:
-    """Round 1: minimize the largest loss, plus eps_stab per unit of lambda.
+_PULL = 1e-6  # max-min's pull toward lambda = 0, per unit of the problem's scale: flat optima are deterministic
 
-    Variables: lambdas (n, in [0,1]), u_pair >= |m_i - m_j| per unordered
-    pair, t >= 0 and excesses v_g >= L_g - t; the objective is t + sum_g v_g.
-    t >= 0 loses nothing because losses are nonnegative.
+
+def _maxmin_lp(prob: LexProblem) -> np.ndarray:
+    """Round 1: minimize t, plus _PULL per unit of lambda, with every loss <= t.
+
+    Variables: lambdas (n, in [0,1]), t >= 0 (losses are nonnegative) and
+    u_pair >= |m_i - m_j| per unordered pair; L_g is the sum of g's u.
 
     The pair gaps a_i - a_j and b are divided by the problem's scale
     s = ptp(a) + max|b|, so every pair gap is at most 2, the simplex's
-    absolute tolerance is relative to s, and eps_stab pulls toward lambda = 0
-    by eps_stab * s in normalized units.  A gap is formed before it is
-    divided, so it rounds relative to itself, not to |a_i| (which an offset
-    can make >> s).
+    absolute tolerance is relative to s, and the pull toward lambda = 0 is
+    _PULL * s in normalized units.  A gap is formed before it is divided, so
+    it rounds relative to itself, not to |a_i| (which an offset can make >> s).
     """
     n = prob.n
     first, second = np.triu_indices(n, 1)  # pairs (i, j) with i < j
@@ -108,16 +105,16 @@ def _maxmin_lp(prob: LexProblem) -> np.ndarray:
     s = float(np.ptp(prob.base_means) + np.max(np.abs(prob.mean_shifts))) or 1.0
     b = prob.mean_shifts / s
 
-    # Columns: [lambdas (n) | t | u (npairs) | v (n)].
+    # Columns: [lambdas (n) | t | u (npairs)].
     # u_ij >= +-(m_i - m_j):  +-(b_i lam_i - b_j lam_j) - u_ij <= -+(a_i - a_j)
-    u_cols = np.hstack([np.zeros((npairs, 1)), -np.eye(npairs), np.zeros((npairs, n))])
+    u_cols = np.hstack([np.zeros((npairs, 1)), -np.eye(npairs)])
     u_rows = np.stack([np.hstack([signed * b, u_cols]), np.hstack([-signed * b, u_cols])], axis=1)
     gap = (prob.base_means[first] - prob.base_means[second]) / s
-    # L_g = sum of u over the pairs that contain g;  v_g >= L_g - t
-    excess = np.hstack([np.zeros((n, n)), -np.ones((n, 1)), np.abs(signed).T, -np.eye(n)])
-    cost = np.concatenate([np.full(n, prob.eps_stab), [1.0], np.zeros(npairs), np.ones(n)])
+    # L_g = sum of u over the pairs that contain g;  L_g <= t
+    loads = np.hstack([np.zeros((n, n)), -np.ones((n, 1)), np.abs(signed).T])
+    cost = np.concatenate([np.full(n, _PULL), [1.0], np.zeros(npairs)])
     # The last n rows are the bounds lam_g <= 1.
-    A = np.vstack([u_rows.reshape(2 * npairs, -1), excess, np.eye(n, cost.size)])
+    A = np.vstack([u_rows.reshape(2 * npairs, -1), loads, np.eye(n, cost.size)])
     rhs = np.concatenate([np.stack([-gap, gap], axis=1).ravel(), np.zeros(n), np.ones(n)])
     return np.clip(linprog(cost, A, rhs)[:n], 0.0, 1.0)
 

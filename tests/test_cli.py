@@ -97,6 +97,15 @@ def test_evaluate_combo_reports_weighted_total(tmp_path):
     assert payload["weighted_expected_gap"] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("metric", ["tpr,TPR:2", "tpr,tpr"])
+def test_evaluate_metric_named_twice_is_validation_error(tmp_path, capsys, metric):
+    data = labeled_binary(tmp_path)
+    out, curves = tmp_path / "report.json", tmp_path / "curves.csv"
+    assert run("evaluate", "--input", data, "--output", out, "--curves", curves, "--metric", metric) == 2
+    assert "metric 'tpr' is named twice" in capsys.readouterr().err
+    assert not out.exists() and not curves.exists()
+
+
 def test_evaluate_unlabeled_tpr_is_validation_error(tmp_path, capsys):
     path = write_dataset(tmp_path)
     out = tmp_path / "report.json"

@@ -277,6 +277,14 @@ def test_combo_rejects_negative_weight_and_empty():
             parse_combo(text)
 
 
+def test_combo_rejects_a_metric_named_twice():
+    """A repeated metric would be reported, and its curves written, twice."""
+    for text in ("tpr,tpr", "tpr,TPR:2", "fpr:1,pr,fpr:0"):
+        with pytest.raises(DatasetError, match="metric '(tpr|fpr)' is named twice"):
+            parse_combo(text)
+    assert parse_combo("tpr,fpr,pr").kinds == [TPR, FPR, PR]
+
+
 # -- CSV ---------------------------------------------------------------------
 
 

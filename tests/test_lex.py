@@ -165,8 +165,8 @@ def test_frozen_shifts_give_constant_loss():
 
 def test_lp_size_per_round(monkeypatch):
     """A 4-group lexicographic solve calls ``lex.linprog`` once, for round 1:
-    2*C(n,2) + n + n rows (the u rows, n excess rows and the n bounds
-    lambda_g <= 1) over n + 1 + C(n,2) + n columns (lambdas, t, u and v).
+    2*C(n,2) + n + n rows (the u rows, n rows L_g <= t and the n bounds
+    lambda_g <= 1) over n + 1 + C(n,2) columns (lambdas, t and u).
     Rounds 2..n are the clip-form search.  perfbench's fit-lex and
     apply-holdout workloads expect the ``lp.linprog`` boundary to be reached
     and drop the ``lp.*`` metrics of a run that solves no LP, so a lex solve
@@ -179,7 +179,12 @@ def test_lp_size_per_round(monkeypatch):
 
     monkeypatch.setattr(lex, "linprog", recording_linprog)
     solve_lexicographic(synthetic_problem([0.3, 0.5, 0.6, 0.9], [0.2, 0.0, -0.1, -0.3]))
-    assert shapes == [(20, 15)]
+    assert shapes == [(20, 11)]
+    for n in range(2, 10):  # max-min alone: the same single LP at every size
+        shapes.clear()
+        solve_maxmin(synthetic_problem(np.linspace(0.0, 1.0, n), np.full(n, 0.1)))
+        npairs = n * (n - 1) // 2
+        assert shapes == [(2 * npairs + 2 * n, npairs + n + 1)], n
 
 
 def test_thirteen_groups_accepted():
@@ -233,14 +238,14 @@ def subset_round_optimum(prob, k, inherited, pull):
 def test_round_optima_match_subset_encoding(rng):
     """Each round's optimum equals the HiGHS optimum of the same round in the
     explicit subset encoding.  Rounds 1 and n count the round-1 LP's pull
-    toward lambda = 0 (eps_stab * s per unit of lambda) on both sides; rounds
+    toward lambda = 0 (lex._PULL * s per unit of lambda) on both sides; rounds
     2..n-1 compare epsilon alone with a HiGHS optimum that has no pull, since
     the search breaks their ties by the least sum of lambdas, and a pull would
     trade some loss for a smaller sum (by up to 1.4e-6 here)."""
     for n in range(3, 8):
         prob = synthetic_problem(rng.random(n), rng.normal(scale=0.3, size=n))
         sol = solve_lexicographic(prob)
-        pull = prob.eps_stab * problem_scale(prob)
+        pull = lex._PULL * problem_scale(prob)
         for k, rnd in enumerate(sol.rounds, start=1):
             weight = pull if k in (1, n) else 0.0
             ours = rnd["epsilon"] + weight * sum(rnd["lambdas"].values())
